@@ -149,9 +149,17 @@ class WindowAttention(Module):
         self.window = window
         self._index_cache: dict[int, np.ndarray] = {}
 
+    def _temperature(self) -> Tensor:
+        """0.01 + softplus(raw), clamped at the next float above 0.01: the
+        sum rounds to exactly 0.01 once softplus(raw) drops below half an
+        ulp, and every value above the floor passes through unchanged."""
+        floor = np.nextafter(np.asarray(0.01, dtype=self.tau_raw.dtype), np.inf)
+        return nm.clamp_min(nm.add(nm.softplus(self.tau_raw), 0.01), floor)
+
     @property
     def tau(self) -> np.ndarray:
-        return 0.01 + np.logaddexp(0.0, self.tau_raw.data.astype(np.float64))
+        with nm.no_grad():
+            return self._temperature().data
 
     def _rel_index(self, m: int) -> np.ndarray:
         cached = self._index_cache.get(m)
@@ -173,8 +181,7 @@ class WindowAttention(Module):
         kn = nm.div(k, nm.clamp_min(nm.sqrt(nm.tsum(nm.mul(k, k), axis=-1, keepdims=True)), 1e-12))
         cossim = nm.matmul(qn, nm.transpose(kn, (0, 1, 3, 2)))  # (bw, heads, t, t)
 
-        tau = nm.add(nm.softplus(self.tau_raw), 0.01)
-        scores = nm.div(cossim, nm.reshape(tau, (1, self.heads, 1, 1)))
+        scores = nm.div(cossim, nm.reshape(self._temperature(), (1, self.heads, 1, 1)))
 
         bias = nm.take(self.bias_table, self._rel_index(m))  # (t*t, heads)
         bias = nm.transpose(nm.reshape(bias, (t, t, self.heads)), (2, 0, 1))

@@ -15,19 +15,21 @@ _BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 
 def cap_threads() -> None:
-    """Honor M3AD_THREADS by capping the BLAS/OpenMP pools it maps to.
+    """Pin the BLAS/OpenMP pools at one thread and check M3AD_THREADS.
 
-    Explicitly set backend variables win over the cap.
+    The engine owns the cores: ``m3ad.numerics`` spreads independent work
+    over its own pool of M3AD_THREADS workers (default: the CPUs the
+    process may use), and each worker's BLAS calls run single-threaded.
+    Explicitly set backend variables still win over the pin, but a
+    multi-threaded BLAS under the pool oversubscribes the cores.
     """
     n = os.environ.get("M3AD_THREADS")
-    if not n:
-        return
-    if not n.isdigit() or int(n) < 1:
+    if n and (not n.isdigit() or int(n) < 1):
         print(f"error: M3AD_THREADS must be a positive integer, got {n!r}",
               file=sys.stderr)
         raise SystemExit(1)
     for var in _BLAS_VARS:
-        os.environ.setdefault(var, n)
+        os.environ.setdefault(var, "1")
 
 
 def run() -> int:

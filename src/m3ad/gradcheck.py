@@ -16,7 +16,7 @@ from .backbone import M3ADBlock, WindowAttention
 from .config import ModelConfig
 from .heads_losses import finetune_loss
 from .model import M3ADNet
-from .moe import MMoELayer, task_routing
+from .moe import ExpertMLP, MMoELayer, expert_mix, task_routing
 from .numerics import Tensor, grad_check
 from .priors import Fusion, PriorEncoder
 from .tokmlp import TokMLPBlock, conv3x3, dwconv3x3
@@ -110,6 +110,15 @@ def check_primitives(rng: np.random.Generator | None = None) -> dict[str, float]
     run("conv3x3", lambda: nm.mul(conv3x3(img, cw, cb), wconv).sum(), [img, cw, cb])
     dw, db = _t(rng, 3, 3, 3), _t(rng, 3)
     run("dwconv3x3", lambda: nm.mul(dwconv3x3(img, dw, db), w4).sum(), [img, dw, db])
+
+    bank = [ExpertMLP(rng, 3, 4, np.float64) for _ in range(2)]
+    bank_params = [p for expert in bank for p in expert.parameters()]
+    for p in bank_params:  # unit-scale weights, so GELU's curvature shows
+        p.data[...] = rng.standard_normal(p.shape)
+    xe, gate = _t(rng, 2, 5, 3), _t(rng, 2, 2)
+    wmix = _weight(rng, (2, 5, 3))
+    run("expert_mix", lambda: nm.mul(expert_mix(xe, gate, bank), wmix).sum(),
+        [xe, gate] + bank_params)
     return out
 
 

@@ -28,6 +28,11 @@ class MaskSpec:
     image_hw: tuple[int, int]
     indices: np.ndarray  # sorted unique flat unit indices
 
+    def __post_init__(self):
+        # an empty list would otherwise arrive as float64 and fail as an
+        # IndexError before the empty-mask ContractError
+        object.__setattr__(self, "indices", np.asarray(self.indices).astype(np.intp, copy=False))
+
     @property
     def unit_grid(self) -> tuple[int, int]:
         return self.image_hw[0] // self.unit, self.image_hw[1] // self.unit

@@ -12,11 +12,16 @@ combined under one of two routing modes:
 * task gates — learned per-task softmax gates ("diagnosis" and "change")
   over a feature-level attention summary of the tokens, used during
   fine-tuning. Gate parameters are independent between tasks.
+
+Either way the experts run inside one graph node, :func:`expert_mix`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
+from typing import Sequence
 
 import numpy as np
 
@@ -98,7 +103,63 @@ class ExpertMLP(Module):
         self.fc2 = Linear(rng, hidden, dim, dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.fc2(nm.gelu(self.fc1(x)))
+        return expert_mix(x, np.ones((x.shape[0], 1), dtype=x.dtype), [self])
+
+
+def expert_mix(x: Tensor, w, experts: Sequence[ExpertMLP]) -> Tensor:
+    """``sum_k w[:, k] * experts[k](x)`` as one graph node.
+
+    ``x`` is (batch, ..., dim) and ``w`` a (batch, len(experts)) Tensor or
+    array. Each expert computes fc2(gelu(fc1(x))) with the same numpy and
+    BLAS calls as its layers would, the terms are summed in list order,
+    and the per-expert work runs on the engine's pool when it is large
+    enough, so the value is the same whatever the thread count. The vjp
+    returns gradients for ``x``, ``w`` and the listed experts' parameters.
+    """
+    if not experts:
+        raise ContractError("expert_mix() needs at least one expert")
+    wt = w if isinstance(w, Tensor) else Tensor(np.asarray(w, dtype=x.dtype))
+    if x.ndim < 2 or wt.shape != (x.shape[0], len(experts)):
+        raise ShapeError(f"expert weights {wt.shape} do not match input {x.shape} "
+                         f"and {len(experts)} experts")
+    if wt.dtype != x.dtype:
+        raise ShapeError(f"operand dtypes differ: {x.dtype} vs {wt.dtype}")
+    parents = (x, wt) + tuple(p for e in experts
+                              for p in (e.fc1.weight, e.fc1.bias, e.fc2.weight, e.fc2.bias))
+    record = nm._records(parents)
+    keep_y = record and wt._is_node()
+    xf = x.data.reshape(-1, x.shape[-1])
+    scale = (x.shape[0],) + (1,) * (x.ndim - 1)
+    work = xf.shape[0] * experts[0].fc1.weight.shape[1] * len(experts)
+
+    def forward(k):
+        e = experts[k]
+        z, slope = nm._gelu(xf @ e.fc1.weight.data + e.fc1.bias.data, record)
+        y = (z @ e.fc2.weight.data + e.fc2.bias.data).reshape(x.shape)
+        term = y * wt.data[:, k].reshape(scale)
+        return term, (z, slope, y if keep_y else None)
+
+    results = nm._parallel_map(forward, range(len(experts)), work)
+    out = reduce(operator.add, [term for term, _ in results])
+    saved = [kept for _, kept in results]
+
+    def vjp(g):
+        def backward(k):
+            e = experts[k]
+            z, slope, y = saved[k]
+            gy = (g * wt.data[:, k].reshape(scale)).reshape(-1, g.shape[-1])
+            gz = gy @ e.fc2.weight.data.T
+            gz *= slope
+            gx = (gz @ e.fc1.weight.data.T).reshape(x.shape) if x._is_node() else None
+            gw = None if y is None else (g * y).sum(axis=tuple(range(1, x.ndim)))
+            return gx, gw, (xf.T @ gz, gz.sum(axis=0), z.T @ gy, gy.sum(axis=0))
+
+        parts = nm._parallel_map(backward, range(len(experts)), work)
+        gx = reduce(operator.add, [part[0] for part in parts]) if x._is_node() else None
+        gw = np.stack([part[1] for part in parts], axis=1) if keep_y else None
+        return (gx, gw) + tuple(grad for part in parts for grad in part[2])
+
+    return nm._wrap(out, parents, vjp)
 
 
 class MMoELayer(Module):
@@ -151,12 +212,7 @@ class MMoELayer(Module):
             w = self.gate_weights(x, routing.task)
             if routing.sink is not None:
                 routing.sink.append(w.data.copy())
-            out = None
-            for e in range(self.num_experts):
-                we = nm.reshape(w[:, e], (batch, 1, 1))
-                term = nm.mul(self.experts[e](x), we)
-                out = term if out is None else nm.add(out, term)
-            return out
+            return expert_mix(x, w, self.experts)
         if routing.kind != "fixed":
             raise ContractError(f"unknown routing kind {routing.kind!r}")
         weights = np.asarray(routing.weights, dtype=x.dtype)
@@ -166,13 +222,8 @@ class MMoELayer(Module):
             raise ShapeError(
                 f"routing weights shape {weights.shape} does not match "
                 f"(batch={batch}, experts={self.num_experts})")
-        out = None
-        for e in range(self.num_experts):
-            col = weights[:, e]
-            if not np.any(col):
-                continue  # skipped experts stay out of the graph entirely
-            term = nm.mul(self.experts[e](x), col.reshape(batch, 1, 1))
-            out = term if out is None else nm.add(out, term)
-        if out is None:
+        used = np.flatnonzero(np.any(weights, axis=0))
+        if used.size == 0:
             raise ContractError("routing weights are all zero; no expert selected")
-        return out
+        # skipped experts stay out of the graph entirely
+        return expert_mix(x, weights[:, used], [self.experts[e] for e in used])

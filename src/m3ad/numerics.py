@@ -8,20 +8,33 @@ model needs exist, and each one is written so its gradient can be checked
 against central finite differences (see :func:`grad_check`).
 
 Also hosted here because they sit at the same level of the stack:
-the :class:`Module` parameter container, the ``no_grad`` context, and the
-``.m3t`` tensor file format.
+the :class:`Module` parameter container, the ``no_grad`` context, the
+``.m3t`` tensor file format, and the engine's worker pool.
+
+Thread policy: the engine owns the cores. Ops whose work splits into
+independent parts (the experts of an MMoE layer) run those parts on a
+private thread pool of ``M3AD_THREADS`` workers (default: the CPUs the
+process may use), made on first use, and only when the work is large
+enough to pay for the hand-off. Results are combined in a fixed order,
+so every value is the same whatever the thread count. BLAS is meant to
+run one thread per call: :func:`m3ad.entry.cap_threads` pins it before
+numpy loads. An explicitly set backend variable still wins, but a
+multi-threaded BLAS under the pool oversubscribes the cores.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy import special
 
-from .errors import CheckpointError, ContractError, ShapeError
+from .errors import CheckpointError, ConfigError, ContractError, ShapeError
 
 _GRAD_ENABLED = True
 
@@ -214,10 +227,15 @@ class Tensor:
         return transpose(self, axes)
 
 
+def _records(parents: Sequence[Tensor]) -> bool:
+    """Whether an op over ``parents`` is recorded in the graph."""
+    return _GRAD_ENABLED and any(p._is_node() for p in parents)
+
+
 def _wrap(node_data: np.ndarray, parents: tuple[Tensor, ...],
           vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
     out = Tensor(node_data)
-    if _GRAD_ENABLED and any(p._is_node() for p in parents):
+    if _records(parents):
         out._parents = parents
         out._vjp = vjp
     return out
@@ -371,13 +389,20 @@ def softplus(a: Tensor) -> Tensor:
     return _wrap(data, (a,), lambda g: (g * sig,))
 
 
+def _gelu(x: np.ndarray, slope: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Exact GELU x * Phi(x) of an array and, if ``slope`` is set, its
+    derivative Phi(x) + x * pdf(x) from the same Phi; otherwise None."""
+    phi = 0.5 * (1.0 + special.erf(x * np.asarray(_INV_SQRT2, dtype=x.dtype)))
+    if not slope:
+        return x * phi, None
+    pdf = np.asarray(_INV_SQRT_2PI, dtype=x.dtype) * np.exp(-0.5 * x * x)
+    return x * phi, phi + x * pdf
+
+
 def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian-CDF form: x * Phi(x)."""
-    x = a.data
-    phi = 0.5 * (1.0 + special.erf(x * np.asarray(_INV_SQRT2, dtype=a.dtype)))
-    data = x * phi
-    pdf = np.asarray(_INV_SQRT_2PI, dtype=a.dtype) * np.exp(-0.5 * x * x)
-    return _wrap(data, (a,), lambda g: (g * (phi + x * pdf),))
+    data, slope = _gelu(a.data, _records((a,)))
+    return _wrap(data, (a,), lambda g: (g * slope,))
 
 
 # -- reductions --------------------------------------------------------
@@ -581,6 +606,58 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return _wrap(data, (logits,), vjp)
 
 
+# -- worker pool -------------------------------------------------------
+
+# Work (rows x hidden units x parts) from which a thread hand-off pays.
+# On 2 cores an 8-expert MMoE layer runs 1.4-1.9x faster on the pool from
+# 2^18 up, and slower at 2^16 and below. The threshold also keeps batch-1
+# inference of the calib model (at most 2^17) inline, off the pool's
+# wake-up latency.
+_PARALLEL_MIN_WORK = 1 << 18
+
+_POOL: ThreadPoolExecutor | None = None
+_POOL_LOCK = threading.Lock()
+
+
+def _thread_count() -> int:
+    n = os.environ.get("M3AD_THREADS")
+    if not n:
+        return len(os.sched_getaffinity(0))
+    if not n.isdigit() or int(n) < 1:
+        raise ConfigError(f"M3AD_THREADS must be a positive integer, got {n!r}")
+    return int(n)
+
+
+def _engine_pool() -> ThreadPoolExecutor | None:
+    """The engine's worker pool, made on first use; None with one thread."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            n = _thread_count()
+            if n > 1:
+                _POOL = ThreadPoolExecutor(max_workers=n, thread_name_prefix="m3ad")
+        return _POOL
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the pool object but none of its threads
+    global _POOL, _POOL_LOCK
+    _POOL = None
+    _POOL_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _parallel_map(fn: Callable, items: Sequence, work: int) -> list:
+    """``[fn(item) for item in items]``, run on the engine's pool when
+    ``work`` reaches the hand-off threshold. Results keep item order."""
+    pool = _engine_pool() if work >= _PARALLEL_MIN_WORK and len(items) > 1 else None
+    if pool is None:
+        return [fn(item) for item in items]
+    return list(pool.map(fn, items))
+
+
 # -- parameter containers ----------------------------------------------
 
 
@@ -717,7 +794,8 @@ def save_m3t(path, array: np.ndarray) -> None:
     All header integers and the payload are little-endian; float64 input is
     cast down, so only float32 data round-trips bit-exactly.
     """
-    arr = np.ascontiguousarray(np.asarray(array), dtype="<f4")
+    # np.ascontiguousarray would promote a 0-d array to shape (1,)
+    arr = np.asarray(array).astype("<f4", order="C", copy=False)
     with open(path, "wb") as fh:
         fh.write(_M3T_MAGIC)
         fh.write(struct.pack("<I", _M3T_VERSION))

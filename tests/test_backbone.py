@@ -87,7 +87,7 @@ def test_patch_embed_locality(rng):
     img = rng.standard_normal((1, 16, 16))
     base = embed(Tensor(img)).data
     bumped = img.copy()
-    bumped[5, 9] += 1.0  # inside patch (1, 2) only
+    bumped[0, 5, 9] += 1.0  # inside patch (1, 2) only
     out = embed(Tensor(bumped)).data
     changed = np.any(out != base, axis=-1)[0]
     expected = np.zeros((4, 4), dtype=bool)

@@ -18,7 +18,7 @@ _EXPECTED_OPS = {
     "reshape", "transpose", "getitem", "take", "concat", "roll",
     "pad2d", "broadcast_to",
     "softmax", "layer_norm", "cross_entropy",
-    "conv3x3", "dwconv3x3",
+    "conv3x3", "dwconv3x3", "expert_mix",
 }
 
 

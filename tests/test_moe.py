@@ -1,10 +1,19 @@
-"""Mixture-of-experts routing: weight tables, gates, gradient sparsity."""
+"""Mixture-of-experts routing: weight tables, gates, gradient sparsity,
+and the fused expert op against the per-expert graph it replaces."""
+
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import m3ad
+from m3ad import numerics as nm
+from m3ad.entry import _BLAS_VARS
 from m3ad.errors import ContractError, ShapeError
-from m3ad.moe import (MMoELayer, Routing, class_only_weights, expert_groups,
+from m3ad.moe import (MMoELayer, Routing, class_only_weights, expert_groups, expert_mix,
                       fixed_routing, label_guided_weights, task_routing)
 from m3ad.numerics import Tensor
 
@@ -84,7 +93,8 @@ def test_task_gates_are_independent(rng):
     x = Tensor(rng.standard_normal((2, 4, 8)))
     before = layer(x, task_routing("change")).data.copy()
     before_diag = layer(x, task_routing("diagnosis")).data.copy()
-    layer.gate_diagnosis.weight.data += 0.5
+    # one expert's column: a shift of every logit would cancel in the softmax
+    layer.gate_diagnosis.weight.data[:, 3] += 0.5
     np.testing.assert_array_equal(layer(x, task_routing("change")).data, before)
     assert np.abs(layer(x, task_routing("diagnosis")).data - before_diag).max() > 1e-9
 
@@ -165,3 +175,148 @@ def test_gate_parameters_cover_gate_path_only():
     names = set(layer.gate_parameters())
     assert names == {"feature_attn.weight", "feature_attn.bias",
                      "gate_diagnosis.weight", "gate_change.weight"}
+
+
+# -- expert_mix against the per-expert graph ---------------------------
+
+
+@pytest.fixture(params=["pool_off", "pool_on"])
+def pool_mode(request, monkeypatch):
+    """Run expert work inline, or force it onto a two-worker pool."""
+    if request.param == "pool_off":
+        monkeypatch.setattr(nm, "_PARALLEL_MIN_WORK", 1 << 62)
+        yield
+        return
+    pool = ThreadPoolExecutor(max_workers=2, thread_name_prefix="m3ad-test")
+    monkeypatch.setattr(nm, "_PARALLEL_MIN_WORK", 0)
+    monkeypatch.setattr(nm, "_POOL", pool)
+    yield
+    pool.shutdown()
+
+
+def _reference_expert(expert, x):
+    return expert.fc2(nm.gelu(expert.fc1(x)))
+
+
+def _reference_layer(layer, x, routing):
+    """The per-expert graph: sum, in expert order, of w[:, e] * expert(x)
+    over the experts with any weight, built from nm ops."""
+    b = x.shape[0]
+    if routing.kind == "task":
+        w = layer.gate_weights(x, routing.task)
+        cols = [nm.reshape(w[:, e], (b, 1, 1)) for e in range(layer.num_experts)]
+    else:
+        weights = np.broadcast_to(np.asarray(routing.weights, dtype=x.dtype),
+                                  (b, layer.num_experts))
+        cols = [weights[:, e].reshape(b, 1, 1) if np.any(weights[:, e]) else None
+                for e in range(layer.num_experts)]
+    out = None
+    for expert, col in zip(layer.experts, cols):
+        if col is not None:
+            term = nm.mul(_reference_expert(expert, x), col)
+            out = term if out is None else nm.add(out, term)
+    return out
+
+
+def _forward_backward(layer, x, fn, seed):
+    layer.zero_grad()
+    x.grad = None
+    out = fn()
+    probe = np.random.default_rng(seed).standard_normal(out.shape).astype(out.dtype)
+    nm.mul(out, probe).sum().backward()
+    return out.data, x.grad, {n: p.grad for n, p in layer.named_parameters().items()}
+
+
+_ROUTINGS = {
+    "task": lambda dt: task_routing("change"),
+    "label_guided": lambda dt: fixed_routing(
+        label_guided_weights(np.array([0, 2, 1, 0]), 8, 2, 0.15, dt)),
+    "class_only": lambda dt: fixed_routing(class_only_weights(1, 8, 2, dt)),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["task", "label_guided", "class_only", "single_expert"])
+def test_expert_mix_is_bit_identical_to_per_expert_graph(mode, dtype, pool_mode):
+    layer = MMoELayer(np.random.default_rng(8), 8, 8, 2, 2, 1.0, dtype)
+    x = Tensor(np.random.default_rng(9).standard_normal((4, 6, 8)).astype(dtype),
+               requires_grad=True)
+    if mode == "single_expert":
+        expert = layer.experts[5]
+        fused = _forward_backward(layer, x, lambda: expert(x), 1)
+        ref = _forward_backward(layer, x, lambda: _reference_expert(expert, x), 1)
+    else:
+        routing = _ROUTINGS[mode](dtype)
+        fused = _forward_backward(layer, x, lambda: layer(x, routing), 1)
+        ref = _forward_backward(layer, x, lambda: _reference_layer(layer, x, routing), 1)
+    assert fused[0].dtype == dtype
+    assert np.array_equal(fused[0], ref[0])
+    assert np.array_equal(fused[1], ref[1])
+    assert fused[2].keys() == ref[2].keys()
+    for name, grad in ref[2].items():
+        if grad is None:
+            assert fused[2][name] is None, name
+        else:
+            assert np.array_equal(fused[2][name], grad), name
+
+
+def test_expert_mix_contracts(rng):
+    layer = _layer()
+    x = Tensor(rng.standard_normal((2, 4, 8)))
+    with pytest.raises(ContractError):
+        expert_mix(x, np.ones((2, 0)), [])
+    with pytest.raises(ShapeError):
+        expert_mix(x, np.ones((3, 2)), layer.experts[:2])
+    with pytest.raises(ShapeError):
+        expert_mix(x, Tensor(np.ones((2, 2), dtype=np.float32)), layer.experts[:2])
+
+
+_DETERMINISM_SCRIPT = """
+import importlib.util, os, sys, threading
+src, dest = sys.argv[1], sys.argv[2]
+spec = importlib.util.spec_from_file_location("_entry", os.path.join(src, "m3ad", "entry.py"))
+entry = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(entry)
+entry.cap_threads()
+sys.path.insert(0, src)
+import numpy as np
+from m3ad.moe import MMoELayer, fixed_routing, label_guided_weights, task_routing
+from m3ad.numerics import Tensor
+rng = np.random.default_rng(0)
+layer = MMoELayer(rng, 16, 8, 2, 4, 1.0, np.float32)
+x = Tensor(rng.standard_normal((8, 256, 16)).astype(np.float32), requires_grad=True)
+labels = np.array([0, 1, 2, 0, 1, 2, 0, 1])
+res = {}
+for name, routing in (("task", task_routing("diagnosis")),
+                      ("fixed", fixed_routing(label_guided_weights(labels, 8, 2, 0.15, np.float32)))):
+    layer.zero_grad()
+    x.grad = None
+    out = layer(x, routing)
+    (out * Tensor(rng.standard_normal(out.shape).astype(np.float32))).sum().backward()
+    res[name + "/out"] = out.data
+    res[name + "/x"] = x.grad
+    for n, p in layer.named_parameters().items():
+        if p.grad is not None:
+            res[name + "/" + n] = p.grad
+np.savez(dest, workers=threading.active_count() - 1, **res)
+"""
+
+
+def test_mmoe_results_do_not_depend_on_thread_count(tmp_path):
+    """B=8 x 256 tokens x 64 hidden x 8 experts crosses the pool's
+    threshold, so the two-thread run splits experts over workers."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(m3ad.__file__)))
+    runs = {}
+    for threads in (1, 2):
+        env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+        env["M3AD_THREADS"] = str(threads)
+        path = tmp_path / f"threads{threads}.npz"
+        subprocess.run([sys.executable, "-c", _DETERMINISM_SCRIPT, src, str(path)],
+                       env=env, check=True, timeout=120)
+        runs[threads] = dict(np.load(path))
+    assert runs[1].pop("workers") == 0
+    assert 1 <= runs[2].pop("workers") <= 2
+    assert runs[1].keys() == runs[2].keys()
+    assert len(runs[1]) > 2 * 4
+    for name, arr in runs[1].items():
+        assert arr.tobytes() == runs[2][name].tobytes(), name

@@ -1,13 +1,17 @@
 """Engine tests: op values against independent oracles, backward
 semantics, and the .m3t container."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from m3ad import numerics as nm
-from m3ad.errors import CheckpointError, ContractError, ShapeError
+from m3ad.errors import CheckpointError, ConfigError, ContractError, ShapeError
 from m3ad.numerics import (LayerNorm, Linear, Module, Tensor, grad_check,
                            load_m3t, no_grad, save_m3t)
 
@@ -117,6 +121,45 @@ def test_softplus_and_gelu_extremes():
     assert np.isfinite(ge).all()
     np.testing.assert_allclose(ge[-1], 1000.0, atol=1e-9)
     np.testing.assert_allclose(ge[0], 0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_slope_is_computed_only_when_recording(rng, dtype):
+    x = (rng.standard_normal(1000) * 3).astype(dtype)
+    phi = 0.5 * (1.0 + special.erf(x * np.asarray(0.7071067811865476, dtype=dtype)))
+    pdf = np.asarray(0.3989422804014327, dtype=dtype) * np.exp(-0.5 * x * x)
+    value, slope = nm._gelu(x, slope=True)
+    assert np.array_equal(value, x * phi)
+    assert np.array_equal(slope, phi + x * pdf)
+    value_only, none = nm._gelu(x, slope=False)
+    assert np.array_equal(value_only, value) and none is None
+    with no_grad():
+        assert nm.gelu(Tensor(x, requires_grad=True))._vjp is None
+
+
+def test_parallel_map_keeps_order_and_uses_pool_only_for_large_work(monkeypatch):
+    pool = ThreadPoolExecutor(max_workers=2, thread_name_prefix="m3ad-test")
+    monkeypatch.setattr(nm, "_POOL", pool)
+    try:
+        def where(i):
+            return i, threading.current_thread().name
+
+        big = nm._parallel_map(where, range(6), work=nm._PARALLEL_MIN_WORK)
+        assert [i for i, _ in big] == list(range(6))
+        assert all(name.startswith("m3ad-test") for _, name in big)
+        small = nm._parallel_map(where, range(6), work=nm._PARALLEL_MIN_WORK - 1)
+        assert small == [(i, threading.current_thread().name) for i in range(6)]
+    finally:
+        pool.shutdown()
+
+
+def test_thread_count_comes_from_m3ad_threads(monkeypatch):
+    monkeypatch.setenv("M3AD_THREADS", "3")
+    assert nm._thread_count() == 3
+    for bad in ("0", "two", "-1"):
+        monkeypatch.setenv("M3AD_THREADS", bad)
+        with pytest.raises(ConfigError):
+            nm._thread_count()
 
 
 # -- backward semantics ------------------------------------------------
