@@ -21,43 +21,17 @@ implemented as a cyclic roll (no attention masking).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nm
-from .config import ModelConfig
 from .errors import ShapeError
 from .numerics import LayerNorm, Linear, Module, Tensor
 
-STAGES = 4
 ATTENTION_STAGES = (0, 1)
 
 # raw value whose softplus is 0.99, so temperatures start at 1.0
 _TAU_RAW_INIT = math.log(math.expm1(0.99))
-
-
-@dataclass(frozen=True)
-class StagePlan:
-    """Resolved per-stage geometry for one input extent."""
-
-    dims: tuple[int, ...]
-    depths: tuple[int, ...]
-    grids: tuple[tuple[int, int], ...]
-    kinds: tuple[str, ...]
-
-
-def build_stage_plan(cfg: ModelConfig, image_hw: tuple[int, int]) -> StagePlan:
-    h, w = image_hw
-    step = cfg.patch_size * (1 << (STAGES - 1))
-    if h % step or w % step:
-        raise ShapeError(f"image extents {h}x{w} must be divisible by {step}")
-    dims = tuple(cfg.stage_dim(s) for s in range(STAGES))
-    grids = tuple((h // (cfg.patch_size << s), w // (cfg.patch_size << s))
-                  for s in range(STAGES))
-    kinds = tuple("attention" if s in ATTENTION_STAGES else "tokmlp"
-                  for s in range(STAGES))
-    return StagePlan(dims=dims, depths=tuple(cfg.depths), grids=grids, kinds=kinds)
 
 
 def effective_window(h: int, w: int, window: int) -> int:

@@ -18,17 +18,14 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from .config import RunConfig, apply_overrides, load_config
 from .data import C3_NAMES, DIAG_NAMES, gen_synthetic, load_split
 from .errors import ContractError, M3adError
 from .metrics import confusion, report, write_confusion_csv, write_metrics_csv
 from .model import M3ADNet
-from .moe import TASKS, task_routing
-from .numerics import no_grad
+from .moe import TASKS
 from .train import (Checkpoint, finetune_loop, load_checkpoint, model_from_checkpoint,
-                    pretrain_loop, save_checkpoint, task_accuracies)
+                    predict, pretrain_loop, save_checkpoint)
 
 log = logging.getLogger("m3ad")
 
@@ -152,36 +149,23 @@ def _cmd_eval(args) -> int:
             "checkpoint carries no prior statistics; evaluate a fine-tuned checkpoint")
     model = model_from_checkpoint(ckpt)
     ds = load_split(args.data, args.split)
-    from .priors import normalize_priors
-
-    diag_pred = np.empty(len(ds), dtype=np.int64)
-    change_pred = np.empty(len(ds), dtype=np.int64)
-    with no_grad():
-        for start in range(0, len(ds), 16):
-            sl = slice(start, start + 16)
-            priors = normalize_priors(ds.age[sl], ds.gender[sl], ds.etiv[sl],
-                                      ckpt.prior_stats, dtype=model.np_dtype)
-            dl, cl = model.dual_task_logits(ds.images[sl], priors)
-            diag_pred[sl] = dl.data.argmax(axis=1)
-            change_pred[sl] = cl.data.argmax(axis=1)
-
     num_change = model.cfg.num_change_classes
     if int(ds.change.max()) >= num_change:
         raise ContractError(
             f"split {args.split!r} holds change label {int(ds.change.max())} but the "
             f"checkpoint head has {num_change} classes")
-    cm_diag = confusion(ds.diag, diag_pred, len(DIAG_NAMES))
-    cm_change = confusion(ds.change, change_pred, num_change)
-    write_confusion_csv(os.path.join(args.out, "confusion_diagnosis.csv"),
-                        cm_diag, list(DIAG_NAMES))
-    write_confusion_csv(os.path.join(args.out, "confusion_change.csv"),
-                        cm_change, _change_names(num_change))
-    write_metrics_csv(os.path.join(args.out, "metrics_diagnosis.csv"),
-                      report(cm_diag), list(DIAG_NAMES))
-    write_metrics_csv(os.path.join(args.out, "metrics_change.csv"),
-                      report(cm_change), _change_names(num_change))
+
+    logits, _ = predict(model, ds, ckpt.prior_stats)
+    accuracy = {}
+    for task, labels, names in (("diagnosis", ds.diag, list(DIAG_NAMES)),
+                                ("change", ds.change, _change_names(num_change))):
+        cm = confusion(labels, logits[task].argmax(axis=1), len(names))
+        rep = report(cm)
+        write_confusion_csv(os.path.join(args.out, f"confusion_{task}.csv"), cm, names)
+        write_metrics_csv(os.path.join(args.out, f"metrics_{task}.csv"), rep, names)
+        accuracy[task] = rep.accuracy
     log.info("eval on %s: diagnosis acc %.4f, change acc %.4f", args.split,
-             report(cm_diag).accuracy, report(cm_change).accuracy)
+             accuracy["diagnosis"], accuracy["change"])
     return 0
 
 
@@ -208,32 +192,16 @@ def _cmd_inspect_gates(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     model = model_from_checkpoint(ckpt)
     ds = load_split(args.data, args.split)
-    from .priors import normalize_priors
-
-    num_layers = len(model.blocks)
-    sums = {task: np.zeros((num_layers, model.cfg.num_experts)) for task in TASKS}
-    with no_grad():
-        for start in range(0, len(ds), 16):
-            sl = slice(start, start + 16)
-            priors = None
-            if ckpt.prior_stats is not None:
-                priors = normalize_priors(ds.age[sl], ds.gender[sl], ds.etiv[sl],
-                                          ckpt.prior_stats, dtype=model.np_dtype)
-            for task in TASKS:
-                routing = task_routing(task)
-                routing.sink = []
-                model.encode(ds.images[sl], routing, priors=priors)
-                for layer, w in enumerate(routing.sink):
-                    sums[task][layer] += w.sum(axis=0)
+    _, gate_sums = predict(model, ds, ckpt.prior_stats)
 
     path = os.path.join(args.out, "gates.csv")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["layer", "task"]
                         + [f"expert{e}" for e in range(model.cfg.num_experts)])
-        for layer in range(num_layers):
+        for layer in range(len(model.blocks)):
             for task in TASKS:
-                means = sums[task][layer] / len(ds)
+                means = gate_sums[task][layer] / len(ds)
                 writer.writerow([layer, task] + [repr(float(v)) for v in means])
     log.info("wrote %s", path)
     return 0

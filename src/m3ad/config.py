@@ -9,6 +9,7 @@ a typo cannot silently fall back to a default.
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -112,7 +113,6 @@ class TrainConfig:
     alpha: float = 1.0
     beta: float = 1.0
     min_lr_ratio: float = 0.01
-    deterministic: bool = True
 
     def validate(self) -> "TrainConfig":
         if self.lr <= 0:
@@ -172,15 +172,6 @@ class RunConfig:
 # -- parsing -----------------------------------------------------------
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
-
-
 def _parse_int_tuple(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -207,44 +198,19 @@ def _typed(section: str, name: str, kind):
     return setter
 
 
-_KEYS = {
-    # model
-    "patch_size": _typed("model", "patch_size", int),
-    "embed_dim": _typed("model", "embed_dim", int),
-    "depths": _typed("model", "depths", _parse_int_tuple),
-    "num_heads": _typed("model", "num_heads", _parse_int_tuple),
-    "window": _typed("model", "window", int),
-    "num_experts": _typed("model", "num_experts", int),
-    "num_shared_experts": _typed("model", "num_shared_experts", int),
-    "expert_hidden_ratio": _typed("model", "expert_hidden_ratio", int),
-    "gate_temp": _typed("model", "gate_temp", float),
-    "shared_expert_weight": _typed("model", "shared_expert_weight", float),
-    "fusion_stage": _typed("model", "fusion_stage", int),
-    "fusion_type": _typed("model", "fusion_type", str),
-    "num_change_classes": _typed("model", "num_change_classes", int),
-    "mask_unit": _typed("model", "mask_unit", int),
-    "mask_ratio": _typed("model", "mask_ratio", float),
-    "dtype": _typed("model", "dtype", str),
-    # train
-    "lr": _typed("train", "lr", float),
-    "weight_decay": _typed("train", "weight_decay", float),
-    "clip_norm": _typed("train", "clip_norm", float),
-    "epochs": _typed("train", "epochs", int),
-    "batch_size": _typed("train", "batch_size", int),
-    "patience": _typed("train", "patience", int),
-    "seed": _typed("train", "seed", int),
-    "lambda_expert": _typed("train", "lambda_expert", float),
-    "alpha": _typed("train", "alpha", float),
-    "beta": _typed("train", "beta", float),
-    "min_lr_ratio": _typed("train", "min_lr_ratio", float),
-    "deterministic": _typed("train", "deterministic", _parse_bool),
-    # data
-    "n": _typed("data", "n", int),
-    "size": _typed("data", "size", int),
-    "scheme": _typed("data", "scheme", str),
-    "fractions": _typed("data", "fractions", _parse_float_tuple),
-    "label_priors": _typed("data", "label_priors", _parse_float_tuple),
-}
+def _parser(kind):
+    """Value parser for a config field of type ``kind``."""
+    if kind in (int, float, str):
+        return kind
+    if typing.get_origin(kind) is tuple:
+        return {int: _parse_int_tuple, float: _parse_float_tuple}[typing.get_args(kind)[0]]
+    raise TypeError(f"no config parser for fields of type {kind}")
+
+
+# every field of every RunConfig section, in declaration order
+_KEYS = {f.name: _typed(section, f.name, _parser(typing.get_type_hints(klass)[f.name]))
+         for section, klass in typing.get_type_hints(RunConfig).items()
+         for f in dataclasses.fields(klass)}
 
 
 def known_keys() -> tuple[str, ...]:

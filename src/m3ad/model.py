@@ -17,8 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import numerics as nm
-from .backbone import (M3ADBlock, PatchEmbed, PatchMerge, StagePlan, WindowAttention,
-                       build_stage_plan)
+from .backbone import ATTENTION_STAGES, M3ADBlock, PatchEmbed, PatchMerge, WindowAttention
 from .config import ModelConfig
 from .errors import ContractError, ShapeError
 from .heads_losses import MaskSpec, ReconDecoder, TaskHeads, apply_mask
@@ -26,8 +25,6 @@ from .moe import MMoELayer, Routing, class_only_weights, fixed_routing, label_gu
 from .numerics import Module, Tensor, parameter
 from .priors import Fusion, PriorEncoder, c_fusion_dim
 from .tokmlp import TokMLPBlock
-
-_ATTENTION_STAGES = (0, 1)
 
 
 class M3ADNet(Module):
@@ -44,11 +41,10 @@ class M3ADNet(Module):
         self.mask_token = parameter(rng, (cfg.embed_dim,), dt, name="mask_token")
 
         self.blocks: list[M3ADBlock] = []
-        self._stage_of_block: list[int] = []
         for stage in range(4):
             dim = cfg.stage_dim(stage)
             for depth in range(cfg.depths[stage]):
-                if stage in _ATTENTION_STAGES:
+                if stage in ATTENTION_STAGES:
                     mixer = WindowAttention(rng, dim, cfg.num_heads[stage], cfg.window, dt)
                 else:
                     mixer = TokMLPBlock(rng, dim, dt)
@@ -56,7 +52,6 @@ class M3ADNet(Module):
                                 cfg.expert_hidden_ratio, cfg.gate_temp, dt)
                 self.blocks.append(M3ADBlock(mixer, moe, dim, dt,
                                              shifted=bool(depth % 2), window=cfg.window))
-                self._stage_of_block.append(stage)
         self.merges = [PatchMerge(rng, cfg.stage_dim(s), dt) for s in range(3)]
 
         fdim = c_fusion_dim(cfg.embed_dim, cfg.fusion_stage)
@@ -68,9 +63,6 @@ class M3ADNet(Module):
         self.decoder = ReconDecoder(rng, final_dim, cfg.patch_size * 8, dt)
 
     # -- plumbing ------------------------------------------------------
-
-    def stage_plan(self, image_hw: tuple[int, int]) -> StagePlan:
-        return build_stage_plan(self.cfg, image_hw)
 
     def _as_input(self, images) -> Tensor:
         if isinstance(images, Tensor):
@@ -132,10 +124,14 @@ class M3ADNet(Module):
 
     # -- fine-tuning forwards ------------------------------------------
 
-    def task_logits(self, images, priors: np.ndarray, task: str) -> Tensor:
+    def task_logits(self, images, priors: np.ndarray | None, task: str,
+                    sink: list | None = None) -> Tensor:
         """One task pass: that task's gates route every MMoE layer and
-        that task's head reads the pooled final tokens."""
-        grid = self.encode(images, task_routing(task), priors=priors)
+        that task's head reads the pooled final tokens. ``sink`` collects
+        each MMoE layer's (B, E) gate weights, in layer order."""
+        routing = task_routing(task)
+        routing.sink = sink
+        grid = self.encode(images, routing, priors=priors)
         b, h, w, c = grid.shape
         return self.heads.logits(nm.reshape(grid, (b, h * w, c)), task)
 

@@ -54,10 +54,6 @@ def no_grad() -> Iterator[None]:
         _GRAD_ENABLED = prev
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class Tensor:
     """A numpy array plus the bookkeeping needed for backpropagation.
 

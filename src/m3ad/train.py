@@ -29,6 +29,7 @@ from .data import Dataset
 from .errors import CheckpointError, ContractError
 from .heads_losses import finetune_loss, masked_l1_per_sample, pretrain_loss, sample_mask
 from .model import M3ADNet
+from .moe import TASKS
 from .numerics import Tensor, no_grad
 from .priors import PriorStats, compute_prior_stats, normalize_priors
 
@@ -102,7 +103,8 @@ class AdamW:
 
 class EarlyStopper:
     """Stop when the monitored value has not improved for ``patience``
-    epochs; improvement is strict."""
+    epochs; improvement is strict. ``best_epoch`` equals the epoch just
+    passed to ``update`` exactly when that epoch improved."""
 
     def __init__(self, patience: int, mode: str = "min"):
         if mode not in ("min", "max"):
@@ -113,6 +115,8 @@ class EarlyStopper:
         self.best_epoch: int = -1
 
     def update(self, value: float, epoch: int) -> bool:
+        if not np.isfinite(value):
+            raise ContractError(f"non-finite monitored value {value} at epoch {epoch}")
         better = (self.best is None
                   or (value < self.best if self.mode == "min" else value > self.best))
         if better:
@@ -125,15 +129,17 @@ class EarlyStopper:
 # -- checkpoints -------------------------------------------------------
 
 _CKPT_MAGIC = b"M3CK"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
 
 
 @dataclass
 class Checkpoint:
+    """What one training stage hands to the next, or to evaluation: the
+    parameters, with the prior statistics they were fine-tuned under."""
+
     model_config: ModelConfig
     stage: str
     params: dict[str, np.ndarray]
-    moments: dict[str, dict] = field(default_factory=dict)
     epoch: int = 0
     best: dict = field(default_factory=dict)
     prior_stats: PriorStats | None = None
@@ -141,15 +147,15 @@ class Checkpoint:
 
 def snapshot(model: M3ADNet, optimizer: AdamW | None, stage: str, epoch: int,
              best: dict, prior_stats: PriorStats | None = None) -> Checkpoint:
-    """Deep-copy the live training state into a Checkpoint."""
+    """Deep-copy the model's parameters into a Checkpoint.
+
+    ``optimizer`` is ignored: no stage resumes an optimizer, so its
+    moments are not kept.
+    """
+    del optimizer
     params = {name: p.data.copy() for name, p in model.named_parameters().items()}
-    moments = {}
-    if optimizer is not None:
-        moments = {name: {"m": st["m"].copy(), "v": st["v"].copy(), "t": st["t"]}
-                   for name, st in optimizer.state.items()}
     return Checkpoint(model_config=model.cfg, stage=stage, params=params,
-                      moments=moments, epoch=epoch, best=dict(best),
-                      prior_stats=prior_stats)
+                      epoch=epoch, best=dict(best), prior_stats=prior_stats)
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
@@ -158,22 +164,15 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     payloads = []
     offset = 0
 
-    def push(kind: str, name: str, arr: np.ndarray):
-        nonlocal offset
+    for name, arr in ckpt.params.items():
         raw = np.ascontiguousarray(arr)
         if raw.dtype.byteorder == ">":
             raw = raw.astype(raw.dtype.newbyteorder("<"))
         blob = raw.tobytes()
-        index.append({"kind": kind, "name": name, "dtype": str(raw.dtype),
+        index.append({"kind": "param", "name": name, "dtype": str(raw.dtype),
                       "shape": list(raw.shape), "offset": offset, "nbytes": len(blob)})
         payloads.append(blob)
         offset += len(blob)
-
-    for name, arr in ckpt.params.items():
-        push("param", name, arr)
-    for name, st in ckpt.moments.items():
-        push("m", name, st["m"])
-        push("v", name, st["v"])
 
     header = {
         "model_config": config_as_dict(ckpt.model_config),
@@ -181,7 +180,6 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "epoch": ckpt.epoch,
         "best": ckpt.best,
         "prior_stats": ckpt.prior_stats.as_dict() if ckpt.prior_stats else None,
-        "moment_steps": {name: st["t"] for name, st in ckpt.moments.items()},
         "tensors": index,
     }
     head = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -211,26 +209,21 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: corrupt checkpoint header: {err}") from None
     base = 16 + head_len
 
-    tensors: dict[tuple[str, str], np.ndarray] = {}
+    params: dict[str, np.ndarray] = {}
     for entry in header["tensors"]:
+        if entry["kind"] != "param":
+            raise CheckpointError(
+                f"{path}: unknown tensor kind {entry['kind']!r} for {entry['name']!r}")
         lo = base + entry["offset"]
         hi = lo + entry["nbytes"]
         if hi > len(blob):
             raise CheckpointError(f"{path}: truncated payload for {entry['name']!r}")
         arr = np.frombuffer(blob[lo:hi], dtype=np.dtype(entry["dtype"]))
-        tensors[(entry["kind"], entry["name"])] = arr.reshape(entry["shape"]).copy()
-
-    params = {name: arr for (kind, name), arr in tensors.items() if kind == "param"}
-    moments = {}
-    for name, t in header.get("moment_steps", {}).items():
-        try:
-            moments[name] = {"m": tensors[("m", name)], "v": tensors[("v", name)], "t": int(t)}
-        except KeyError:
-            raise CheckpointError(f"{path}: missing moment payload for {name!r}") from None
+        params[entry["name"]] = arr.reshape(entry["shape"]).copy()
     stats = header.get("prior_stats")
     return Checkpoint(
         model_config=model_config_from_dict(header["model_config"]),
-        stage=header["stage"], params=params, moments=moments,
+        stage=header["stage"], params=params,
         epoch=int(header["epoch"]), best=dict(header["best"]),
         prior_stats=PriorStats.from_dict(stats) if stats else None)
 
@@ -266,12 +259,6 @@ def model_from_checkpoint(ckpt: Checkpoint) -> M3ADNet:
     return model
 
 
-def restore_optimizer(opt: AdamW, ckpt: Checkpoint) -> None:
-    for name, st in ckpt.moments.items():
-        if name in opt.params:
-            opt.state[name] = {"m": st["m"].copy(), "v": st["v"].copy(), "t": st["t"]}
-
-
 # -- loops -------------------------------------------------------------
 
 
@@ -282,6 +269,15 @@ def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
 def _batches(order: np.ndarray, batch_size: int):
     for start in range(0, order.size, batch_size):
         yield order[start:start + batch_size]
+
+
+def _loss_value(loss: Tensor, epoch: int, index: int) -> float:
+    """The batch loss as a float; a non-finite loss stops training
+    before its backward pass."""
+    value = loss.item()
+    if not np.isfinite(value):
+        raise ContractError(f"non-finite training loss {value} at epoch {epoch}, batch {index}")
+    return value
 
 
 def pretrain_loop(model: M3ADNet, train: Dataset, val: Dataset, cfg: TrainConfig,
@@ -307,17 +303,18 @@ def pretrain_loop(model: M3ADNet, train: Dataset, val: Dataset, cfg: TrainConfig
         order = rng.permutation(len(train))
         sums = np.zeros(3)
         count = 0
-        for batch in _batches(order, cfg.batch_size):
+        for index, batch in enumerate(_batches(order, cfg.batch_size)):
             specs = [sample_mask(rng, hw, mcfg.mask_unit, mcfg.mask_ratio) for _ in batch]
             total, recon, expert = pretrain_loss(
                 model, train.images[batch], train.diag[batch], specs, cfg.lambda_expert)
+            total_value = _loss_value(total, epoch, index)
             model.zero_grad()
             total.backward()
             if on_batch is not None:
                 on_batch(model, epoch, batch)
             clip_gradients(model.parameters(), cfg.clip_norm)
             opt.step()
-            sums += [total.item() * batch.size, recon.item() * batch.size,
+            sums += [total_value * batch.size, recon.item() * batch.size,
                      expert.item() * batch.size]
             count += batch.size
 
@@ -327,10 +324,11 @@ def pretrain_loop(model: M3ADNet, train: Dataset, val: Dataset, cfg: TrainConfig
                      "train_expert": sums[2] / count, "val_masked_l1": val_l1})
         log.info("pretrain epoch %d: train %.5f val %.5f", epoch, sums[0] / count, val_l1)
 
-        if stopper.best is None or val_l1 < stopper.best:
-            best_ckpt = snapshot(model, opt, "pretrain", epoch,
+        stop = stopper.update(val_l1, epoch)
+        if stopper.best_epoch == epoch:
+            best_ckpt = snapshot(model, None, "pretrain", epoch,
                                  {"metric": "val_masked_l1", "value": val_l1, "epoch": epoch})
-        if stopper.update(val_l1, epoch):
+        if stop:
             log.info("pretrain early stop at epoch %d (best epoch %d)", epoch, stopper.best_epoch)
             break
     assert best_ckpt is not None
@@ -361,18 +359,37 @@ def class_routed_l1(model: M3ADNet, ds: Dataset, specs, klass: int,
     return values
 
 
+def predict(model: M3ADNet, ds: Dataset, stats: PriorStats | None,
+            batch_size: int = 16) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Score a split in batches under ``no_grad``, running each task's
+    pass over every batch. ``stats=None`` runs without priors.
+
+    Returns, per task, the (N, classes) logits and the (layers, experts)
+    float64 sum over scans of each MMoE layer's gate weights.
+    """
+    logits: dict[str, list[np.ndarray]] = {task: [] for task in TASKS}
+    gate_sums = {task: np.zeros((len(model.blocks), model.cfg.num_experts)) for task in TASKS}
+    with no_grad():
+        for batch in _batches(np.arange(len(ds)), batch_size):
+            priors = None
+            if stats is not None:
+                priors = normalize_priors(ds.age[batch], ds.gender[batch], ds.etiv[batch],
+                                          stats, dtype=model.np_dtype)
+            for task in TASKS:
+                sink: list[np.ndarray] = []
+                logits[task].append(model.task_logits(ds.images[batch], priors, task,
+                                                      sink=sink).data)
+                for layer, w in enumerate(sink):
+                    gate_sums[task][layer] += w.sum(axis=0)
+    return {task: np.concatenate(parts) for task, parts in logits.items()}, gate_sums
+
+
 def task_accuracies(model: M3ADNet, ds: Dataset, stats: PriorStats,
                     batch_size: int = 16) -> tuple[float, float]:
     """(diagnosis accuracy, change accuracy) of argmax predictions."""
-    correct = np.zeros(2)
-    with no_grad():
-        for batch in _batches(np.arange(len(ds)), batch_size):
-            priors = normalize_priors(ds.age[batch], ds.gender[batch], ds.etiv[batch],
-                                      stats, dtype=model.np_dtype)
-            diag_logits, change_logits = model.dual_task_logits(ds.images[batch], priors)
-            correct[0] += int((diag_logits.data.argmax(axis=1) == ds.diag[batch]).sum())
-            correct[1] += int((change_logits.data.argmax(axis=1) == ds.change[batch]).sum())
-    return float(correct[0] / len(ds)), float(correct[1] / len(ds))
+    logits, _ = predict(model, ds, stats, batch_size)
+    return (float(np.count_nonzero(logits["diagnosis"].argmax(axis=1) == ds.diag) / len(ds)),
+            float(np.count_nonzero(logits["change"].argmax(axis=1) == ds.change) / len(ds)))
 
 
 def finetune_loop(model: M3ADNet, train: Dataset, val: Dataset, cfg: TrainConfig,
@@ -408,19 +425,20 @@ def finetune_loop(model: M3ADNet, train: Dataset, val: Dataset, cfg: TrainConfig
         rng = _epoch_rng(cfg.seed, epoch)
         order = rng.permutation(len(train))
         loss_sum = 0.0
-        for batch in _batches(order, cfg.batch_size):
+        for index, batch in enumerate(_batches(order, cfg.batch_size)):
             priors = normalize_priors(train.age[batch], train.gender[batch],
                                       train.etiv[batch], stats, dtype=model.np_dtype)
             diag_logits, change_logits = model.dual_task_logits(train.images[batch], priors)
             loss = finetune_loss(diag_logits, change_logits, train.diag[batch],
                                  train.change[batch], alpha=cfg.alpha, beta=cfg.beta)
+            loss_value = _loss_value(loss, epoch, index)
             model.zero_grad()
             loss.backward()
             if on_batch is not None:
                 on_batch(model, epoch, batch)
             clip_gradients(model.parameters(), cfg.clip_norm)
             opt.step()
-            loss_sum += loss.item() * batch.size
+            loss_sum += loss_value * batch.size
 
         diag_acc, change_acc = task_accuracies(model, val, stats, cfg.batch_size)
         mean_acc = 0.5 * (diag_acc + change_acc)
@@ -430,11 +448,12 @@ def finetune_loop(model: M3ADNet, train: Dataset, val: Dataset, cfg: TrainConfig
         log.info("finetune epoch %d: loss %.5f diag %.3f change %.3f",
                  epoch, loss_sum / len(train), diag_acc, change_acc)
 
-        if stopper.best is None or mean_acc > stopper.best:
-            best_ckpt = snapshot(model, opt, "finetune", epoch,
+        stop = stopper.update(mean_acc, epoch)
+        if stopper.best_epoch == epoch:
+            best_ckpt = snapshot(model, None, "finetune", epoch,
                                  {"metric": "val_mean_acc", "value": mean_acc, "epoch": epoch},
                                  prior_stats=stats)
-        if stopper.update(mean_acc, epoch):
+        if stop:
             log.info("finetune early stop at epoch %d (best epoch %d)", epoch, stopper.best_epoch)
             break
     assert best_ckpt is not None

@@ -5,31 +5,38 @@ import pytest
 
 from m3ad import numerics as nm
 from m3ad.backbone import (M3ADBlock, PatchEmbed, PatchMerge, WindowAttention,
-                           build_stage_plan, effective_window,
-                           relative_position_index, window_partition,
-                           window_reverse)
+                           effective_window, relative_position_index,
+                           window_partition, window_reverse)
 from m3ad.errors import ShapeError
+from m3ad.model import M3ADNet
 from m3ad.moe import MMoELayer, task_routing
 from m3ad.numerics import Tensor
 
 from conftest import tiny_model_config
 
 
+def _stage_trace(model, hw):
+    trace = []
+    model.encode(np.zeros((1, *hw)), task_routing("diagnosis"), trace=trace)
+    return trace
+
+
 def test_stage_plan_schedule_64_and_128():
-    cfg = tiny_model_config()
+    """Each stage's mixer kind, channels and token grid in the network."""
+    model = M3ADNet(tiny_model_config(), seed=0)  # one block per stage
+    assert [type(blk.mixer).__name__ for blk in model.blocks] == [
+        "WindowAttention", "WindowAttention", "TokMLPBlock", "TokMLPBlock"]
     for size in (64, 128):
-        plan = build_stage_plan(cfg, (size, size))
-        assert plan.dims == (8, 16, 32, 64)
-        assert plan.grids == tuple((size // (4 << s),) * 2 for s in range(4))
-        assert plan.kinds == ("attention", "attention", "tokmlp", "tokmlp")
+        trace = _stage_trace(model, (size, size))
+        assert [channels for _, _, channels in trace] == [8, 16, 32, 64]
+        assert [hw for _, hw, _ in trace] == [(size // (4 << s),) * 2 for s in range(4)]
 
 
 def test_stage_plan_accepts_rectangles_and_rejects_odd_sizes():
-    cfg = tiny_model_config()
-    plan = build_stage_plan(cfg, (64, 96))
-    assert plan.grids[3] == (2, 3)
+    model = M3ADNet(tiny_model_config(), seed=0)
+    assert _stage_trace(model, (64, 96))[3][1] == (2, 3)
     with pytest.raises(ShapeError):
-        build_stage_plan(cfg, (48, 64))
+        _stage_trace(model, (48, 64))  # stage 2's 3x4 grid cannot merge
 
 
 def test_effective_window_always_tiles():

@@ -1,13 +1,20 @@
 """End-to-end CLI behavior at toy scale: artifacts, exit codes, streams."""
 
 import csv
+import json
 import os
+import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from m3ad.cli import main
-from m3ad.data import load_manifest
+from m3ad.data import load_manifest, load_split
+from m3ad.moe import TASKS, task_routing
+from m3ad.numerics import no_grad
+from m3ad.priors import normalize_priors
+from m3ad.train import load_checkpoint, model_from_checkpoint
 
 _TINY_CFG = """\
 # toy-scale network for CLI smoke tests
@@ -107,6 +114,41 @@ def test_eval_writes_metric_csvs(pipeline, tmp_path):
     assert classes == {"Stable", "Conversion", "Reversion"}
 
 
+def test_eval_warns_once_per_task(pipeline, tmp_path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["eval", "--checkpoint", str(pipeline["out"] / "finetune.m3ck"),
+                   "--data", str(pipeline["manifest"]), "--out", str(tmp_path),
+                   "--split", "val"])
+    assert rc == 0
+    excluded = [w for w in caught if "macro F1 excludes" in str(w.message)]
+    # one warning for each task whose metrics hold an undefined F1
+    undefined = 0
+    for task in TASKS:
+        with open(tmp_path / f"metrics_{task}.csv", newline="") as fh:
+            undefined += any(row[0] == "f1" and row[2] == "undefined" for row in csv.reader(fh))
+    assert len(excluded) == undefined >= 1
+
+
+@pytest.mark.parametrize("damage", ["version 1", "tensor kind"])
+def test_eval_exits_1_on_bad_checkpoint(pipeline, tmp_path, capsys, damage):
+    blob = (pipeline["out"] / "finetune.m3ck").read_bytes()
+    if damage == "version 1":
+        blob = blob[:4] + struct.pack("<I", 1) + blob[8:]
+    else:
+        head_len, = struct.unpack_from("<Q", blob, 8)
+        header = json.loads(blob[16:16 + head_len])
+        header["tensors"][0]["kind"] = "v"
+        head = json.dumps(header).encode("utf-8")
+        blob = blob[:8] + struct.pack("<Q", len(head)) + head + blob[16 + head_len:]
+    bad = tmp_path / "bad.m3ck"
+    bad.write_bytes(blob)
+    rc = main(["eval", "--checkpoint", str(bad), "--data", str(pipeline["manifest"]),
+               "--out", str(tmp_path / "eval")])
+    assert rc == 1
+    assert damage in capsys.readouterr().err
+
+
 def test_eval_rejects_pretrain_checkpoint(pipeline, tmp_path, capsys):
     rc = main(["eval", "--checkpoint", str(pipeline["out"] / "pretrain.m3ck"),
                "--data", str(pipeline["manifest"]), "--out", str(tmp_path)])
@@ -129,6 +171,35 @@ def test_inspect_gates_csv(pipeline, tmp_path):
         assert weights.min() >= 0.0
         assert abs(weights.sum() - 1.0) < 1e-6
     assert {row[1] for row in rows[1:]} == {"diagnosis", "change"}
+
+
+def test_inspect_gates_match_sink_loop(pipeline, tmp_path):
+    """gates.csv holds the means of a loop over batches of 16 that reads
+    each layer's gate weights through Routing.sink."""
+    rc = main(["inspect-gates", "--checkpoint", str(pipeline["out"] / "finetune.m3ck"),
+               "--data", str(pipeline["manifest"]), "--out", str(tmp_path), "--split", "train"])
+    assert rc == 0
+    with open(tmp_path / "gates.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    ckpt = load_checkpoint(pipeline["out"] / "finetune.m3ck")
+    model = model_from_checkpoint(ckpt)
+    ds = load_split(pipeline["manifest"], "train")
+    sums = {task: np.zeros((len(model.blocks), 8)) for task in TASKS}
+    with no_grad():
+        for start in range(0, len(ds), 16):
+            sl = slice(start, start + 16)
+            priors = normalize_priors(ds.age[sl], ds.gender[sl], ds.etiv[sl],
+                                      ckpt.prior_stats, dtype=model.np_dtype)
+            for task in TASKS:
+                routing = task_routing(task)
+                routing.sink = []
+                model.encode(ds.images[sl], routing, priors=priors)
+                for layer, w in enumerate(routing.sink):
+                    sums[task][layer] += w.sum(axis=0)
+    assert len(rows) == 2 * len(model.blocks)
+    for row in rows:
+        want = sums[row[1]][int(row[0])] / len(ds)
+        assert [float(v) for v in row[2:]] == want.tolist()
 
 
 def test_exit_codes_for_bad_invocations(tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Config dataclasses, the flat file format, and override handling."""
 
+import ast
 import dataclasses
+import pathlib
 
 import pytest
 
-from m3ad.config import (FUSION_TYPES, ModelConfig, RunConfig, TrainConfig,
+import m3ad
+from m3ad.config import (FUSION_TYPES, DataConfig, ModelConfig, RunConfig, TrainConfig,
                          apply_assignment, apply_overrides, config_as_dict,
                          known_keys, load_config, model_config_from_dict,
                          parse_config_text)
@@ -19,14 +22,12 @@ def test_parse_basic_assignments():
         fusion_type = concat
 
         lr = 0.001
-        deterministic = no
         fractions = 0.8,0.1,0.1
     """)
     assert cfg.model.embed_dim == 32
     assert cfg.model.depths == (2, 2, 4, 2)
     assert cfg.model.fusion_type == "concat"
     assert cfg.train.lr == 0.001
-    assert cfg.train.deterministic is False
     assert cfg.data.fractions == (0.8, 0.1, 0.1)
     # untouched keys keep their defaults
     assert cfg.model.window == ModelConfig().window
@@ -44,8 +45,6 @@ def test_parse_reports_source_and_line():
 def test_parse_bad_tuple_and_bool():
     with pytest.raises(ConfigError, match="comma-separated integers"):
         parse_config_text("depths = 2,two,2,2")
-    with pytest.raises(ConfigError, match="boolean"):
-        parse_config_text("deterministic = maybe")
 
 
 def test_load_config_file(tmp_path):
@@ -87,6 +86,22 @@ def test_known_keys_cover_all_dataclass_fields():
     cfg = RunConfig()
     apply_assignment(cfg, "gate_temp", "2.5")
     assert cfg.model.gate_temp == 2.5
+
+
+def test_every_config_field_is_read():
+    """A settable value that no module reads does nothing; every config
+    field must be read as an attribute outside config.py."""
+    read = set()
+    for path in pathlib.Path(m3ad.__file__).parent.glob("*.py"):
+        if path.name == "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = [f"{klass.__name__}.{f.name}"
+              for klass in (ModelConfig, TrainConfig, DataConfig)
+              for f in dataclasses.fields(klass) if f.name not in read]
+    assert unread == []
 
 
 @pytest.mark.parametrize("patch", [

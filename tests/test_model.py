@@ -29,12 +29,11 @@ def test_encode_shapes_and_trace(rng):
     for size in (32, 64):
         trace = []
         out = model.encode(rng.standard_normal((2, size, size)), _ROUTE, trace=trace)
-        plan = model.stage_plan((size, size))
         assert out.shape == (2, size // 32, size // 32, cfg.stage_dim(3))
         assert [t[0] for t in trace] == [0, 1, 2, 3]
         for stage, hw, channels in trace:
-            assert hw == plan.grids[stage]
-            assert channels == plan.dims[stage]
+            assert hw == (size // (4 << stage),) * 2
+            assert channels == cfg.stage_dim(stage)
 
 
 def test_encode_rectangular_input(rng):

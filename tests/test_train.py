@@ -11,12 +11,12 @@ from conftest import tiny_model_config, tiny_train_config
 from m3ad.config import TrainConfig
 from m3ad.errors import CheckpointError, ContractError
 from m3ad.model import M3ADNet
-from m3ad.numerics import Tensor
-from m3ad.priors import PriorStats, compute_prior_stats
+from m3ad.numerics import Tensor, no_grad
+from m3ad.priors import PriorStats, compute_prior_stats, normalize_priors
 from m3ad.train import (AdamW, Checkpoint, EarlyStopper, class_routed_l1,
                         clip_gradients, cosine_lr, finetune_loop,
                         load_checkpoint, load_params, model_from_checkpoint,
-                        pretrain_loop, restore_optimizer, save_checkpoint,
+                        predict, pretrain_loop, save_checkpoint,
                         snapshot, task_accuracies, timed_epoch)
 
 
@@ -140,6 +140,18 @@ def test_early_stopper_max_mode_and_strictness():
         EarlyStopper(3, mode="best")
 
 
+@pytest.mark.parametrize("mode", ["min", "max"])
+def test_early_stopper_rejects_nonfinite(mode):
+    stop = EarlyStopper(patience=2, mode=mode)
+    with pytest.raises(ContractError, match="epoch 3"):
+        stop.update(float("nan"), 3)
+    assert stop.best is None
+    stop.update(0.5, 4)
+    with pytest.raises(ContractError, match="epoch 5"):
+        stop.update(float("inf") if mode == "max" else -float("inf"), 5)
+    assert stop.best == 0.5 and stop.best_epoch == 4
+
+
 # -- checkpoints -------------------------------------------------------
 
 
@@ -171,11 +183,6 @@ def test_checkpoint_round_trip(tmp_path):
     for name, arr in ckpt.params.items():
         np.testing.assert_array_equal(back.params[name], arr)
         assert back.params[name].dtype == arr.dtype
-    assert set(back.moments) == set(ckpt.moments)
-    for name, st in ckpt.moments.items():
-        np.testing.assert_array_equal(back.moments[name]["m"], st["m"])
-        np.testing.assert_array_equal(back.moments[name]["v"], st["v"])
-        assert back.moments[name]["t"] == st["t"]
 
 
 def test_checkpoint_restores_forward_bit_exactly(tmp_path, rng):
@@ -225,18 +232,36 @@ def test_checkpoint_corruption_detected(tmp_path):
         load_checkpoint(bad)
 
 
-def test_checkpoint_missing_moment_payload(tmp_path):
-    blob = _valid_ckpt_bytes(tmp_path)
+def _header(blob: bytes) -> dict:
     head_len, = struct.unpack_from("<Q", blob, 8)
-    header = json.loads(blob[16:16 + head_len].decode("utf-8"))
-    victim = next(iter(header["moment_steps"]))
-    header["tensors"] = [e for e in header["tensors"]
-                         if not (e["kind"] == "m" and e["name"] == victim)]
-    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    return json.loads(blob[16:16 + head_len].decode("utf-8"))
+
+
+def test_checkpoint_holds_parameters_only(tmp_path):
+    model, _ = _trained_state(seed=8)
+    blob = _valid_ckpt_bytes(tmp_path)
+    assert struct.unpack_from("<I", blob, 4) == (2,)
+    header = _header(blob)
+    assert "moment_steps" not in header
+    assert {e["kind"] for e in header["tensors"]} == {"param"}
+    assert [e["name"] for e in header["tensors"]] == list(model.named_parameters())
+    head_len, = struct.unpack_from("<Q", blob, 8)
+    assert len(blob) == 16 + head_len + sum(p.data.nbytes for p in model.parameters())
+
+
+def test_checkpoint_rejects_old_version_and_unknown_kind(tmp_path):
+    blob = _valid_ckpt_bytes(tmp_path)
     bad = tmp_path / "bad.m3ck"
-    bad.write_bytes(blob[:4] + struct.pack("<I", 1) + struct.pack("<Q", len(head))
-                    + head + blob[16 + head_len:])
-    with pytest.raises(CheckpointError, match="missing moment payload"):
+    bad.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+        load_checkpoint(bad)
+
+    header = _header(blob)
+    header["tensors"][3]["kind"] = "m"
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    head_len, = struct.unpack_from("<Q", blob, 8)
+    bad.write_bytes(blob[:8] + struct.pack("<Q", len(head)) + head + blob[16 + head_len:])
+    with pytest.raises(CheckpointError, match="unknown tensor kind 'm'"):
         load_checkpoint(bad)
 
 
@@ -274,18 +299,6 @@ def test_load_params_nonstrict_keeps_fresh_head():
     np.testing.assert_array_equal(named["mask_token"].data, ckpt.params["mask_token"])
 
 
-def test_restore_optimizer_matches_names():
-    model, opt = _trained_state(seed=51)
-    ckpt = snapshot(model, opt, "pretrain", 0, {})
-    ckpt.moments["not_a_param"] = {"m": np.zeros(2), "v": np.zeros(2), "t": 9}
-    fresh = AdamW(model.named_parameters(), lr=1e-3, weight_decay=0.0)
-    restore_optimizer(fresh, ckpt)
-    assert "not_a_param" not in fresh.state
-    for name, st in opt.state.items():
-        np.testing.assert_array_equal(fresh.state[name]["m"], st["m"])
-        assert fresh.state[name]["t"] == st["t"]
-
-
 # -- loops -------------------------------------------------------------
 
 
@@ -308,6 +321,14 @@ def test_pretrain_loop_rows_and_determinism(tiny_splits):
     assert ckpt0.stage == "pretrain"
     assert ckpt0.best["metric"] == "val_masked_l1"
     assert ckpt0.prior_stats is None
+
+
+def test_pretrain_nonfinite_loss_names_epoch_and_batch(tiny_splits):
+    train, val, _ = tiny_splits
+    model = M3ADNet(tiny_model_config(), seed=7)
+    model.mask_token.data[:] = np.nan
+    with pytest.raises(ContractError, match="epoch 0, batch 0"):
+        pretrain_loop(model, train, val, tiny_train_config(epochs=1))
 
 
 def test_pretrain_leaves_gates_untouched(tiny_splits):
@@ -391,6 +412,27 @@ def test_task_accuracies_range(tiny_splits):
     for acc in (diag_acc, change_acc):
         assert 0.0 <= acc <= 1.0
         assert acc * len(val) == pytest.approx(round(acc * len(val)))
+
+
+def test_predict_matches_batch1_passes(tiny_splits):
+    train, _, _ = tiny_splits
+    model = M3ADNet(tiny_model_config(), seed=3)
+    stats = compute_prior_stats(train.age, train.etiv)
+    logits, gate_sums = predict(model, train, stats, batch_size=6)
+    priors = normalize_priors(train.age, train.gender, train.etiv, stats)
+    with no_grad():
+        for i in range(len(train)):
+            singles = model.dual_task_logits(train.images[i:i + 1], priors[i:i + 1])
+            for task, single in zip(("diagnosis", "change"), singles):
+                assert logits[task][i].argmax() == single.data[0].argmax()
+                np.testing.assert_allclose(logits[task][i], single.data[0],
+                                           rtol=1e-5, atol=1e-6)
+    for sums in gate_sums.values():
+        assert sums.shape == (len(model.blocks), model.cfg.num_experts)
+        np.testing.assert_allclose(sums.sum(axis=1), len(train), rtol=1e-6)
+    assert task_accuracies(model, train, stats, batch_size=6) == tuple(
+        float(np.mean(logits[task].argmax(axis=1) == labels))
+        for task, labels in (("diagnosis", train.diag), ("change", train.change)))
 
 
 def test_class_routed_l1_shape(tiny_splits):
