@@ -5,9 +5,10 @@ inspect-gates. Logs go to stderr, artifacts to files; exit codes are 0
 on success, 1 for validation problems (bad flags, config, manifest,
 checkpoint contents), 2 for unexpected runtime failures.
 
-Every subcommand accepts ``--config FILE`` and repeated
+gen-data, pretrain and finetune accept ``--config FILE`` and repeated
 ``--set key=value`` overrides (overrides win), plus ``--seed`` which
-overrides the configured seed.
+overrides the configured seed. eval and inspect-gates take the model
+from ``--checkpoint`` and read no config.
 """
 
 from __future__ import annotations
@@ -35,11 +36,12 @@ def _build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, data=False, out=False, checkpoint=False):
-        p.add_argument("--config", help="config file of key = value lines")
-        p.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="KEY=VALUE", help="override one config key")
-        p.add_argument("--seed", type=int, help="override the configured seed")
+    def common(p, config=False, data=False, out=False, checkpoint=False):
+        if config:
+            p.add_argument("--config", help="config file of key = value lines")
+            p.add_argument("--set", dest="overrides", action="append", default=[],
+                           metavar="KEY=VALUE", help="override one config key")
+            p.add_argument("--seed", type=int, help="override the configured seed")
         if data:
             p.add_argument("--data", help="dataset manifest CSV")
         if out:
@@ -47,16 +49,17 @@ def _build_parser() -> argparse.ArgumentParser:
         if checkpoint:
             p.add_argument("--checkpoint", help="checkpoint file (.m3ck)")
 
-    common(sub.add_parser("gen-data", help="generate a synthetic dataset"), out=True)
+    common(sub.add_parser("gen-data", help="generate a synthetic dataset"),
+           config=True, out=True)
     common(sub.add_parser("pretrain", help="stage-1 masked pretraining"),
-           data=True, out=True)
+           config=True, data=True, out=True)
     p_ft = sub.add_parser("finetune", help="stage-2 dual-gate fine-tuning")
-    common(p_ft, data=True, out=True)
+    common(p_ft, config=True, data=True, out=True)
     p_ft.add_argument("--init", help="pretrained checkpoint to start from")
     p_ev = sub.add_parser("eval", help="evaluate a fine-tuned checkpoint")
     common(p_ev, data=True, out=True, checkpoint=True)
     p_ev.add_argument("--split", default="test", help="manifest split to evaluate")
-    common(sub.add_parser("gradcheck", help="finite-difference gradient audit"))
+    sub.add_parser("gradcheck", help="finite-difference gradient audit")
     p_ig = sub.add_parser("inspect-gates", help="dump mean gate weights per layer")
     common(p_ig, data=True, out=True, checkpoint=True)
     p_ig.add_argument("--split", default="val", help="manifest split to inspect")
@@ -221,7 +224,10 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(message)s")
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as stop:  # argparse exits 2 after a usage error, 0 after --help
+        return 1 if stop.code else 0
     if args.command is None:
         parser.print_help(sys.stderr)
         return 1

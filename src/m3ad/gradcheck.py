@@ -94,7 +94,8 @@ def check_primitives(rng: np.random.Generator | None = None) -> dict[str, float]
     g4 = _t(rng, 2, 4, 4, 3)
     w4 = _weight(rng, (2, 4, 4, 3))
     run("roll", lambda: nm.mul(nm.roll(g4, (1, -2), axis=(1, 2)), w4).sum(), [g4])
-    run("pad2d", lambda: nm.mul(nm.pad2d(x, 1, 2, 0, 1), _w_cached(rng, "pd", (7, 6))).sum(), [x])
+    w9 = _weight(rng, (9, 2, 4, 4, 3))
+    run("taps3x3", lambda: nm.mul(nm.taps3x3(g4), w9).sum(), [g4])
     run("broadcast_to", lambda: nm.mul(nm.broadcast_to(row, (3, 4)), w).sum(), [row])
 
     run("softmax", lambda: nm.mul(nm.softmax(x, axis=-1), wx).sum(), [x])

@@ -515,15 +515,23 @@ def roll(a: Tensor, shift, axis) -> Tensor:
     return _wrap(data, (a,), lambda g: (np.roll(g, neg_shift, axis=axis),))
 
 
-def pad2d(a: Tensor, before_h: int, after_h: int, before_w: int, after_w: int) -> Tensor:
-    """Zero-pad the last two axes."""
-    width = [(0, 0)] * (a.ndim - 2) + [(before_h, after_h), (before_w, after_w)]
-    data = np.pad(a.data, width)
-    h, w = a.shape[-2], a.shape[-1]
+def taps3x3(a: Tensor) -> Tensor:
+    """(9, B, H, W, C) zero-padded 3x3 neighbours of a (B, H, W, C) grid:
+    tap 3 * dy + dx holds the cell at offset (dy - 1, dx - 1). The
+    gradient adds the taps back in that order."""
+    if a.ndim != 4:
+        raise ShapeError(f"taps3x3 expects (B, H, W, C), got {a.shape}")
+    b, h, w, c = a.shape
+    padded = np.zeros((b, h + 2, w + 2, c), dtype=a.dtype)
+    padded[:, 1:-1, 1:-1] = a.data
+    data = np.stack([padded[:, dy:dy + h, dx:dx + w] for dy in range(3) for dx in range(3)])
 
     def vjp(g):
-        sl = (Ellipsis, slice(before_h, before_h + h), slice(before_w, before_w + w))
-        return (g[sl],)
+        full = np.zeros_like(padded)
+        for k in range(9):
+            dy, dx = divmod(k, 3)
+            full[:, dy:dy + h, dx:dx + w] += g[k]
+        return (full[:, 1:-1, 1:-1],)
 
     return _wrap(data, (a,), vjp)
 

@@ -123,24 +123,13 @@ class Fusion(Module):
         else:  # hadamard
             self.proj = Linear(rng, dim, dim, dtype, bias=False)
 
-    def __call__(self, x: Tensor, clinical: Tensor,
-                 force_weights: tuple[float, float] | None = None) -> Tensor:
-        if x.ndim != 3:
-            raise ShapeError(f"fusion expects tokens (B, L, C), got {x.shape}")
-        b, l, c = x.shape
-        if clinical.shape != (b, c):
-            raise ShapeError(
-                f"encoded prior shape {clinical.shape} does not match tokens {x.shape}")
-        xc = nm.broadcast_to(nm.reshape(clinical, (b, 1, c)), (b, l, c))
+    def __call__(self, x: Tensor, clinical: Tensor) -> Tensor:
+        xc = self._spread(x, clinical)
         if self.kind == "adaptive":
-            if force_weights is None:
-                pooled = nm.concat([x, xc], axis=-1).mean(axis=1)  # (B, 2C)
-                w = nm.softmax(self.gate(pooled), axis=-1)
-                w0 = nm.reshape(w[:, 0], (b, 1, 1))
-                w1 = nm.reshape(w[:, 1], (b, 1, 1))
-            else:
-                w0 = Tensor(np.full((b, 1, 1), force_weights[0], dtype=x.dtype))
-                w1 = Tensor(np.full((b, 1, 1), force_weights[1], dtype=x.dtype))
+            b = x.shape[0]
+            w = self._gate_weights(x, xc)
+            w0 = nm.reshape(w[:, 0], (b, 1, 1))
+            w1 = nm.reshape(w[:, 1], (b, 1, 1))
             return self.proj(nm.add(nm.mul(w0, x), nm.mul(w1, xc)))
         if self.kind == "concat":
             return self.proj(nm.concat([x, xc], axis=-1))
@@ -152,7 +141,20 @@ class Fusion(Module):
         """The (B, 2) softmax weights of adaptive fusion, for inspection."""
         if self.kind != "adaptive":
             raise ContractError(f"fusion kind {self.kind!r} has no adaptive weights")
+        return self._gate_weights(x, self._spread(x, clinical))
+
+    @staticmethod
+    def _spread(x: Tensor, clinical: Tensor) -> Tensor:
+        """Broadcast the (B, C) prior over the L positions of (B, L, C) tokens."""
+        if x.ndim != 3:
+            raise ShapeError(f"fusion expects tokens (B, L, C), got {x.shape}")
         b, l, c = x.shape
-        xc = nm.broadcast_to(nm.reshape(clinical, (b, 1, c)), (b, l, c))
-        pooled = nm.concat([x, xc], axis=-1).mean(axis=1)
+        if clinical.shape != (b, c):
+            raise ShapeError(
+                f"encoded prior shape {clinical.shape} does not match tokens {x.shape}")
+        return nm.broadcast_to(nm.reshape(clinical, (b, 1, c)), (b, l, c))
+
+    def _gate_weights(self, x: Tensor, xc: Tensor) -> Tensor:
+        """Softmax of the gate over the token-pooled image and prior streams."""
+        pooled = nm.concat([x, xc], axis=-1).mean(axis=1)  # (B, 2C)
         return nm.softmax(self.gate(pooled), axis=-1)

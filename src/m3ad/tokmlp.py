@@ -50,33 +50,21 @@ def axis_shift(x: Tensor, axis: int, offsets: tuple[int, ...]) -> Tensor:
 def conv3x3(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """3x3 convolution with zero padding 1 on a (B, H, W, Cin) grid.
 
-    ``weight`` is (3, 3, Cin, Cout). Written as nine shifted matmuls so
-    the gradient comes from the engine's primitives.
+    ``weight`` is (3, 3, Cin, Cout). One batched matmul applies each tap's
+    (Cin, Cout) slice to its neighbours; the nine products are summed.
     """
-    h, w = x.shape[1], x.shape[2]
-    xp = nm.pad2d(nm.transpose(x, (0, 3, 1, 2)), 1, 1, 1, 1)  # (B, Cin, H+2, W+2)
-    xp = nm.transpose(xp, (0, 2, 3, 1))
-    out = None
-    for dy in range(3):
-        for dx in range(3):
-            patch = xp[:, dy:dy + h, dx:dx + w, :]
-            term = nm.matmul(nm.reshape(patch, (-1, x.shape[-1])), weight[dy, dx])
-            out = term if out is None else nm.add(out, term)
-    out = nm.add(out, bias)
-    return nm.reshape(out, (x.shape[0], h, w, weight.shape[-1]))
+    b, h, w, cin = x.shape
+    cout = weight.shape[-1]
+    taps = nm.reshape(nm.taps3x3(x), (9, b * h * w, cin))
+    out = nm.tsum(nm.matmul(taps, nm.reshape(weight, (9, cin, cout))), axis=0)
+    return nm.reshape(nm.add(out, bias), (b, h, w, cout))
 
 
 def dwconv3x3(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Depthwise 3x3 convolution, zero padding 1; ``weight`` is (3, 3, C)."""
-    h, w = x.shape[1], x.shape[2]
-    xp = nm.pad2d(nm.transpose(x, (0, 3, 1, 2)), 1, 1, 1, 1)
-    xp = nm.transpose(xp, (0, 2, 3, 1))
-    out = None
-    for dy in range(3):
-        for dx in range(3):
-            term = nm.mul(xp[:, dy:dy + h, dx:dx + w, :], weight[dy, dx])
-            out = term if out is None else nm.add(out, term)
-    return nm.add(out, bias)
+    """Depthwise 3x3 convolution, zero padding 1; ``weight`` is (3, 3, C)
+    and scales each tap per channel before the nine are summed."""
+    scale = nm.reshape(weight, (9, 1, 1, 1, x.shape[-1]))
+    return nm.add(nm.tsum(nm.mul(nm.taps3x3(x), scale), axis=0), bias)
 
 
 class TokMLPBlock(Module):

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -130,6 +131,11 @@ class EarlyStopper:
 
 _CKPT_MAGIC = b"M3CK"
 _CKPT_VERSION = 2
+_HEADER_FIELDS = {"tensors": list, "model_config": dict, "stage": str, "epoch": int,
+                  "best": dict, "prior_stats": (dict, type(None))}
+_ENTRY_FIELDS = {"kind": str, "name": str, "dtype": str, "shape": list, "offset": int,
+                 "nbytes": int}
+_CKPT_ITEMSIZE = {"float32": 4, "float64": 8}
 
 
 @dataclass
@@ -208,24 +214,53 @@ def load_checkpoint(path) -> Checkpoint:
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise CheckpointError(f"{path}: corrupt checkpoint header: {err}") from None
     base = 16 + head_len
+    _check_fields(path, "header", header, _HEADER_FIELDS)
 
     params: dict[str, np.ndarray] = {}
     for entry in header["tensors"]:
+        _check_fields(path, "tensor entry", entry, {"name": str})
+        name = entry["name"]
+        _check_fields(path, f"tensor {name!r}", entry, _ENTRY_FIELDS)
         if entry["kind"] != "param":
+            raise CheckpointError(f"{path}: unknown tensor kind {entry['kind']!r} for {name!r}")
+        if entry["dtype"] not in _CKPT_ITEMSIZE:
+            raise CheckpointError(f"{path}: tensor {name!r} has dtype {entry['dtype']!r}, "
+                                  f"not one of {tuple(_CKPT_ITEMSIZE)}")
+        shape = entry["shape"]
+        if not all(type(n) is int and n >= 0 for n in shape):
+            raise CheckpointError(f"{path}: tensor {name!r} has shape {shape}")
+        size = math.prod(shape) * _CKPT_ITEMSIZE[entry["dtype"]]
+        if entry["nbytes"] != size or entry["offset"] < 0:
             raise CheckpointError(
-                f"{path}: unknown tensor kind {entry['kind']!r} for {entry['name']!r}")
+                f"{path}: tensor {name!r} has nbytes {entry['nbytes']} and offset "
+                f"{entry['offset']}; shape {shape} needs nbytes {size} at offset >= 0")
         lo = base + entry["offset"]
         hi = lo + entry["nbytes"]
         if hi > len(blob):
-            raise CheckpointError(f"{path}: truncated payload for {entry['name']!r}")
-        arr = np.frombuffer(blob[lo:hi], dtype=np.dtype(entry["dtype"]))
-        params[entry["name"]] = arr.reshape(entry["shape"]).copy()
-    stats = header.get("prior_stats")
+            raise CheckpointError(f"{path}: truncated payload for {name!r}")
+        params[name] = np.frombuffer(blob[lo:hi], dtype=entry["dtype"]).reshape(shape).copy()
+    stats = header["prior_stats"]
+    if stats is not None:
+        _check_fields(path, "prior_stats", stats,
+                      dict.fromkeys((f.name for f in fields(PriorStats)), (int, float)))
     return Checkpoint(
         model_config=model_config_from_dict(header["model_config"]),
         stage=header["stage"], params=params,
-        epoch=int(header["epoch"]), best=dict(header["best"]),
-        prior_stats=PriorStats.from_dict(stats) if stats else None)
+        epoch=header["epoch"], best=header["best"],
+        prior_stats=PriorStats.from_dict(stats) if stats is not None else None)
+
+
+def _check_fields(path, where: str, raw, schema: dict) -> None:
+    """Raise CheckpointError unless ``raw`` is a dict holding every key of
+    ``schema`` with a value of the listed type (a bool is not a number)."""
+    if not isinstance(raw, dict):
+        raise CheckpointError(f"{path}: checkpoint {where} is a {type(raw).__name__}, not an object")
+    for key, kind in schema.items():
+        if key not in raw:
+            raise CheckpointError(f"{path}: checkpoint {where} lacks field {key!r}")
+        if isinstance(raw[key], bool) or not isinstance(raw[key], kind):
+            raise CheckpointError(f"{path}: checkpoint {where} field {key!r} holds a "
+                                  f"{type(raw[key]).__name__}")
 
 
 def load_params(model: M3ADNet, ckpt: Checkpoint, strict: bool = True) -> list[str]:

@@ -130,7 +130,7 @@ def test_eval_warns_once_per_task(pipeline, tmp_path):
     assert len(excluded) == undefined >= 1
 
 
-@pytest.mark.parametrize("damage", ["version 1", "tensor kind"])
+@pytest.mark.parametrize("damage", ["version 1", "tensor kind", "offset"])
 def test_eval_exits_1_on_bad_checkpoint(pipeline, tmp_path, capsys, damage):
     blob = (pipeline["out"] / "finetune.m3ck").read_bytes()
     if damage == "version 1":
@@ -138,7 +138,10 @@ def test_eval_exits_1_on_bad_checkpoint(pipeline, tmp_path, capsys, damage):
     else:
         head_len, = struct.unpack_from("<Q", blob, 8)
         header = json.loads(blob[16:16 + head_len])
-        header["tensors"][0]["kind"] = "v"
+        if damage == "offset":
+            del header["tensors"][0]["offset"]
+        else:
+            header["tensors"][0]["kind"] = "v"
         head = json.dumps(header).encode("utf-8")
         blob = blob[:8] + struct.pack("<Q", len(head)) + head + blob[16 + head_len:]
     bad = tmp_path / "bad.m3ck"
@@ -220,6 +223,22 @@ def test_exit_codes_for_bad_invocations(tmp_path, capsys):
     rc = main(["eval", "--checkpoint", str(tmp_path / "none.m3ck"),
                "--data", str(tmp_path / "none.csv"), "--out", str(tmp_path / "o")])
     assert rc == 1
+
+
+def test_usage_errors_exit_1_and_name_the_flag(pipeline, tmp_path, capsys):
+    """eval, inspect-gates and gradcheck read no config, so they reject
+    the config flags like any other unknown argument."""
+    rc = main(["eval", "--checkpoint", str(pipeline["out"] / "finetune.m3ck"),
+               "--data", str(pipeline["manifest"]), "--out", str(tmp_path),
+               "--set", "bogus=1"])
+    assert rc == 1
+    assert "--set bogus=1" in capsys.readouterr().err
+
+    assert main(["gradcheck", "--seed", "3"]) == 1
+    assert "--seed 3" in capsys.readouterr().err
+
+    assert main(["pretrain", "--seed", "x"]) == 1
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_bad_config_value_names_the_line(tmp_path, capsys):

@@ -16,7 +16,7 @@ _EXPECTED_OPS = {
     "sigmoid", "softplus", "gelu",
     "sum_axis", "mean_axis", "mean_all",
     "reshape", "transpose", "getitem", "take", "concat", "roll",
-    "pad2d", "broadcast_to",
+    "taps3x3", "broadcast_to",
     "softmax", "layer_norm", "cross_entropy",
     "conv3x3", "dwconv3x3", "expert_mix",
 }

@@ -291,14 +291,21 @@ def test_roll_round_trips_gradient(rng):
     np.testing.assert_array_equal(p.grad, np.roll(seed, (-1, 2), axis=(1, 2)))
 
 
-def test_pad2d_zero_fills_and_slices_gradient(rng):
-    p = t64(rng, 2, 3)
-    out = nm.pad2d(p, 1, 0, 2, 1)
-    assert out.shape == (3, 6)
-    assert out.data[0].sum() == 0.0
-    np.testing.assert_array_equal(out.data[1:, 2:5], p.data)
+def test_taps3x3_zero_padded_neighbours_and_gradient(rng):
+    p = t64(rng, 2, 3, 4, 5)
+    out = nm.taps3x3(p)
+    assert out.shape == (9, 2, 3, 4, 5)
+    padded = np.pad(p.data, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    for k in range(9):
+        dy, dx = divmod(k, 3)
+        np.testing.assert_array_equal(out.data[k], padded[:, dy:dy + 3, dx:dx + 4])
     out.sum().backward()
-    np.testing.assert_array_equal(p.grad, np.ones((2, 3)))
+    # each cell is seen by one tap per neighbour inside the grid
+    inside = np.pad(np.ones((3, 4)), 1)
+    counts = sum(inside[dy:dy + 3, dx:dx + 4] for dy in range(3) for dx in range(3))
+    np.testing.assert_array_equal(p.grad, np.broadcast_to(counts[None, :, :, None], p.shape))
+    with pytest.raises(ShapeError):
+        nm.taps3x3(t64(rng, 3, 4, 5))
 
 
 def test_clamp_min_gradient_gate():

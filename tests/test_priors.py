@@ -96,7 +96,11 @@ def test_hadamard_fusion_zero_clinical_is_identity(rng):
 def test_adaptive_fusion_forced_weights_equal_projection(rng):
     fus = Fusion(np.random.default_rng(2), "adaptive", 8, np.float64)
     x, clin = _tokens_and_prior(rng)
-    out = fus(x, clin, force_weights=(1.0, 0.0))
+    # a gate with zero weight and bias (1000, -1000) gives exactly (1, 0)
+    fus.gate.weight.data[:] = 0.0
+    fus.gate.bias.data[:] = (1000.0, -1000.0)
+    assert (fus.adaptive_weights(x, clin).data == [[1.0, 0.0]] * 2).all()
+    out = fus(x, clin)
     expected = fus.proj(x)
     assert (out.data == expected.data).all()
 

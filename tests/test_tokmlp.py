@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
+from m3ad import tokmlp
 from m3ad.errors import ShapeError
-from m3ad.numerics import Tensor
+from m3ad.heads_losses import finetune_loss, pretrain_loss, sample_mask
+from m3ad.model import M3ADNet
+from m3ad.numerics import Tensor, no_grad
 from m3ad.tokmlp import (DEFAULT_OFFSETS, TokMLPBlock, axis_shift, conv3x3,
                          dwconv3x3)
 from m3ad import numerics as nm
+
+from conftest import tiny_model_config
 
 
 def _conv_oracle(x, w, b):
@@ -116,3 +121,147 @@ def test_width_and_height_shifts_differ(rng):
     out = block(Tensor(x)).data
     out_t = block(Tensor(np.swapaxes(x, 1, 2))).data
     assert np.abs(out - np.swapaxes(out_t, 1, 2)).max() > 1e-8
+
+
+# -- nine-tap references built from engine ops -------------------------
+
+
+def _pad1(x):
+    """Zero-pad a (B, H, W, C) grid by one cell on each side with concat."""
+    b, h, w, c = x.shape
+    col = Tensor(np.zeros((b, h, 1, c), dtype=x.dtype))
+    x = nm.concat([col, x, col], axis=2)
+    row = Tensor(np.zeros((b, 1, w + 2, c), dtype=x.dtype))
+    return nm.concat([row, x, row], axis=1)
+
+
+def _ref_conv3x3(x, weight, bias):
+    """Nine shifted matmuls added in (dy, dx) row-major order."""
+    b, h, w, cin = x.shape
+    xp = _pad1(x)
+    out = None
+    for dy in range(3):
+        for dx in range(3):
+            patch = nm.reshape(xp[:, dy:dy + h, dx:dx + w, :], (-1, cin))
+            term = nm.matmul(patch, weight[dy, dx])
+            out = term if out is None else nm.add(out, term)
+    return nm.reshape(nm.add(out, bias), (b, h, w, weight.shape[-1]))
+
+
+def _ref_dwconv3x3(x, weight, bias):
+    h, w = x.shape[1], x.shape[2]
+    xp = _pad1(x)
+    out = None
+    for dy in range(3):
+        for dx in range(3):
+            term = nm.mul(xp[:, dy:dy + h, dx:dx + w, :], weight[dy, dx])
+            out = term if out is None else nm.add(out, term)
+    return nm.add(out, bias)
+
+
+def _out_and_grads(f, leaves):
+    """Output of ``f`` and the leaves' gradients for a fixed random seed."""
+    for leaf in leaves:
+        leaf.grad = None
+    out = f()
+    out.backward(np.random.default_rng(1).standard_normal(out.shape).astype(out.dtype))
+    return [out.data] + [leaf.grad for leaf in leaves]
+
+
+def _assert_all_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+_CASES = [(dt, shape) for dt in (np.float32, np.float64)
+          for shape in ((1, 4, 4, 16), (16, 4, 4, 8), (16, 2, 2, 16))]
+
+
+@pytest.mark.parametrize("dtype,shape", _CASES)
+def test_conv3x3_bit_identical_to_nine_tap_reference(dtype, shape):
+    rng = np.random.default_rng(4)
+    c = shape[-1]
+    x = Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+    w = Tensor(rng.standard_normal((3, 3, c, c + 3)).astype(dtype), requires_grad=True)
+    b = Tensor(rng.standard_normal(c + 3).astype(dtype), requires_grad=True)
+    _assert_all_equal(_out_and_grads(lambda: conv3x3(x, w, b), [x, w, b]),
+                      _out_and_grads(lambda: _ref_conv3x3(x, w, b), [x, w, b]))
+
+
+@pytest.mark.parametrize("dtype,shape", _CASES)
+def test_dwconv3x3_bit_identical_to_nine_tap_reference(dtype, shape):
+    rng = np.random.default_rng(4)
+    c = shape[-1]
+    x = Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+    w = Tensor(rng.standard_normal((3, 3, c)).astype(dtype), requires_grad=True)
+    b = Tensor(rng.standard_normal(c).astype(dtype), requires_grad=True)
+    _assert_all_equal(_out_and_grads(lambda: dwconv3x3(x, w, b), [x, w, b]),
+                      _out_and_grads(lambda: _ref_dwconv3x3(x, w, b), [x, w, b]))
+
+
+def _use_reference_convs(monkeypatch):
+    """Run every tokenized-MLP block on the nine-tap references."""
+    monkeypatch.setattr(tokmlp, "conv3x3", _ref_conv3x3)
+    monkeypatch.setattr(tokmlp, "dwconv3x3", _ref_dwconv3x3)
+
+
+@pytest.mark.parametrize("dtype,shape", _CASES)
+def test_tokmlp_block_bit_identical_to_nine_tap_reference(dtype, shape, monkeypatch):
+    block = TokMLPBlock(np.random.default_rng(5), shape[-1], dtype)
+    x = Tensor(np.random.default_rng(4).standard_normal(shape).astype(dtype), requires_grad=True)
+    leaves = [x] + block.parameters()
+    got = _out_and_grads(lambda: block(x), leaves)
+    _use_reference_convs(monkeypatch)
+    _assert_all_equal(got, _out_and_grads(lambda: block(x), leaves))
+
+
+def _one_step_each(model, rng):
+    """Loss and gradients of one pretrain and one fine-tune step, plus
+    batch-1 logits."""
+    images = rng.standard_normal((4, 32, 32)).astype(np.float32)
+    diag, change = np.array([0, 1, 2, 1]), np.array([0, 1, 2, 0])
+    priors = rng.standard_normal((4, 3)).astype(np.float32)
+    specs = [sample_mask(rng, (32, 32), model.cfg.mask_unit, model.cfg.mask_ratio)
+             for _ in range(4)]
+    out = {}
+    for stage in ("pretrain", "finetune"):
+        if stage == "pretrain":
+            loss = pretrain_loss(model, images, diag, specs, 1.0)[0]
+        else:
+            loss = finetune_loss(*model.dual_task_logits(images, priors), diag, change)
+        model.zero_grad()
+        loss.backward()
+        out[f"{stage}.loss"] = loss.data
+        out.update({f"{stage}.{name}": p.grad for name, p in model.named_parameters().items()
+                    if p.grad is not None})
+    with no_grad():
+        for task, logits in zip(("diagnosis", "change"),
+                                model.dual_task_logits(images[:1], priors[:1])):
+            out[f"batch1.{task}"] = logits.data
+    return out
+
+
+def test_model_steps_match_nine_tap_reference(monkeypatch):
+    """One pretrain and one fine-tune step of a small float32 model give
+    the reference's losses, logits and gradients bit for bit, except the
+    tokenizer weight's gradient. The tokenizer is shared by the two
+    convolutions of a block, and each pass reaches it again, so its
+    gradient sums three or more contributions; the reference hands the
+    engine one (3, 3, Cin, Cout) term per tap and this code one per call,
+    so the engine adds them in another order. That gradient must match to
+    within 1e-6 of its largest entry."""
+    model = M3ADNet(tiny_model_config(dtype="float32"), seed=1)
+    got = _one_step_each(model, np.random.default_rng(7))
+    _use_reference_convs(monkeypatch)
+    want = _one_step_each(model, np.random.default_rng(7))
+    assert got.keys() == want.keys()
+    tok = [key for key in want if key.endswith("mixer.tok_weight")]
+    assert len(tok) == 4  # two tokenized-MLP blocks, in each training stage
+    for key in want:
+        if key in tok:
+            scale = np.abs(want[key]).max()
+            assert np.abs(got[key] - want[key]).max() <= 1e-6 * scale, key
+        else:
+            assert np.array_equal(got[key], want[key]), key

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import struct
 
 import numpy as np
@@ -198,9 +199,10 @@ def test_checkpoint_restores_forward_bit_exactly(tmp_path, rng):
     assert (a == b).all()
 
 
-def _valid_ckpt_bytes(tmp_path):
+def _valid_ckpt_bytes(tmp_path, prior_stats=None):
     model, opt = _trained_state(seed=8)
-    ckpt = snapshot(model, opt, "pretrain", 1, {"metric": "val_masked_l1", "value": 1.0, "epoch": 1})
+    ckpt = snapshot(model, opt, "pretrain", 1, {"metric": "val_masked_l1", "value": 1.0, "epoch": 1},
+                    prior_stats=prior_stats)
     path = tmp_path / "ok.m3ck"
     save_checkpoint(path, ckpt)
     return path.read_bytes()
@@ -262,6 +264,66 @@ def test_checkpoint_rejects_old_version_and_unknown_kind(tmp_path):
     head_len, = struct.unpack_from("<Q", blob, 8)
     bad.write_bytes(blob[:8] + struct.pack("<Q", len(head)) + head + blob[16 + head_len:])
     with pytest.raises(CheckpointError, match="unknown tensor kind 'm'"):
+        load_checkpoint(bad)
+
+
+def _with_header(blob: bytes, header: dict) -> bytes:
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    head_len, = struct.unpack_from("<Q", blob, 8)
+    return blob[:8] + struct.pack("<Q", len(head)) + head + blob[16 + head_len:]
+
+
+def _header_part(header: dict, where: str) -> dict:
+    return {"header": header, "tensor": header["tensors"][3],
+            "prior_stats": header["prior_stats"]}[where]
+
+
+_FIELDS = ([("header", key) for key in ("tensors", "model_config", "stage", "epoch",
+                                        "best", "prior_stats")]
+           + [("tensor", key) for key in ("kind", "name", "dtype", "shape", "offset", "nbytes")]
+           + [("prior_stats", key) for key in ("age_mean", "age_std", "etiv_mean", "etiv_std")])
+
+
+@pytest.mark.parametrize("where,key", _FIELDS)
+def test_checkpoint_missing_field_names_file_and_field(tmp_path, where, key):
+    blob = _valid_ckpt_bytes(tmp_path, PriorStats(70.0, 8.0, 1450.0, 120.0))
+    header = _header(blob)
+    del _header_part(header, where)[key]
+    bad = tmp_path / "bad.m3ck"
+    bad.write_bytes(_with_header(blob, header))
+    with pytest.raises(CheckpointError, match=f"bad.m3ck: .*lacks field '{key}'"):
+        load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("where,key,value", [
+    ("header", "tensors", {}), ("header", "model_config", []), ("header", "stage", 2),
+    ("header", "epoch", "1"), ("header", "epoch", True), ("header", "best", None),
+    ("header", "prior_stats", [70.0]),
+    ("tensor", "kind", 0), ("tensor", "name", None), ("tensor", "dtype", 4),
+    ("tensor", "shape", "8"), ("tensor", "offset", 0.5), ("tensor", "nbytes", "32"),
+    ("prior_stats", "age_std", "8"),
+])
+def test_checkpoint_mistyped_field_names_file_and_field(tmp_path, where, key, value):
+    blob = _valid_ckpt_bytes(tmp_path, PriorStats(70.0, 8.0, 1450.0, 120.0))
+    header = _header(blob)
+    _header_part(header, where)[key] = value
+    bad = tmp_path / "bad.m3ck"
+    bad.write_bytes(_with_header(blob, header))
+    with pytest.raises(CheckpointError, match=f"bad.m3ck: .*field '{key}' holds"):
+        load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("dtype", "float16"), ("dtype", "int32"), ("shape", [-1, 8]), ("shape", [2.0, 8]),
+    ("nbytes", 4), ("offset", -4),
+])
+def test_checkpoint_rejects_inconsistent_tensor_entry(tmp_path, key, value):
+    blob = _valid_ckpt_bytes(tmp_path)
+    header = _header(blob)
+    header["tensors"][3][key] = value
+    bad = tmp_path / "bad.m3ck"
+    bad.write_bytes(_with_header(blob, header))
+    with pytest.raises(CheckpointError, match=re.escape(f"{key} {value!r}")):
         load_checkpoint(bad)
 
 
