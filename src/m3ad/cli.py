@@ -89,7 +89,7 @@ def _write_rows_csv(path, rows: list[dict]) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(rows[0]))
         for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row.values()])
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row.values()])
 
 
 def _change_names(num_classes: int) -> list[str]:

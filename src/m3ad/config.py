@@ -264,13 +264,24 @@ def config_as_dict(cfg: ModelConfig) -> dict:
     return out
 
 
+def _holds(value, kind) -> bool:
+    """Whether a JSON value can fill a config field of type ``kind``
+    (a bool is not a number; a JSON list fills a tuple)."""
+    if typing.get_origin(kind) is tuple:
+        return isinstance(value, list) and all(_holds(v, typing.get_args(kind)[0]) for v in value)
+    return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
+
+
 def model_config_from_dict(raw: dict) -> ModelConfig:
-    fields = {f.name for f in dataclasses.fields(ModelConfig)}
-    unknown = set(raw) - fields
+    kinds = typing.get_type_hints(ModelConfig)
+    unknown = set(raw) - set(kinds)
     if unknown:
         raise ConfigError(f"unknown model config keys in checkpoint: {sorted(unknown)}")
-    kwargs = dict(raw)
-    for key in ("depths", "num_heads"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
+    for key, value in raw.items():
+        kind = kinds[key]
+        if not _holds(value, kind):
+            raise ConfigError(f"model config key {key!r} holds {value!r}, not "
+                              f"{kind.__name__ if isinstance(kind, type) else kind}")
+    kwargs = {key: tuple(value) if isinstance(value, list) else value
+              for key, value in raw.items()}
     return ModelConfig(**kwargs).validate()

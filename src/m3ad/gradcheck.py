@@ -120,6 +120,12 @@ def check_primitives(rng: np.random.Generator | None = None) -> dict[str, float]
     wmix = _weight(rng, (2, 5, 3))
     run("expert_mix", lambda: nm.mul(expert_mix(xe, gate, bank), wmix).sum(),
         [xe, gate] + bank_params)
+    # constant weights dispatch rows: expert 0 gets row 0 only, expert 1 both
+    fixed = np.array([[0.6, 0.4], [0.0, 1.0]])
+    dense = out["expert_mix"]
+    run("expert_mix", lambda: nm.mul(expert_mix(xe, fixed, bank), wmix).sum(),
+        [xe] + bank_params)
+    out["expert_mix"] = max(dense, out["expert_mix"])
     return out
 
 

@@ -3,10 +3,11 @@ objectives.
 
 Pretraining reconstructs masked pixels (L1 over masked units only) while
 routing experts by the known diagnosis label, plus an expert
-specialization term that re-runs each class's samples through that
-class's experts alone. Fine-tuning is dual-pass: one forward per task
-gate, a shared pooling head per task, and a weighted sum of the two
-cross-entropies.
+specialization term that reconstructs each sample through its class's
+experts alone; both come from one pass over the label-guided rows
+stacked on the class-only rows. Fine-tuning is dual-gate: one pass over
+a diagnosis block and a change block of rows, a shared pooling head per
+task, and a weighted sum of the two cross-entropies.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import ContractError, ShapeError
+from .moe import task_blocks
 from .numerics import LayerNorm, Linear, Module, Tensor
 
 
@@ -118,21 +120,19 @@ class TaskHeads(Module):
         self.diagnosis = Linear(rng, dim, 3, dtype)
         self.change = Linear(rng, dim, num_change, dtype)
 
-    def pooled(self, tokens: Tensor) -> Tensor:
+    def __call__(self, tokens: Tensor, *tasks: str) -> tuple[Tensor, ...]:
+        """Pool every row of the (rows, L, C) tokens, then apply each
+        task's head to that task's equal, contiguous block of rows."""
         if tokens.ndim != 3:
             raise ShapeError(f"heads expect (B, L, C) tokens, got {tokens.shape}")
-        return self.norm(tokens.mean(axis=1))
+        blocks = task_blocks(self.norm(tokens.mean(axis=1)), tasks)
+        return tuple(self._head(task)(block) for task, block in zip(tasks, blocks))
 
-    def __call__(self, tokens: Tensor) -> tuple[Tensor, Tensor]:
-        pooled = self.pooled(tokens)
-        return self.diagnosis(pooled), self.change(pooled)
-
-    def logits(self, tokens: Tensor, task: str) -> Tensor:
-        pooled = self.pooled(tokens)
+    def _head(self, task: str) -> Linear:
         if task == "diagnosis":
-            return self.diagnosis(pooled)
+            return self.diagnosis
         if task == "change":
-            return self.change(pooled)
+            return self.change
         raise ContractError(f"unknown task {task!r}")
 
 
@@ -173,51 +173,44 @@ def masked_l1_per_sample(pred: np.ndarray, target: np.ndarray,
     return out
 
 
-def expert_specialization_loss(model, images: np.ndarray, labels: np.ndarray,
+def expert_specialization_loss(pred: Tensor, images: np.ndarray, labels: np.ndarray,
                                specs: list[MaskSpec]) -> Tensor:
-    """Per-class reconstruction through that class's experts alone.
+    """Masked L1 of the class-only reconstructions ``pred``.
 
-    For every diagnosis class present, its samples are re-encoded with
-    routing fixed to the class expert pair (shared experts excluded) and
-    the masked L1 errors are averaged over the class; class terms sum.
-    Absent classes contribute zero.
+    Each sample's error is averaged over its mask, then over the samples
+    of its class, and the class terms sum (absent classes add nothing):
+    one weighted sum over masked pixels, each pixel weighted by
+    1 / (its mask size * its class count).
     """
-    labels = np.asarray(labels)
-    total = None
-    for klass in range(3):
-        members = np.flatnonzero(labels == klass)
-        if members.size == 0:
-            continue
-        pred = model.reconstruct_class_only(images[members], klass,
-                                            [specs[i] for i in members])
-        pred_sel, target_sel, idx_parts = _gather_masked(
-            pred, images[members], [specs[i] for i in members])
-        diff = nm.absolute(nm.sub(pred_sel, target_sel))
-        # mean within each sample's mask, then mean over the class
-        offsets = np.cumsum([0] + [p.size for p in idx_parts])
-        term = None
-        for j in range(len(idx_parts)):
-            part = diff[int(offsets[j]):int(offsets[j + 1])].mean()
-            term = part if term is None else nm.add(term, part)
-        term = nm.div(term, float(members.size))
-        total = term if total is None else nm.add(total, term)
-    if total is None:
-        raise ContractError("expert specialization loss needs a non-empty batch")
-    return total
+    pred_sel, target_sel, idx_parts = _gather_masked(pred, images, specs)
+    counts = np.bincount(labels)
+    weights = np.concatenate([np.full(part.size, 1.0 / (part.size * counts[label]))
+                              for part, label in zip(idx_parts, labels)])
+    diff = nm.absolute(nm.sub(pred_sel, target_sel))
+    return nm.mul(diff, weights.astype(pred.dtype.type)).sum()
 
 
 def pretrain_loss(model, images: np.ndarray, labels: np.ndarray,
                   specs: list[MaskSpec], lambda_expert: float) -> tuple[Tensor, Tensor, Tensor]:
     """Masked reconstruction under label-guided routing plus the weighted
-    specialization term. Returns (total, recon, expert) scalars."""
+    specialization term. Returns (total, recon, expert) scalars.
+
+    One pass reconstructs the batch under label-guided rows and, when the
+    term is on, again under class-only rows stacked below them."""
     if lambda_expert < 0:
         raise ContractError(f"lambda_expert must be >= 0, got {lambda_expert}")
-    pred = model.reconstruct_label_guided(images, labels, specs)
-    recon = recon_loss(pred, images, specs)
+    labels = np.asarray(labels)
+    rows = [model.label_guided_weights(labels)]
+    if lambda_expert != 0.0:
+        rows.append(model.class_only_weights(labels))
+    pred = model.reconstruct(np.concatenate([images] * len(rows)), np.concatenate(rows),
+                             list(specs) * len(rows))
+    b = len(labels)
+    recon = recon_loss(pred[:b], images, specs)
     if lambda_expert == 0.0:
         zero = Tensor(np.zeros((), dtype=recon.dtype))
         return recon, recon, zero
-    expert = expert_specialization_loss(model, images, labels, specs)
+    expert = expert_specialization_loss(pred[b:], images, labels, specs)
     total = nm.add(recon, nm.mul(expert, lambda_expert))
     return total, recon, expert
 

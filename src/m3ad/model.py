@@ -6,10 +6,13 @@ the clinical-prior encoder and fusion at the configured stage, the task
 heads, and the pixel decoder. The same parameters serve both training
 phases; only the routing and which heads are read differ:
 
-* pretraining: fixed label-guided routing, no priors, decoder output.
-* fine-tuning: one forward per task with that task's gate in every
+* pretraining: fixed per-row routing, no priors, decoder output. The
+  specialization term stacks class-only rows under the label-guided
+  ones, so one pass serves both.
+* fine-tuning: one pass over the diagnosis rows stacked on a copy for
+  the change task, each block routed by its task's gate in every
   mixture-of-experts layer, priors fused in, per-task head on the pooled
-  final tokens.
+  final tokens of its block.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from .backbone import ATTENTION_STAGES, M3ADBlock, PatchEmbed, PatchMerge, Windo
 from .config import ModelConfig
 from .errors import ContractError, ShapeError
 from .heads_losses import MaskSpec, ReconDecoder, TaskHeads, apply_mask
-from .moe import MMoELayer, Routing, class_only_weights, fixed_routing, label_guided_weights, task_routing
+from .moe import (TASKS, MMoELayer, Routing, class_only_weights, fixed_routing,
+                  label_guided_weights, task_routing)
 from .numerics import Module, Tensor, parameter
 from .priors import Fusion, PriorEncoder, c_fusion_dim
 from .tokmlp import TokMLPBlock
@@ -107,38 +111,41 @@ class M3ADNet(Module):
 
     # -- pretraining forwards ------------------------------------------
 
-    def reconstruct_label_guided(self, images, labels: np.ndarray,
-                                 specs: list[MaskSpec]) -> Tensor:
-        weights = label_guided_weights(np.asarray(labels), self.cfg.num_experts,
-                                       self.cfg.num_shared_experts,
-                                       self.cfg.shared_expert_weight, self.np_dtype)
-        grid = self.encode(images, fixed_routing(weights), specs=specs)
-        return self.decoder(grid)
+    def label_guided_weights(self, labels: np.ndarray) -> np.ndarray:
+        """(B, E) label-guided routing rows for diagnosis ``labels``."""
+        cfg = self.cfg
+        return label_guided_weights(np.asarray(labels), cfg.num_experts,
+                                    cfg.num_shared_experts, cfg.shared_expert_weight,
+                                    self.np_dtype)
 
-    def reconstruct_class_only(self, images, klass: int,
-                               specs: list[MaskSpec]) -> Tensor:
-        weights = class_only_weights(klass, self.cfg.num_experts,
-                                     self.cfg.num_shared_experts, self.np_dtype)
+    def class_only_weights(self, labels: np.ndarray) -> np.ndarray:
+        """(B, E) rows routing each sample through its class's experts alone."""
+        return class_only_weights(np.asarray(labels), self.cfg.num_experts,
+                                  self.cfg.num_shared_experts, self.np_dtype)
+
+    def reconstruct(self, images, weights: np.ndarray, specs: list[MaskSpec]) -> Tensor:
+        """Decoded (B, H, W) pixels of masked ``images`` under fixed
+        per-row expert ``weights`` (B, E)."""
         grid = self.encode(images, fixed_routing(weights), specs=specs)
         return self.decoder(grid)
 
     # -- fine-tuning forwards ------------------------------------------
 
-    def task_logits(self, images, priors: np.ndarray | None, task: str,
-                    sink: list | None = None) -> Tensor:
-        """One task pass: that task's gates route every MMoE layer and
-        that task's head reads the pooled final tokens. ``sink`` collects
-        each MMoE layer's (B, E) gate weights, in layer order."""
-        routing = task_routing(task)
+    def dual_task_logits(self, images, priors: np.ndarray | None,
+                         sink: list | None = None) -> tuple[Tensor, Tensor]:
+        """(diagnosis, change) logits of one pass over the images stacked
+        twice, the first copy routed by the diagnosis gates and read by
+        the diagnosis head, the second by the change gates and head.
+        ``priors=None`` runs without fusion; ``sink`` collects each MMoE
+        layer's (2B, E) gate weights, in layer order."""
+        x = self._as_input(images)
+        if priors is not None:
+            priors = np.concatenate([priors, priors])
+        routing = task_routing(*TASKS)
         routing.sink = sink
-        grid = self.encode(images, routing, priors=priors)
+        grid = self.encode(nm.concat([x, x]), routing, priors=priors)
         b, h, w, c = grid.shape
-        return self.heads.logits(nm.reshape(grid, (b, h * w, c)), task)
-
-    def dual_task_logits(self, images, priors: np.ndarray) -> tuple[Tensor, Tensor]:
-        """Both passes of the dual-pass design, sharing all parameters."""
-        return (self.task_logits(images, priors, "diagnosis"),
-                self.task_logits(images, priors, "change"))
+        return self.heads(nm.reshape(grid, (b, h * w, c)), *TASKS)
 
     # -- parameter views -----------------------------------------------
 

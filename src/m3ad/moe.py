@@ -6,21 +6,23 @@ per-diagnosis-class groups (NC, MCI, AD in that order). Expert outputs are
 combined under one of two routing modes:
 
 * fixed weights — a constant simplex row per sample, used during masked
-  pretraining (label-guided mixing, or single-class routing for the
-  specialization loss). Experts whose weight is zero across the whole
-  batch are skipped, so they receive no gradient at all.
+  pretraining (label-guided mixing, or class-only routing for the
+  specialization loss; one pass may stack rows of both). Each expert runs
+  only on the rows that give it weight, and an expert no row uses stays
+  out of the graph, so it receives no gradient at all.
 * task gates — learned per-task softmax gates ("diagnosis" and "change")
   over a feature-level attention summary of the tokens, used during
-  fine-tuning. Gate parameters are independent between tasks.
+  fine-tuning. One pass may stack the rows of several tasks, one equal,
+  contiguous block per task. Gate parameters are independent between
+  tasks.
 
 Either way the experts run inside one graph node, :func:`expert_mix`.
 """
 
 from __future__ import annotations
 
-import operator
+import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -41,6 +43,11 @@ def expert_groups(num_experts: int, num_shared: int) -> tuple[tuple[int, ...], .
         for k in range(len(DIAG_NAMES)))
 
 
+def _check_labels(labels: np.ndarray) -> None:
+    if labels.size and (labels.min() < 0 or labels.max() >= len(DIAG_NAMES)):
+        raise ContractError(f"diagnosis labels must lie in 0..{len(DIAG_NAMES) - 1}")
+
+
 def label_guided_weights(labels: np.ndarray, num_experts: int, num_shared: int,
                          shared_weight: float, dtype) -> np.ndarray:
     """Fixed routing for masked pretraining: shared experts split
@@ -49,8 +56,7 @@ def label_guided_weights(labels: np.ndarray, num_experts: int, num_shared: int,
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise ShapeError(f"labels must be 1-D, got shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= len(DIAG_NAMES)):
-        raise ContractError(f"diagnosis labels must lie in 0..{len(DIAG_NAMES) - 1}")
+    _check_labels(labels)
     groups = expert_groups(num_experts, num_shared)
     w = np.zeros((labels.size, num_experts), dtype=dtype)
     w[:, :num_shared] = shared_weight / num_shared
@@ -60,14 +66,15 @@ def label_guided_weights(labels: np.ndarray, num_experts: int, num_shared: int,
     return w
 
 
-def class_only_weights(klass: int, num_experts: int, num_shared: int, dtype) -> np.ndarray:
+def class_only_weights(labels, num_experts: int, num_shared: int, dtype) -> np.ndarray:
     """Routing for the specialization objective: the class's experts split
-    the full weight, shared experts excluded."""
-    groups = expert_groups(num_experts, num_shared)
-    if not 0 <= klass < len(groups):
-        raise ContractError(f"class index {klass} out of range")
-    w = np.zeros(num_experts, dtype=dtype)
-    w[list(groups[klass])] = 1.0 / len(groups[klass])
+    the full weight, shared experts excluded. A class index gives one
+    (E,) row, an array of labels one row per label."""
+    labels = np.asarray(labels)
+    _check_labels(labels)
+    group_arr = np.asarray(expert_groups(num_experts, num_shared))
+    w = np.zeros(labels.shape + (num_experts,), dtype=dtype)
+    np.put_along_axis(w, group_arr[labels], 1.0 / group_arr.shape[1], axis=-1)
     return w
 
 
@@ -75,24 +82,37 @@ def class_only_weights(klass: int, num_experts: int, num_shared: int, dtype) -> 
 class Routing:
     """How an MMoE layer combines its experts for the current pass.
 
-    ``sink`` is an optional list; in task mode every layer appends its
-    (B, E) gate weights to it, in encounter order, for inspection.
+    In task mode the rows split into one equal, contiguous block per
+    entry of ``tasks``, each routed by that task's gate; ``sink`` is an
+    optional list to which every layer appends its (rows, E) gate
+    weights, in encounter order, for inspection.
     """
 
     kind: str  # "task" or "fixed"
-    task: str | None = None
-    weights: np.ndarray | None = None  # (B, E) or (E,), rows on the simplex
+    tasks: tuple[str, ...] = ()
+    weights: np.ndarray | None = None  # (rows, E) or (E,), rows on the simplex
     sink: list | None = None
 
 
-def task_routing(task: str) -> Routing:
-    if task not in TASKS:
-        raise ContractError(f"task must be one of {TASKS}, got {task!r}")
-    return Routing(kind="task", task=task)
+def task_routing(*tasks: str) -> Routing:
+    if not tasks or any(task not in TASKS for task in tasks):
+        raise ContractError(f"tasks must be drawn from {TASKS}, got {tasks!r}")
+    return Routing(kind="task", tasks=tasks)
 
 
 def fixed_routing(weights: np.ndarray) -> Routing:
     return Routing(kind="fixed", weights=np.asarray(weights))
+
+
+def task_blocks(x: Tensor, tasks: Sequence[str]) -> list[Tensor]:
+    """The rows of ``x`` split into one equal, contiguous block per task."""
+    rows, parts = x.shape[0], len(tasks)
+    if not parts or rows % parts:
+        raise ShapeError(f"{rows} rows do not split into {parts} task blocks")
+    if parts == 1:
+        return [x]
+    n = rows // parts
+    return [x[i * n:(i + 1) * n] for i in range(parts)]
 
 
 class ExpertMLP(Module):
@@ -109,12 +129,16 @@ class ExpertMLP(Module):
 def expert_mix(x: Tensor, w, experts: Sequence[ExpertMLP]) -> Tensor:
     """``sum_k w[:, k] * experts[k](x)`` as one graph node.
 
-    ``x`` is (batch, ..., dim) and ``w`` a (batch, len(experts)) Tensor or
+    ``x`` is (rows, ..., dim) and ``w`` a (rows, len(experts)) Tensor or
     array. Each expert computes fc2(gelu(fc1(x))) with the same numpy and
-    BLAS calls as its layers would, the terms are summed in list order,
-    and the per-expert work runs on the engine's pool when it is large
-    enough, so the value is the same whatever the thread count. The vjp
-    returns gradients for ``x``, ``w`` and the listed experts' parameters.
+    BLAS calls as its layers would. Constant weights dispatch: an expert
+    runs only on the rows that give it non-zero weight, and its term is
+    scatter-added into the output. Weights that are a graph node keep
+    every row, since their gradient needs each expert's output on each
+    row. Terms are summed in list order and the per-expert work runs on
+    the engine's pool when it is large enough, so the value is the same
+    whatever the thread count. The vjp returns gradients for ``x``,
+    ``w`` and the listed experts' parameters.
     """
     if not experts:
         raise ContractError("expert_mix() needs at least one expert")
@@ -128,34 +152,45 @@ def expert_mix(x: Tensor, w, experts: Sequence[ExpertMLP]) -> Tensor:
                               for p in (e.fc1.weight, e.fc1.bias, e.fc2.weight, e.fc2.bias))
     record = nm._records(parents)
     keep_y = record and wt._is_node()
-    xf = x.data.reshape(-1, x.shape[-1])
-    scale = (x.shape[0],) + (1,) * (x.ndim - 1)
-    work = xf.shape[0] * experts[0].fc1.weight.shape[1] * len(experts)
+    n = x.shape[0]
+    counts = np.full(len(experts), n) if wt._is_node() else np.count_nonzero(wt.data, axis=0)
+    # a slice keeps every row as a view; an index array gathers the rows
+    rows = [slice(None) if c == n else np.flatnonzero(wt.data[:, k])
+            for k, c in enumerate(counts)]
+    dim = x.shape[-1]
+    bcast = (-1,) + (1,) * (x.ndim - 1)
+    work = int(counts.sum()) * math.prod(x.shape[1:-1]) * experts[0].fc1.weight.shape[1]
 
     def forward(k):
-        e = experts[k]
-        z, slope = nm._gelu(xf @ e.fc1.weight.data + e.fc1.bias.data, record)
-        y = (z @ e.fc2.weight.data + e.fc2.bias.data).reshape(x.shape)
-        term = y * wt.data[:, k].reshape(scale)
-        return term, (z, slope, y if keep_y else None)
+        e, r = experts[k], rows[k]
+        xk, wk = x.data[r], wt.data[r, k]
+        z, slope = nm._gelu(xk.reshape(-1, dim) @ e.fc1.weight.data + e.fc1.bias.data, record)
+        y = (z @ e.fc2.weight.data + e.fc2.bias.data).reshape(xk.shape)
+        return y * wk.reshape(bcast), (xk.reshape(-1, dim), wk, z, slope, y if keep_y else None)
 
     results = nm._parallel_map(forward, range(len(experts)), work)
-    out = reduce(operator.add, [term for term, _ in results])
+    out = np.zeros(x.shape, dtype=x.dtype)
+    for (term, _), r in zip(results, rows):  # scatter-add in expert order
+        out[r] += term
     saved = [kept for _, kept in results]
 
     def vjp(g):
         def backward(k):
-            e = experts[k]
-            z, slope, y = saved[k]
-            gy = (g * wt.data[:, k].reshape(scale)).reshape(-1, g.shape[-1])
+            e, r = experts[k], rows[k]
+            xk, wk, z, slope, y = saved[k]
+            gy = (g[r] * wk.reshape(bcast)).reshape(-1, dim)
             gz = gy @ e.fc2.weight.data.T
             gz *= slope
-            gx = (gz @ e.fc1.weight.data.T).reshape(x.shape) if x._is_node() else None
+            gx = (gz @ e.fc1.weight.data.T).reshape((-1,) + x.shape[1:]) if x._is_node() else None
             gw = None if y is None else (g * y).sum(axis=tuple(range(1, x.ndim)))
-            return gx, gw, (xf.T @ gz, gz.sum(axis=0), z.T @ gy, gy.sum(axis=0))
+            return gx, gw, (xk.T @ gz, gz.sum(axis=0), z.T @ gy, gy.sum(axis=0))
 
         parts = nm._parallel_map(backward, range(len(experts)), work)
-        gx = reduce(operator.add, [part[0] for part in parts]) if x._is_node() else None
+        gx = None
+        if x._is_node():
+            gx = np.zeros(x.shape, dtype=x.dtype)
+            for part, r in zip(parts, rows):
+                gx[r] += part[0]
         gw = np.stack([part[1] for part in parts], axis=1) if keep_y else None
         return (gx, gw) + tuple(grad for part in parts for grad in part[2])
 
@@ -194,8 +229,12 @@ class MMoELayer(Module):
         xbar = x.mean(axis=1)
         return nm.mul(nm.sigmoid(self.feature_attn(xbar)), xbar)
 
-    def gate_weights(self, x: Tensor, task: str) -> Tensor:
-        logits = self._gate_linear(task)(self.feature_summary(x))
+    def gate_weights(self, x: Tensor, *tasks: str) -> Tensor:
+        """(rows, E) gate weights: the feature summary of every row, then
+        each task's gate over that task's block of rows."""
+        blocks = task_blocks(self.feature_summary(x), tasks)
+        logits = [self._gate_linear(task)(block) for task, block in zip(tasks, blocks)]
+        logits = logits[0] if len(logits) == 1 else nm.concat(logits)
         return nm.softmax(nm.div(logits, self.gate_temp), axis=-1)
 
     def gate_parameters(self) -> dict[str, Tensor]:
@@ -209,7 +248,7 @@ class MMoELayer(Module):
             raise ShapeError(f"MMoE expects (batch, tokens, channels), got {x.shape}")
         batch = x.shape[0]
         if routing.kind == "task":
-            w = self.gate_weights(x, routing.task)
+            w = self.gate_weights(x, *routing.tasks)
             if routing.sink is not None:
                 routing.sink.append(w.data.copy())
             return expert_mix(x, w, self.experts)
@@ -225,5 +264,5 @@ class MMoELayer(Module):
         used = np.flatnonzero(np.any(weights, axis=0))
         if used.size == 0:
             raise ContractError("routing weights are all zero; no expert selected")
-        # skipped experts stay out of the graph entirely
+        # experts no row uses stay out of the graph entirely
         return expert_mix(x, weights[:, used], [self.experts[e] for e in used])

@@ -614,10 +614,11 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 # Work (rows x hidden units x parts) from which a thread hand-off pays.
 # On 2 cores an 8-expert MMoE layer runs 1.4-1.9x faster on the pool from
-# 2^18 up, and slower at 2^16 and below. The threshold also keeps batch-1
-# inference of the calib model (at most 2^17) inline, off the pool's
-# wake-up latency.
-_PARALLEL_MIN_WORK = 1 << 18
+# 2^18 up, and slower at 2^16 and below. The threshold sits one step
+# higher so that batch-1 inference of the calib model, whose dual-gate
+# pass stacks 2 rows (at most 2^18), stays inline, off the pool's wake-up
+# latency and without the workers' extra memory.
+_PARALLEL_MIN_WORK = 1 << 19
 
 _POOL: ThreadPoolExecutor | None = None
 _POOL_LOCK = threading.Lock()

@@ -4,8 +4,9 @@ and the pretrain/fine-tune loops.
 Stage 1 minimizes the masked-reconstruction objective with fixed
 label-guided expert routing; gate parameters never receive a gradient
 and therefore never change (the optimizer skips parameters without one,
-so decoupled weight decay cannot touch them either). Stage 2 runs two
-gated forward passes per batch, one per task, and optimizes the summed
+so decoupled weight decay cannot touch them either). Stage 2 runs one
+forward pass per batch over a diagnosis block and a change block of
+rows, each routed by its task's gates, and optimizes the summed
 cross-entropies.
 
 Everything is deterministic in (seed, config, data): epoch shuffling and
@@ -27,7 +28,7 @@ import numpy as np
 from . import numerics as nm
 from .config import ModelConfig, TrainConfig, config_as_dict, model_config_from_dict
 from .data import Dataset
-from .errors import CheckpointError, ContractError
+from .errors import CheckpointError, ConfigError, ContractError
 from .heads_losses import finetune_loss, masked_l1_per_sample, pretrain_loss, sample_mask
 from .model import M3ADNet
 from .moe import TASKS
@@ -243,8 +244,12 @@ def load_checkpoint(path) -> Checkpoint:
     if stats is not None:
         _check_fields(path, "prior_stats", stats,
                       dict.fromkeys((f.name for f in fields(PriorStats)), (int, float)))
+    try:
+        model_config = model_config_from_dict(header["model_config"])
+    except ConfigError as err:
+        raise CheckpointError(f"{path}: checkpoint header: {err}") from None
     return Checkpoint(
-        model_config=model_config_from_dict(header["model_config"]),
+        model_config=model_config,
         stage=header["stage"], params=params,
         epoch=header["epoch"], best=header["best"],
         prior_stats=PriorStats.from_dict(stats) if stats is not None else None)
@@ -329,6 +334,7 @@ def pretrain_loop(model: M3ADNet, train: Dataset, val: Dataset, cfg: TrainConfig
     val_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _VALMASK_TAG]))
     val_specs = [sample_mask(val_rng, hw, mcfg.mask_unit, mcfg.mask_ratio)
                  for _ in range(len(val))]
+    val_weights = model.label_guided_weights(val.diag)
 
     best_ckpt: Checkpoint | None = None
     rows: list[dict] = []
@@ -353,7 +359,7 @@ def pretrain_loop(model: M3ADNet, train: Dataset, val: Dataset, cfg: TrainConfig
                      expert.item() * batch.size]
             count += batch.size
 
-        val_l1 = _masked_l1_eval(model, val, val_specs, cfg.batch_size)
+        val_l1 = float(_masked_l1_eval(model, val, val_specs, val_weights, cfg.batch_size).mean())
         rows.append({"epoch": epoch, "lr": opt.lr,
                      "train_total": sums[0] / count, "train_recon": sums[1] / count,
                      "train_expert": sums[2] / count, "val_masked_l1": val_l1})
@@ -370,34 +376,23 @@ def pretrain_loop(model: M3ADNet, train: Dataset, val: Dataset, cfg: TrainConfig
     return best_ckpt, rows
 
 
-def _masked_l1_eval(model: M3ADNet, ds: Dataset, specs, batch_size: int) -> float:
-    """Mean per-sample masked L1 under label-guided routing."""
-    values = np.empty(len(ds))
-    with no_grad():
-        for batch in _batches(np.arange(len(ds)), batch_size):
-            batch_specs = [specs[i] for i in batch]
-            pred = model.reconstruct_label_guided(ds.images[batch], ds.diag[batch], batch_specs)
-            values[batch] = masked_l1_per_sample(pred.data, ds.images[batch], batch_specs)
-    return float(values.mean())
-
-
-def class_routed_l1(model: M3ADNet, ds: Dataset, specs, klass: int,
+def _masked_l1_eval(model: M3ADNet, ds: Dataset, specs, weights: np.ndarray,
                     batch_size: int = 16) -> np.ndarray:
-    """Per-sample masked L1 when every sample is routed through one
-    class's experts (evaluation helper for specialization probes)."""
+    """Per-sample masked L1 of the reconstructions under fixed routing,
+    one (E,) row of ``weights`` per sample."""
     values = np.empty(len(ds))
     with no_grad():
         for batch in _batches(np.arange(len(ds)), batch_size):
             batch_specs = [specs[i] for i in batch]
-            pred = model.reconstruct_class_only(ds.images[batch], klass, batch_specs)
+            pred = model.reconstruct(ds.images[batch], weights[batch], batch_specs)
             values[batch] = masked_l1_per_sample(pred.data, ds.images[batch], batch_specs)
     return values
 
 
 def predict(model: M3ADNet, ds: Dataset, stats: PriorStats | None,
             batch_size: int = 16) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Score a split in batches under ``no_grad``, running each task's
-    pass over every batch. ``stats=None`` runs without priors.
+    """Score a split in batches under ``no_grad``, one dual-gate pass per
+    batch. ``stats=None`` runs without priors.
 
     Returns, per task, the (N, classes) logits and the (layers, experts)
     float64 sum over scans of each MMoE layer's gate weights.
@@ -410,12 +405,12 @@ def predict(model: M3ADNet, ds: Dataset, stats: PriorStats | None,
             if stats is not None:
                 priors = normalize_priors(ds.age[batch], ds.gender[batch], ds.etiv[batch],
                                           stats, dtype=model.np_dtype)
-            for task in TASKS:
-                sink: list[np.ndarray] = []
-                logits[task].append(model.task_logits(ds.images[batch], priors, task,
-                                                      sink=sink).data)
+            sink: list[np.ndarray] = []
+            outs = model.dual_task_logits(ds.images[batch], priors, sink=sink)
+            for t, (task, out) in enumerate(zip(TASKS, outs)):
+                logits[task].append(out.data)
                 for layer, w in enumerate(sink):
-                    gate_sums[task][layer] += w.sum(axis=0)
+                    gate_sums[task][layer] += w[t * batch.size:(t + 1) * batch.size].sum(axis=0)
     return {task: np.concatenate(parts) for task, parts in logits.items()}, gate_sums
 
 

@@ -152,6 +152,34 @@ def test_eval_exits_1_on_bad_checkpoint(pipeline, tmp_path, capsys, damage):
     assert damage in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("embed_dim", "8"), ("depths", 5), ("window", None)])
+def test_eval_exits_1_on_mistyped_model_config(pipeline, tmp_path, capsys, key, value):
+    blob = (pipeline["out"] / "finetune.m3ck").read_bytes()
+    head_len, = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16:16 + head_len])
+    header["model_config"][key] = value
+    head = json.dumps(header).encode("utf-8")
+    bad = tmp_path / "bad.m3ck"
+    bad.write_bytes(blob[:8] + struct.pack("<Q", len(head)) + head + blob[16 + head_len:])
+    rc = main(["eval", "--checkpoint", str(bad), "--data", str(pipeline["manifest"]),
+               "--out", str(tmp_path / "eval")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err and repr(key) in err
+
+
+def test_training_logs_hold_only_numbers(pipeline):
+    """Every cell of both logs parses back with float(): numpy scalars
+    are written as plain floats."""
+    for name in ("pretrain_log.csv", "finetune_log.csv"):
+        with open(pipeline["out"] / name, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows
+        for row in rows:
+            for cell in row:
+                float(cell)
+
+
 def test_eval_rejects_pretrain_checkpoint(pipeline, tmp_path, capsys):
     rc = main(["eval", "--checkpoint", str(pipeline["out"] / "pretrain.m3ck"),
                "--data", str(pipeline["manifest"]), "--out", str(tmp_path)])

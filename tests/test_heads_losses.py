@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from conftest import tiny_model_config
 from m3ad.errors import ContractError, ShapeError
 from m3ad.heads_losses import (MaskSpec, ReconDecoder, TaskHeads, apply_mask,
                                expert_specialization_loss, finetune_loss,
                                masked_l1_per_sample, pretrain_loss, recon_loss,
                                sample_mask)
+from m3ad.model import M3ADNet
 from m3ad.numerics import Tensor
 
 
@@ -117,14 +119,18 @@ def test_recon_decoder_block_locality(rng):
 
 def test_task_heads_arities(rng):
     heads = TaskHeads(np.random.default_rng(4), 16, 7, np.float64)
-    tokens = Tensor(rng.standard_normal((3, 10, 16)))
-    diag, change = heads(tokens)
+    tokens = Tensor(rng.standard_normal((6, 10, 16)))
+    diag, change = heads(tokens, "diagnosis", "change")
     assert diag.shape == (3, 3) and change.shape == (3, 7)
-    np.testing.assert_array_equal(heads.logits(tokens, "diagnosis").data, diag.data)
+    # each block gets its own task's head, as a pass of that block alone
+    np.testing.assert_array_equal(heads(tokens[:3], "diagnosis")[0].data, diag.data)
+    np.testing.assert_array_equal(heads(tokens[3:], "change")[0].data, change.data)
     with pytest.raises(ContractError):
-        heads.logits(tokens, "bogus")
+        heads(tokens, "bogus")
     with pytest.raises(ShapeError):
-        heads(Tensor(rng.standard_normal((3, 16))))
+        heads(tokens, "diagnosis", "change", "change", "change")
+    with pytest.raises(ShapeError):
+        heads(Tensor(rng.standard_normal((3, 16))), "diagnosis")
 
 
 # -- losses ------------------------------------------------------------
@@ -181,34 +187,22 @@ def test_masked_l1_per_sample_matches_recon_loss(rng):
     assert abs(per.mean() - pooled) < 1e-12
 
 
-class _FakeModel:
-    """Stands in for the network: prediction is target scaled per class."""
-
-    scale = (1.0, 0.9, 0.7)
-
-    def __init__(self, images):
-        self.images = np.asarray(images)
-
-    def reconstruct_class_only(self, images, klass, specs):
-        return Tensor(np.asarray(images) * self.scale[klass])
-
-    def reconstruct_label_guided(self, images, labels, specs):
-        return Tensor(np.asarray(images) * 0.5)
+_CLASS_SCALE = (1.0, 0.9, 0.7)
 
 
 def test_expert_specialization_loss_explicit_sum(rng):
     images = rng.standard_normal((4, 8, 8))
     labels = np.array([0, 2, 2, 0])
     specs = [sample_mask(rng, (8, 8), 4, 0.5) for _ in range(4)]
-    model = _FakeModel(images)
-    loss = expert_specialization_loss(model, images, labels, specs)
+    pred = Tensor(images * np.take(_CLASS_SCALE, labels)[:, None, None])
+    loss = expert_specialization_loss(pred, images, labels, specs)
     expected = 0.0
     for klass in (0, 2):
         members = np.flatnonzero(labels == klass)
         terms = []
         for i in members:
             idx = specs[i].pixel_indices()
-            diff = np.abs(images[i].reshape(-1)[idx] * _FakeModel.scale[klass]
+            diff = np.abs(images[i].reshape(-1)[idx] * _CLASS_SCALE[klass]
                           - images[i].reshape(-1)[idx])
             terms.append(diff.mean())
         expected += np.mean(terms)
@@ -217,23 +211,87 @@ def test_expert_specialization_loss_explicit_sum(rng):
 
 def test_expert_specialization_loss_needs_samples(rng):
     with pytest.raises(ContractError):
-        expert_specialization_loss(_FakeModel(np.zeros((0, 8, 8))),
-                                   np.zeros((0, 8, 8)), np.array([], dtype=int), [])
+        expert_specialization_loss(Tensor(np.zeros((0, 8, 8))), np.zeros((0, 8, 8)),
+                                   np.array([], dtype=int), [])
 
 
-def test_pretrain_loss_lambda_semantics(rng):
-    images = rng.standard_normal((2, 8, 8))
-    labels = np.array([0, 1])
-    specs = [sample_mask(rng, (8, 8), 4, 0.5) for _ in range(2)]
-    model = _FakeModel(images)
+def _pretrain_case(labels, seed=0):
+    rng = np.random.default_rng(seed)
+    model = M3ADNet(tiny_model_config(dtype="float64"), seed=seed)
+    images = rng.standard_normal((len(labels), 32, 32))
+    specs = [sample_mask(rng, (32, 32), 8, 0.5) for _ in labels]
+    return model, images, np.asarray(labels), specs
+
+
+def test_pretrain_loss_lambda_semantics():
+    model, images, labels, specs = _pretrain_case([0, 1])
     total0, recon0, expert0 = pretrain_loss(model, images, labels, specs, 0.0)
     assert total0 is recon0
     assert expert0.item() == 0.0
     total, recon, expert = pretrain_loss(model, images, labels, specs, 0.7)
     assert abs(total.item() - (recon.item() + 0.7 * expert.item())) < 1e-12
-    assert abs(recon.item() - recon0.item()) < 1e-15
+    # the class-only rows stacked below do not move the label-guided ones
+    assert abs(recon.item() - recon0.item()) < 1e-12
+    assert expert.item() > 0.0
     with pytest.raises(ContractError):
         pretrain_loss(model, images, labels, specs, -0.1)
+
+
+def test_pretrain_loss_matches_per_class_reference():
+    """The stacked pass against the passes it replaces: one label-guided
+    pass, then one class-only pass per class present over its members,
+    each sample's masked L1 averaged over its class. Values and gradients
+    agree up to summation order."""
+    model, images, labels, specs = _pretrain_case([2, 0, 2, 1, 0, 2], seed=4)
+
+    def reference():
+        pred = model.reconstruct(images, model.label_guided_weights(labels), specs)
+        recon = recon_loss(pred, images, specs)
+        expert = None
+        for klass in range(3):
+            members = np.flatnonzero(labels == klass)
+            sub = [specs[i] for i in members]
+            pred_k = model.reconstruct(images[members], model.class_only_weights(labels[members]),
+                                       sub)
+            for j, i in enumerate(members):
+                term = recon_loss(pred_k[j:j + 1], images[i:i + 1], [specs[i]])
+                term = term * (1.0 / members.size)
+                expert = term if expert is None else expert + term
+        return recon + expert * 0.5, recon, expert
+
+    grads = []
+    values = []
+    for fn in (lambda: pretrain_loss(model, images, labels, specs, 0.5), reference):
+        model.zero_grad()
+        total, recon, expert = fn()
+        total.backward()
+        values.append((total.item(), recon.item(), expert.item()))
+        grads.append({n: p.grad for n, p in model.named_parameters().items()})
+    np.testing.assert_allclose(values[0], values[1], rtol=1e-12)
+    assert grads[0].keys() == grads[1].keys()
+    for name, ref in grads[1].items():
+        if ref is None:
+            assert grads[0][name] is None, name
+        else:
+            np.testing.assert_allclose(grads[0][name], ref, rtol=0,
+                                       atol=1e-10 * np.abs(ref).max(), err_msg=name)
+
+
+def test_pretrain_experts_without_rows_get_no_gradient():
+    """With no AD sample in the batch, the AD expert pair of every layer
+    gets no row in either half of the stacked pass and stays out of the
+    graph, as do the gates."""
+    model, images, labels, specs = _pretrain_case([0, 1, 1, 0])
+    model.zero_grad()
+    pretrain_loss(model, images, labels, specs, 1.0)[0].backward()
+    for expert in range(model.cfg.num_experts):
+        names = model.expert_parameter_names(expert)
+        params = model.named_parameters()
+        if expert in (6, 7):
+            assert all(params[n].grad is None for n in names)
+        else:
+            assert all(params[n].grad is not None for n in names)
+    assert all(model.named_parameters()[n].grad is None for n in model.gate_parameter_names())
 
 
 def test_finetune_loss_uniform_logits_give_log_classes():

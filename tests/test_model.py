@@ -6,8 +6,9 @@ import pytest
 from conftest import tiny_model_config
 from m3ad.heads_losses import sample_mask
 from m3ad.model import M3ADNet
+from m3ad import numerics as nm
 from m3ad.moe import task_routing
-from m3ad.numerics import Tensor
+from m3ad.numerics import Tensor, no_grad
 from m3ad.errors import ContractError, ShapeError
 from m3ad.priors import compute_prior_stats, normalize_priors
 
@@ -102,13 +103,36 @@ def test_task_passes_differ(rng):
     assert np.abs(diag.data - change.data).max() > 1e-6
 
 
+def _single_task_logits(model, images, priors, task):
+    """The pass the stacked one replaces: all rows routed by one task."""
+    grid = model.encode(images, task_routing(task), priors=priors)
+    b, h, w, c = grid.shape
+    return model.heads(nm.reshape(grid, (b, h * w, c)), task)[0].data
+
+
+def test_dual_pass_matches_single_task_passes(rng):
+    """At batch 16 every matrix product keeps its row count per block, so
+    the logits are bit-identical. At batch 1 the stacked pass multiplies
+    2 rows where a single pass multiplies 1, BLAS picks another kernel,
+    and float32 logits of unit scale move by up to about 2e-7."""
+    model = M3ADNet(tiny_model_config(), seed=6)
+    with no_grad():
+        for batch, atol in ((16, 0.0), (1, 1e-6), (1, 1e-6)):
+            images = rng.standard_normal((batch, 32, 32)).astype(np.float32)
+            priors = _priors(batch, rng).astype(np.float32)
+            for task, out in zip(("diagnosis", "change"), model.dual_task_logits(images, priors)):
+                np.testing.assert_allclose(out.data, _single_task_logits(model, images, priors, task),
+                                           rtol=0, atol=atol)
+
+
 def test_reconstruction_shapes(rng):
     model = M3ADNet(tiny_model_config(), seed=7)
     images = rng.standard_normal((2, 32, 32))
     specs = [sample_mask(rng, (32, 32), 8, 0.5) for _ in range(2)]
-    recon = model.reconstruct_label_guided(images, np.array([0, 2]), specs)
+    labels = np.array([0, 2])
+    recon = model.reconstruct(images, model.label_guided_weights(labels), specs)
     assert recon.shape == (2, 32, 32)
-    recon_k = model.reconstruct_class_only(images, 1, specs)
+    recon_k = model.reconstruct(images, model.class_only_weights([1, 1]), specs)
     assert recon_k.shape == (2, 32, 32)
     assert np.abs(recon.data - recon_k.data).max() > 0
 

@@ -14,7 +14,7 @@ from m3ad.errors import CheckpointError, ContractError
 from m3ad.model import M3ADNet
 from m3ad.numerics import Tensor, no_grad
 from m3ad.priors import PriorStats, compute_prior_stats, normalize_priors
-from m3ad.train import (AdamW, Checkpoint, EarlyStopper, class_routed_l1,
+from m3ad.train import (AdamW, Checkpoint, EarlyStopper, _masked_l1_eval,
                         clip_gradients, cosine_lr, finetune_loop,
                         load_checkpoint, load_params, model_from_checkpoint,
                         predict, pretrain_loop, save_checkpoint,
@@ -497,15 +497,25 @@ def test_predict_matches_batch1_passes(tiny_splits):
         for task, labels in (("diagnosis", train.diag), ("change", train.change)))
 
 
-def test_class_routed_l1_shape(tiny_splits):
-    from m3ad.heads_losses import sample_mask
-    train, val, _ = tiny_splits
-    model = M3ADNet(tiny_model_config(), seed=3)
+@pytest.mark.parametrize("routing", ["label_guided", "class_only"])
+def test_masked_l1_eval_per_sample(tiny_splits, routing):
+    """Batches of 3 score each sample as a batch-of-one pass with its own
+    routing row does."""
+    from m3ad.heads_losses import masked_l1_per_sample, sample_mask
+    _, val, _ = tiny_splits
+    model = M3ADNet(tiny_model_config(dtype="float64"), seed=3)
     rng = np.random.default_rng(0)
     specs = [sample_mask(rng, (32, 32), 8, 0.5) for _ in range(len(val))]
-    values = class_routed_l1(model, val, specs, klass=0, batch_size=3)
+    weights = (model.label_guided_weights(val.diag) if routing == "label_guided"
+               else model.class_only_weights(np.zeros(len(val), dtype=int)))
+    values = _masked_l1_eval(model, val, specs, weights, batch_size=3)
     assert values.shape == (len(val),)
     assert np.all(values > 0)
+    with no_grad():
+        for i in range(len(val)):
+            pred = model.reconstruct(val.images[i:i + 1], weights[i:i + 1], specs[i:i + 1])
+            single = masked_l1_per_sample(pred.data, val.images[i:i + 1], specs[i:i + 1])
+            np.testing.assert_allclose(values[i], single[0], rtol=1e-12)
 
 
 def test_timed_epoch_counts_one_call():
