@@ -7,8 +7,11 @@ checkpoint contents), 2 for unexpected runtime failures.
 
 gen-data, pretrain and finetune accept ``--config FILE`` and repeated
 ``--set key=value`` overrides (overrides win), plus ``--seed`` which
-overrides the configured seed. eval and inspect-gates take the model
-from ``--checkpoint`` and read no config.
+overrides the configured seed. pretrain and finetune share one handler:
+each writes ``<command>.m3ck`` (the best epoch) and ``<command>_log.csv``
+(one row per epoch) under ``--out``; finetune may start from
+``--init``. eval and inspect-gates take the model from ``--checkpoint``
+and read no config.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .errors import ContractError, M3adError
 from .metrics import confusion, report, write_confusion_csv, write_metrics_csv
 from .model import M3ADNet
 from .moe import TASKS
-from .train import (Checkpoint, finetune_loop, load_checkpoint, model_from_checkpoint,
+from .train import (finetune_loop, load_checkpoint, model_from_checkpoint,
                     predict, pretrain_loop, save_checkpoint)
 
 log = logging.getLogger("m3ad")
@@ -110,35 +113,21 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _cmd_pretrain(args) -> int:
+def _cmd_train(args) -> int:
     _require(args, "data", "out")
     cfg = _load_run_config(args)
     os.makedirs(args.out, exist_ok=True)
     train_ds = load_split(args.data, "train")
     val_ds = load_split(args.data, "val")
+    init = load_checkpoint(args.init) if getattr(args, "init", None) else None
     model = M3ADNet(cfg.model, seed=cfg.train.seed)
-    ckpt, rows = pretrain_loop(model, train_ds, val_ds, cfg.train)
-    save_checkpoint(os.path.join(args.out, "pretrain.m3ck"), ckpt)
-    _write_rows_csv(os.path.join(args.out, "pretrain_log.csv"), rows)
-    log.info("pretrain done: best %s=%.5f at epoch %d",
-             ckpt.best["metric"], ckpt.best["value"], ckpt.best["epoch"])
-    return 0
-
-
-def _cmd_finetune(args) -> int:
-    _require(args, "data", "out")
-    cfg = _load_run_config(args)
-    os.makedirs(args.out, exist_ok=True)
-    train_ds = load_split(args.data, "train")
-    val_ds = load_split(args.data, "val")
-    init: Checkpoint | None = None
-    if args.init:
-        init = load_checkpoint(args.init)
-    model = M3ADNet(cfg.model, seed=cfg.train.seed)
-    ckpt, rows = finetune_loop(model, train_ds, val_ds, cfg.train, init=init)
-    save_checkpoint(os.path.join(args.out, "finetune.m3ck"), ckpt)
-    _write_rows_csv(os.path.join(args.out, "finetune_log.csv"), rows)
-    log.info("finetune done: best %s=%.5f at epoch %d",
+    if args.command == "pretrain":
+        ckpt, rows = pretrain_loop(model, train_ds, val_ds, cfg.train)
+    else:
+        ckpt, rows = finetune_loop(model, train_ds, val_ds, cfg.train, init=init)
+    save_checkpoint(os.path.join(args.out, f"{args.command}.m3ck"), ckpt)
+    _write_rows_csv(os.path.join(args.out, f"{args.command}_log.csv"), rows)
+    log.info("%s done: best %s=%.5f at epoch %d", args.command,
              ckpt.best["metric"], ckpt.best["value"], ckpt.best["epoch"])
     return 0
 
@@ -212,8 +201,8 @@ def _cmd_inspect_gates(args) -> int:
 
 _COMMANDS = {
     "gen-data": _cmd_gen_data,
-    "pretrain": _cmd_pretrain,
-    "finetune": _cmd_finetune,
+    "pretrain": _cmd_train,
+    "finetune": _cmd_train,
     "eval": _cmd_eval,
     "gradcheck": _cmd_gradcheck,
     "inspect-gates": _cmd_inspect_gates,

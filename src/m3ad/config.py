@@ -9,6 +9,7 @@ a typo cannot silently fall back to a default.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -31,6 +32,18 @@ TRANSITIONS = (
 TRANSITION_PRIORS = (0.335, 0.140, 0.178, 0.100, 0.213, 0.017, 0.017)
 
 DIAG_NAMES = ("NC", "MCI", "AD")
+
+
+def _check_finite(section) -> None:
+    """Raise ConfigError naming the first float field, or tuple element,
+    of a config section that is NaN or infinite. Every ``validate``
+    starts here: a NaN fails every comparison, so a range check such as
+    ``lr <= 0`` lets it through."""
+    for f in dataclasses.fields(section):
+        value = getattr(section, f.name)
+        items = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass
@@ -60,6 +73,7 @@ class ModelConfig:
     dtype: str = "float32"
 
     def validate(self) -> "ModelConfig":
+        _check_finite(self)
         if len(self.depths) != 4 or len(self.num_heads) != 4:
             raise ConfigError("depths and num_heads must list exactly 4 stages")
         if any(d < 1 for d in self.depths):
@@ -115,6 +129,7 @@ class TrainConfig:
     min_lr_ratio: float = 0.01
 
     def validate(self) -> "TrainConfig":
+        _check_finite(self)
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.weight_decay < 0:
@@ -123,6 +138,8 @@ class TrainConfig:
             raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
         if self.epochs < 1 or self.batch_size < 1 or self.patience < 1:
             raise ConfigError("epochs, batch_size and patience must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.min_lr_ratio <= 1.0:
             raise ConfigError(f"min_lr_ratio must lie in [0, 1], got {self.min_lr_ratio}")
         if self.lambda_expert < 0 or self.alpha < 0 or self.beta < 0:
@@ -139,6 +156,7 @@ class DataConfig:
     label_priors: tuple[float, ...] = TRANSITION_PRIORS
 
     def validate(self) -> "DataConfig":
+        _check_finite(self)
         if self.n < 1:
             raise ConfigError(f"n must be positive, got {self.n}")
         if self.size < 32 or self.size % 32:
@@ -190,8 +208,6 @@ def _typed(section: str, name: str, kind):
     def setter(cfg: RunConfig, text: str):
         try:
             value = kind(text)
-        except ConfigError:
-            raise
         except ValueError as err:
             raise ConfigError(f"bad value for {name}: {text!r}") from err
         setattr(getattr(cfg, section), name, value)

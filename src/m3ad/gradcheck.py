@@ -53,7 +53,6 @@ def check_primitives(rng: np.random.Generator | None = None) -> dict[str, float]
     run("mul", lambda: nm.mul(nm.mul(a, b), w).sum(), [a, b])
     bp = _t(rng, 3, 4, positive=True)
     run("div", lambda: nm.mul(nm.div(a, bp), w).sum(), [a, bp])
-    run("neg", lambda: nm.mul(nm.neg(a), w).sum(), [a])
 
     row = _t(rng, 1, 4)
     run("add_broadcast", lambda: nm.mul(nm.add(a, row), w).sum(), [a, row])
@@ -67,9 +66,7 @@ def check_primitives(rng: np.random.Generator | None = None) -> dict[str, float]
 
     x = _t(rng, 4, 5)
     wx = _weight(rng, (4, 5))
-    run("exp", lambda: nm.mul(nm.exp(x), wx).sum(), [x])
     xp = _t(rng, 4, 5, positive=True)
-    run("log", lambda: nm.mul(nm.log(xp), wx).sum(), [xp])
     run("sqrt", lambda: nm.mul(nm.sqrt(xp), wx).sum(), [xp])
     xz = _t(rng, 4, 5, away_from_zero=True)
     run("abs", lambda: nm.mul(nm.absolute(xz), wx).sum(), [xz])
@@ -84,13 +81,15 @@ def check_primitives(rng: np.random.Generator | None = None) -> dict[str, float]
     run("mean_axis", lambda: nm.mul(nm.tmean(x, axis=0), w0).sum(), [x])
     run("mean_all", lambda: x.mean(), [x])
 
-    run("reshape", lambda: nm.mul(nm.reshape(x, (2, 10)), _w_cached(rng, "rs", (2, 10))).sum(), [x])
-    run("transpose", lambda: nm.mul(nm.transpose(x, (1, 0)), _w_cached(rng, "tp", (5, 4))).sum(), [x])
-    run("getitem", lambda: nm.mul(x[1:3, ::2], _w_cached(rng, "gi", (2, 3))).sum(), [x])
+    wr, wt, wg = _weight(rng, (2, 10)), _weight(rng, (5, 4)), _weight(rng, (2, 3))
+    run("reshape", lambda: nm.mul(nm.reshape(x, (2, 10)), wr).sum(), [x])
+    run("transpose", lambda: nm.mul(nm.transpose(x, (1, 0)), wt).sum(), [x])
+    run("getitem", lambda: nm.mul(x[1:3, ::2], wg).sum(), [x])
     table = _t(rng, 6, 3)
     idx = np.array([0, 2, 2, 5, 1])
-    run("take", lambda: nm.mul(nm.take(table, idx), _w_cached(rng, "tk", (5, 3))).sum(), [table])
-    run("concat", lambda: nm.mul(nm.concat([a, b], axis=1), _w_cached(rng, "cc", (3, 8))).sum(), [a, b])
+    wk, wc = _weight(rng, (5, 3)), _weight(rng, (3, 8))
+    run("take", lambda: nm.mul(nm.take(table, idx), wk).sum(), [table])
+    run("concat", lambda: nm.mul(nm.concat([a, b], axis=1), wc).sum(), [a, b])
     g4 = _t(rng, 2, 4, 4, 3)
     w4 = _weight(rng, (2, 4, 4, 3))
     run("roll", lambda: nm.mul(nm.roll(g4, (1, -2), axis=(1, 2)), w4).sum(), [g4])
@@ -127,15 +126,6 @@ def check_primitives(rng: np.random.Generator | None = None) -> dict[str, float]
         [xe] + bank_params)
     out["expert_mix"] = max(dense, out["expert_mix"])
     return out
-
-
-_W_CACHE: dict[str, np.ndarray] = {}
-
-
-def _w_cached(rng, key, shape):
-    if key not in _W_CACHE:
-        _W_CACHE[key] = _weight(rng, shape)
-    return _W_CACHE[key]
 
 
 def _toy_cfg(**overrides) -> ModelConfig:

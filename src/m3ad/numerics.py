@@ -199,9 +199,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(other, self)
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -311,10 +308,6 @@ def div(a, b) -> Tensor:
     return _wrap(data, (a, b), vjp)
 
 
-def neg(a: Tensor) -> Tensor:
-    return _wrap(-a.data, (a,), lambda g: (-g,))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product. 2-D operands or stacked operands whose leading
     (batch) dimensions match exactly; no batch broadcasting."""
@@ -338,16 +331,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 # -- elementwise nonlinearities ---------------------------------------
-
-
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-    return _wrap(data, (a,), lambda g: (g * data,))
-
-
-def log(a: Tensor) -> Tensor:
-    data = np.log(a.data)
-    return _wrap(data, (a,), lambda g: (g / a.data,))
 
 
 def sqrt(a: Tensor) -> Tensor:

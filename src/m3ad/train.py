@@ -1,6 +1,11 @@
 """Two-stage training: optimizer, schedule, early stopping, checkpoints,
 and the pretrain/fine-tune loops.
 
+Both stages run one epoch loop: a cosine learning rate, a seeded
+shuffle, one clipped AdamW step per batch, a validation row per epoch,
+early stopping and a snapshot of the best epoch. A stage supplies only
+its batch loss terms, its validation values and its stopping mode.
+
 Stage 1 minimizes the masked-reconstruction objective with fixed
 label-guided expert routing; gate parameters never receive a gradient
 and therefore never change (the optimizer skips parameters without one,
@@ -311,13 +316,61 @@ def _batches(order: np.ndarray, batch_size: int):
         yield order[start:start + batch_size]
 
 
-def _loss_value(loss: Tensor, epoch: int, index: int) -> float:
-    """The batch loss as a float; a non-finite loss stops training
-    before its backward pass."""
-    value = loss.item()
-    if not np.isfinite(value):
-        raise ContractError(f"non-finite training loss {value} at epoch {epoch}, batch {index}")
-    return value
+def _fit(model: M3ADNet, cfg: TrainConfig, n: int, stage: str, mode: str, batch_loss,
+         validate, on_batch=None,
+         prior_stats: PriorStats | None = None) -> tuple[Checkpoint, list[dict]]:
+    """The epoch loop both stages share; returns the best checkpoint and
+    one log row per completed epoch.
+
+    ``batch_loss(rng, batch)`` returns the named loss terms of one batch
+    of the ``n`` training rows, total first; the row reports their means.
+    ``validate()`` returns the named validation values, the monitored one
+    last. A non-finite total stops training before its backward pass.
+    """
+    opt = AdamW(model.named_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    stopper = EarlyStopper(cfg.patience, mode=mode)
+    min_lr = cfg.min_lr_ratio * cfg.lr
+
+    best_ckpt: Checkpoint | None = None
+    rows: list[dict] = []
+    for epoch in range(cfg.epochs):
+        opt.lr = cosine_lr(epoch, cfg.epochs, cfg.lr, min_lr)
+        rng = _epoch_rng(cfg.seed, epoch)
+        order = rng.permutation(n)
+        sums: dict[str, float] = {}
+        for index, batch in enumerate(_batches(order, cfg.batch_size)):
+            terms = batch_loss(rng, batch)
+            total, *_ = terms.values()
+            values = [term.item() for term in terms.values()]
+            if not np.isfinite(values[0]):
+                raise ContractError(
+                    f"non-finite training loss {values[0]} at epoch {epoch}, batch {index}")
+            model.zero_grad()
+            total.backward()
+            if on_batch is not None:
+                on_batch(model, epoch, batch)
+            clip_gradients(model.parameters(), cfg.clip_norm)
+            opt.step()
+            for name, value in zip(terms, values):
+                sums[name] = sums.get(name, 0.0) + value * batch.size
+
+        scores = validate()
+        rows.append({"epoch": epoch, "lr": opt.lr,
+                     **{name: value / n for name, value in sums.items()}, **scores})
+        log.info("%s epoch %d: %s", stage, epoch,
+                 " ".join(f"{name} {v:.5f}" for name, v in rows[-1].items() if name != "epoch"))
+
+        metric, value = list(scores.items())[-1]
+        stop = stopper.update(value, epoch)
+        if stopper.best_epoch == epoch:
+            best_ckpt = snapshot(model, None, stage, epoch,
+                                 {"metric": metric, "value": value, "epoch": epoch},
+                                 prior_stats=prior_stats)
+        if stop:
+            log.info("%s early stop at epoch %d (best epoch %d)", stage, epoch, stopper.best_epoch)
+            break
+    assert best_ckpt is not None
+    return best_ckpt, rows
 
 
 def pretrain_loop(model: M3ADNet, train: Dataset, val: Dataset, cfg: TrainConfig,
@@ -327,53 +380,22 @@ def pretrain_loop(model: M3ADNet, train: Dataset, val: Dataset, cfg: TrainConfig
     cfg.validate()
     mcfg = model.cfg
     hw = train.images.shape[1:]
-    opt = AdamW(model.named_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-    stopper = EarlyStopper(cfg.patience, mode="min")
-    min_lr = cfg.min_lr_ratio * cfg.lr
-
     val_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _VALMASK_TAG]))
     val_specs = [sample_mask(val_rng, hw, mcfg.mask_unit, mcfg.mask_ratio)
                  for _ in range(len(val))]
     val_weights = model.label_guided_weights(val.diag)
 
-    best_ckpt: Checkpoint | None = None
-    rows: list[dict] = []
-    for epoch in range(cfg.epochs):
-        opt.lr = cosine_lr(epoch, cfg.epochs, cfg.lr, min_lr)
-        rng = _epoch_rng(cfg.seed, epoch)
-        order = rng.permutation(len(train))
-        sums = np.zeros(3)
-        count = 0
-        for index, batch in enumerate(_batches(order, cfg.batch_size)):
-            specs = [sample_mask(rng, hw, mcfg.mask_unit, mcfg.mask_ratio) for _ in batch]
-            total, recon, expert = pretrain_loss(
-                model, train.images[batch], train.diag[batch], specs, cfg.lambda_expert)
-            total_value = _loss_value(total, epoch, index)
-            model.zero_grad()
-            total.backward()
-            if on_batch is not None:
-                on_batch(model, epoch, batch)
-            clip_gradients(model.parameters(), cfg.clip_norm)
-            opt.step()
-            sums += [total_value * batch.size, recon.item() * batch.size,
-                     expert.item() * batch.size]
-            count += batch.size
+    def batch_loss(rng, batch):
+        specs = [sample_mask(rng, hw, mcfg.mask_unit, mcfg.mask_ratio) for _ in batch]
+        total, recon, expert = pretrain_loss(
+            model, train.images[batch], train.diag[batch], specs, cfg.lambda_expert)
+        return {"train_total": total, "train_recon": recon, "train_expert": expert}
 
-        val_l1 = float(_masked_l1_eval(model, val, val_specs, val_weights, cfg.batch_size).mean())
-        rows.append({"epoch": epoch, "lr": opt.lr,
-                     "train_total": sums[0] / count, "train_recon": sums[1] / count,
-                     "train_expert": sums[2] / count, "val_masked_l1": val_l1})
-        log.info("pretrain epoch %d: train %.5f val %.5f", epoch, sums[0] / count, val_l1)
+    def validate():
+        l1 = _masked_l1_eval(model, val, val_specs, val_weights, cfg.batch_size)
+        return {"val_masked_l1": float(l1.mean())}
 
-        stop = stopper.update(val_l1, epoch)
-        if stopper.best_epoch == epoch:
-            best_ckpt = snapshot(model, None, "pretrain", epoch,
-                                 {"metric": "val_masked_l1", "value": val_l1, "epoch": epoch})
-        if stop:
-            log.info("pretrain early stop at epoch %d (best epoch %d)", epoch, stopper.best_epoch)
-            break
-    assert best_ckpt is not None
-    return best_ckpt, rows
+    return _fit(model, cfg, len(train), "pretrain", "min", batch_loss, validate, on_batch)
 
 
 def _masked_l1_eval(model: M3ADNet, ds: Dataset, specs, weights: np.ndarray,
@@ -444,50 +466,22 @@ def finetune_loop(model: M3ADNet, train: Dataset, val: Dataset, cfg: TrainConfig
             f"{model.cfg.num_change_classes}-class head")
 
     stats = compute_prior_stats(train.age, train.etiv)
-    opt = AdamW(model.named_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-    stopper = EarlyStopper(cfg.patience, mode="max")
-    min_lr = cfg.min_lr_ratio * cfg.lr
 
-    best_ckpt: Checkpoint | None = None
-    rows: list[dict] = []
-    for epoch in range(cfg.epochs):
-        opt.lr = cosine_lr(epoch, cfg.epochs, cfg.lr, min_lr)
-        rng = _epoch_rng(cfg.seed, epoch)
-        order = rng.permutation(len(train))
-        loss_sum = 0.0
-        for index, batch in enumerate(_batches(order, cfg.batch_size)):
-            priors = normalize_priors(train.age[batch], train.gender[batch],
-                                      train.etiv[batch], stats, dtype=model.np_dtype)
-            diag_logits, change_logits = model.dual_task_logits(train.images[batch], priors)
-            loss = finetune_loss(diag_logits, change_logits, train.diag[batch],
-                                 train.change[batch], alpha=cfg.alpha, beta=cfg.beta)
-            loss_value = _loss_value(loss, epoch, index)
-            model.zero_grad()
-            loss.backward()
-            if on_batch is not None:
-                on_batch(model, epoch, batch)
-            clip_gradients(model.parameters(), cfg.clip_norm)
-            opt.step()
-            loss_sum += loss_value * batch.size
+    def batch_loss(rng, batch):
+        del rng
+        priors = normalize_priors(train.age[batch], train.gender[batch],
+                                  train.etiv[batch], stats, dtype=model.np_dtype)
+        diag_logits, change_logits = model.dual_task_logits(train.images[batch], priors)
+        return {"train_loss": finetune_loss(diag_logits, change_logits, train.diag[batch],
+                                            train.change[batch], alpha=cfg.alpha, beta=cfg.beta)}
 
+    def validate():
         diag_acc, change_acc = task_accuracies(model, val, stats, cfg.batch_size)
-        mean_acc = 0.5 * (diag_acc + change_acc)
-        rows.append({"epoch": epoch, "lr": opt.lr, "train_loss": loss_sum / len(train),
-                     "val_diag_acc": diag_acc, "val_change_acc": change_acc,
-                     "val_mean_acc": mean_acc})
-        log.info("finetune epoch %d: loss %.5f diag %.3f change %.3f",
-                 epoch, loss_sum / len(train), diag_acc, change_acc)
+        return {"val_diag_acc": diag_acc, "val_change_acc": change_acc,
+                "val_mean_acc": 0.5 * (diag_acc + change_acc)}
 
-        stop = stopper.update(mean_acc, epoch)
-        if stopper.best_epoch == epoch:
-            best_ckpt = snapshot(model, None, "finetune", epoch,
-                                 {"metric": "val_mean_acc", "value": mean_acc, "epoch": epoch},
-                                 prior_stats=stats)
-        if stop:
-            log.info("finetune early stop at epoch %d (best epoch %d)", epoch, stopper.best_epoch)
-            break
-    assert best_ckpt is not None
-    return best_ckpt, rows
+    return _fit(model, cfg, len(train), "finetune", "max", batch_loss, validate, on_batch,
+                prior_stats=stats)
 
 
 def timed_epoch(fn) -> float:

@@ -277,3 +277,22 @@ def test_bad_config_value_names_the_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "bad.cfg:2" in err
     assert "epochs" in err
+
+
+@pytest.mark.parametrize("flags, key", [
+    (["--seed", "-1"], "seed"),
+    (["--set", "clip_norm=nan"], "clip_norm"),
+    (["--set", "lr=nan"], "lr"),
+    (["--set", "gate_temp=inf"], "gate_temp"),
+    (["--set", "fractions=0.5,nan,0.5"], "fractions"),
+    (["--config", "seed.cfg"], "seed"),
+])
+def test_out_of_range_config_values_exit_1(tmp_path, capsys, flags, key):
+    """A negative seed or a non-finite float, tuple elements included, is
+    a config error naming its key, not a crash or a silent run."""
+    (tmp_path / "seed.cfg").write_text("seed = -1\n")
+    flags = [str(tmp_path / f) if f.endswith(".cfg") else f for f in flags]
+    rc = main(["gen-data", "--out", str(tmp_path / "d")] + flags)
+    assert rc == 1
+    err = capsys.readouterr().err.replace(str(tmp_path), "")
+    assert err.startswith("error: ") and key in err

@@ -1,14 +1,18 @@
 """Optimizer, schedule, early stopping, checkpoints, training loops."""
 
 import dataclasses
+import inspect
 import json
 import re
 import struct
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import tiny_model_config, tiny_train_config
+from m3ad import numerics as nm
+from m3ad import train as train_module
 from m3ad.config import TrainConfig
 from m3ad.errors import CheckpointError, ContractError
 from m3ad.model import M3ADNet
@@ -393,6 +397,46 @@ def test_pretrain_nonfinite_loss_names_epoch_and_batch(tiny_splits):
         pretrain_loop(model, train, val, tiny_train_config(epochs=1))
 
 
+def test_finetune_nonfinite_loss_names_epoch_and_batch(tiny_splits):
+    train, val, _ = tiny_splits
+    model = M3ADNet(tiny_model_config(), seed=7)
+    model.named_parameters()["heads.diagnosis.weight"].data[:] = np.nan
+    calls = []
+    with pytest.raises(ContractError, match="epoch 0, batch 0"):
+        finetune_loop(model, train, val, tiny_train_config(epochs=1),
+                      on_batch=lambda *args: calls.append(args))
+    assert calls == []  # stopped before the backward pass
+
+
+@pytest.mark.parametrize("stage, scorer, scores", [
+    ("pretrain", "_masked_l1_eval", [0.5, 0.25, 0.375, 0.3, 0.125, 0.0625]),
+    ("finetune", "task_accuracies", [0.25, 0.75, 0.5, 0.625, 0.875, 1.0]),
+])
+def test_loop_keeps_best_epoch_and_stops_after_patience(tiny_splits, monkeypatch,
+                                                        stage, scorer, scores):
+    """Validation peaks at epoch 1; with patience 2 the loop stops after
+    epoch 3 and returns the parameters it held when epoch 1 was scored."""
+    train, val, _ = tiny_splits
+    seen = []
+
+    def scripted(model, ds, *args):
+        seen.append({name: p.data.copy() for name, p in model.named_parameters().items()})
+        value = scores[len(seen) - 1]
+        return np.full(len(ds), value) if stage == "pretrain" else (value, value)
+
+    monkeypatch.setattr(train_module, scorer, scripted)
+    loop = pretrain_loop if stage == "pretrain" else finetune_loop
+    model = M3ADNet(tiny_model_config(), seed=5)
+    ckpt, rows = loop(model, train, val, tiny_train_config(epochs=6, patience=2))
+    assert [row["epoch"] for row in rows] == [0, 1, 2, 3]
+    assert ckpt.epoch == ckpt.best["epoch"] == 1
+    assert ckpt.best["value"] == scores[1]
+    assert ckpt.params.keys() == seen[1].keys()
+    for name, arr in ckpt.params.items():
+        np.testing.assert_array_equal(arr, seen[1][name])
+    assert any((arr != seen[3][name]).any() for name, arr in ckpt.params.items())
+
+
 def test_pretrain_leaves_gates_untouched(tiny_splits):
     train, val, _ = tiny_splits
     model = M3ADNet(tiny_model_config(), seed=7)
@@ -528,3 +572,41 @@ def test_timed_epoch_counts_one_call():
 def test_tiny_train_config_is_valid():
     assert isinstance(tiny_train_config(), TrainConfig)
     tiny_train_config().validate()
+
+
+# the functions of the engine that are not ops, as bench/tracing.py lists them
+_NOT_OPS = frozenset({"no_grad", "grad_enabled", "parameter", "zeros_param", "full_param",
+                      "grad_check", "save_m3t", "load_m3t"})
+
+
+def test_training_and_scoring_reach_every_engine_op(tiny_splits, monkeypatch):
+    """One pretrain step, one fine-tune step and one batch-1 scoring pass
+    together call every public engine op: no op exists only for its
+    gradient check."""
+    train, val, _ = tiny_splits
+    ops = {fn: name for name, fn in vars(nm).items()
+           if inspect.isfunction(fn) and fn.__module__ == nm.__name__
+           and not name.startswith("_") and name not in _NOT_OPS}
+    reached = set()
+
+    def recording(fn, name):
+        def wrapper(*args, **kwargs):
+            reached.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for key, module in list(sys.modules.items()):
+        if key.startswith("m3ad"):
+            for attr, value in list(vars(module).items()):
+                if inspect.isfunction(value) and value in ops:
+                    monkeypatch.setattr(module, attr, recording(value, ops[value]))
+
+    one_step = tiny_train_config(epochs=1, batch_size=len(train))
+    pretrain_loop(M3ADNet(tiny_model_config(), seed=1), train, val, one_step)
+    model = M3ADNet(tiny_model_config(), seed=1)
+    finetune_loop(model, train, val, one_step)
+    stats = compute_prior_stats(train.age, train.etiv)
+    with no_grad():
+        model.dual_task_logits(val.images[:1], normalize_priors(
+            val.age[:1], val.gender[:1], val.etiv[:1], stats, dtype=model.np_dtype))
+    assert sorted(set(ops.values()) - reached) == []
