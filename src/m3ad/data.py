@@ -205,6 +205,9 @@ def load_manifest(path, check_files: bool = True) -> list[SampleRecord]:
                                    change=int(row[5]), split=row[6])
             except ValueError as err:
                 raise ManifestError(f"{path}:{lineno}: {err}") from None
+            for name, value in (("age", rec.age), ("etiv", rec.etiv)):
+                if not np.isfinite(value):
+                    raise ManifestError(f"{path}:{lineno}: {name}={value} is not finite")
             if rec.path in seen:
                 raise ManifestError(f"{path}:{lineno}: duplicate path {rec.path!r}")
             seen.add(rec.path)
@@ -306,10 +309,20 @@ def load_split(manifest_path, split: str) -> Dataset:
     if not records:
         raise ManifestError(f"{manifest_path}: no rows with split={split!r}")
     base = os.path.dirname(os.path.abspath(manifest_path))
-    images = np.stack([robust_zscore(load_m3t(os.path.join(base, r.path)))
-                       for r in records])
+    images = []
+    for r in records:
+        image = load_m3t(os.path.join(base, r.path))
+        if image.ndim != 2:
+            raise ManifestError(f"{manifest_path}: image {r.path!r} has shape {image.shape}, "
+                                "not 2-D")
+        if images and image.shape != images[0].shape:
+            raise ManifestError(f"{manifest_path}: image {r.path!r} has shape {image.shape}, "
+                                f"but {records[0].path!r} has {images[0].shape}")
+        if not np.all(np.isfinite(image)):
+            raise ManifestError(f"{manifest_path}: image {r.path!r} holds a non-finite pixel")
+        images.append(robust_zscore(image))
     return Dataset(
-        images=images.astype(np.float32),
+        images=np.stack(images).astype(np.float32),
         diag=np.asarray([r.diag for r in records], dtype=np.int64),
         change=np.asarray([r.change for r in records], dtype=np.int64),
         age=np.asarray([r.age for r in records], dtype=np.float64),

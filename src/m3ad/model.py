@@ -23,9 +23,8 @@ from . import numerics as nm
 from .backbone import ATTENTION_STAGES, M3ADBlock, PatchEmbed, PatchMerge, WindowAttention
 from .config import ModelConfig
 from .errors import ContractError, ShapeError
-from .heads_losses import MaskSpec, ReconDecoder, TaskHeads, apply_mask
-from .moe import (TASKS, MMoELayer, Routing, class_only_weights, fixed_routing,
-                  label_guided_weights, task_routing)
+from .heads_losses import ReconDecoder, TaskHeads, apply_mask
+from .moe import TASKS, MMoELayer, Routing, fixed_routing, label_guided_weights, task_routing
 from .numerics import Module, Tensor, parameter
 from .priors import Fusion, PriorEncoder, c_fusion_dim
 from .tokmlp import TokMLPBlock
@@ -78,18 +77,18 @@ class M3ADNet(Module):
         return arr
 
     def encode(self, images, routing: Routing, priors: np.ndarray | None = None,
-               specs: list[MaskSpec] | None = None,
-               trace: list | None = None) -> Tensor:
+               masks: np.ndarray | None = None, trace: list | None = None) -> Tensor:
         """Run the backbone; returns the final (B, h, w, 8C) grid.
 
         ``priors`` (B, 3), already normalized, switches fusion on;
-        ``specs`` applies masked-pretraining token substitution;
+        ``masks``, (B, H/unit, W/unit) bool, puts the mask token in every
+        masked unit's patch embeddings for masked pretraining;
         ``trace`` collects (stage, (h, w), channels) after each stage's
         blocks for shape auditing.
         """
         x = self.patch_embed(self._as_input(images))
-        if specs is not None:
-            x = apply_mask(x, specs, self.mask_token, self.cfg.patch_size)
+        if masks is not None:
+            x = apply_mask(x, masks, self.mask_token)
         clinical = None
         if priors is not None:
             priors = np.asarray(priors, dtype=self.np_dtype)
@@ -111,22 +110,21 @@ class M3ADNet(Module):
 
     # -- pretraining forwards ------------------------------------------
 
-    def label_guided_weights(self, labels: np.ndarray) -> np.ndarray:
-        """(B, E) label-guided routing rows for diagnosis ``labels``."""
+    def label_guided_weights(self, labels: np.ndarray,
+                             shared_weight: float | None = None) -> np.ndarray:
+        """(B, E) label-guided routing rows for diagnosis ``labels``, the
+        shared experts given ``shared_weight`` (default: the configured
+        one). At 0 each sample runs through its class's experts alone."""
         cfg = self.cfg
+        if shared_weight is None:
+            shared_weight = cfg.shared_expert_weight
         return label_guided_weights(np.asarray(labels), cfg.num_experts,
-                                    cfg.num_shared_experts, cfg.shared_expert_weight,
-                                    self.np_dtype)
+                                    cfg.num_shared_experts, shared_weight, self.np_dtype)
 
-    def class_only_weights(self, labels: np.ndarray) -> np.ndarray:
-        """(B, E) rows routing each sample through its class's experts alone."""
-        return class_only_weights(np.asarray(labels), self.cfg.num_experts,
-                                  self.cfg.num_shared_experts, self.np_dtype)
-
-    def reconstruct(self, images, weights: np.ndarray, specs: list[MaskSpec]) -> Tensor:
-        """Decoded (B, H, W) pixels of masked ``images`` under fixed
-        per-row expert ``weights`` (B, E)."""
-        grid = self.encode(images, fixed_routing(weights), specs=specs)
+    def reconstruct(self, images, weights: np.ndarray, masks: np.ndarray) -> Tensor:
+        """Decoded (B, H, W) pixels of ``images`` under the unit ``masks``
+        (B, H/unit, W/unit) and fixed per-row expert ``weights`` (B, E)."""
+        grid = self.encode(images, fixed_routing(weights), masks=masks)
         return self.decoder(grid)
 
     # -- fine-tuning forwards ------------------------------------------

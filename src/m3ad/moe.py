@@ -6,10 +6,11 @@ per-diagnosis-class groups (NC, MCI, AD in that order). Expert outputs are
 combined under one of two routing modes:
 
 * fixed weights — a constant simplex row per sample, used during masked
-  pretraining (label-guided mixing, or class-only routing for the
-  specialization loss; one pass may stack rows of both). Each expert runs
-  only on the rows that give it weight, and an expert no row uses stays
-  out of the graph, so it receives no gradient at all.
+  pretraining (label-guided mixing; at shared weight 0 each sample runs
+  through its class's experts alone, for the specialization loss; one
+  pass may stack rows of both). Each expert runs only on the rows that
+  give it weight, and an expert no row uses stays out of the graph, so
+  it receives no gradient at all.
 * task gates — learned per-task softmax gates ("diagnosis" and "change")
   over a feature-level attention summary of the tokens, used during
   fine-tuning. One pass may stack the rows of several tasks, one equal,
@@ -43,38 +44,23 @@ def expert_groups(num_experts: int, num_shared: int) -> tuple[tuple[int, ...], .
         for k in range(len(DIAG_NAMES)))
 
 
-def _check_labels(labels: np.ndarray) -> None:
-    if labels.size and (labels.min() < 0 or labels.max() >= len(DIAG_NAMES)):
-        raise ContractError(f"diagnosis labels must lie in 0..{len(DIAG_NAMES) - 1}")
-
-
 def label_guided_weights(labels: np.ndarray, num_experts: int, num_shared: int,
                          shared_weight: float, dtype) -> np.ndarray:
     """Fixed routing for masked pretraining: shared experts split
     ``shared_weight`` evenly, the sample's class pair splits the rest,
-    all other experts get exactly zero."""
+    all other experts get exactly zero. At ``shared_weight`` 0 each
+    sample runs through its class's experts alone."""
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise ShapeError(f"labels must be 1-D, got shape {labels.shape}")
-    _check_labels(labels)
+    if labels.size and (labels.min() < 0 or labels.max() >= len(DIAG_NAMES)):
+        raise ContractError(f"diagnosis labels must lie in 0..{len(DIAG_NAMES) - 1}")
     groups = expert_groups(num_experts, num_shared)
     w = np.zeros((labels.size, num_experts), dtype=dtype)
     w[:, :num_shared] = shared_weight / num_shared
     group_arr = np.asarray(groups)  # (classes, per_class)
     rows = np.arange(labels.size)[:, None]
     w[rows, group_arr[labels]] = (1.0 - shared_weight) / group_arr.shape[1]
-    return w
-
-
-def class_only_weights(labels, num_experts: int, num_shared: int, dtype) -> np.ndarray:
-    """Routing for the specialization objective: the class's experts split
-    the full weight, shared experts excluded. A class index gives one
-    (E,) row, an array of labels one row per label."""
-    labels = np.asarray(labels)
-    _check_labels(labels)
-    group_arr = np.asarray(expert_groups(num_experts, num_shared))
-    w = np.zeros(labels.shape + (num_experts,), dtype=dtype)
-    np.put_along_axis(w, group_arr[labels], 1.0 / group_arr.shape[1], axis=-1)
     return w
 
 
@@ -90,7 +76,7 @@ class Routing:
 
     kind: str  # "task" or "fixed"
     tasks: tuple[str, ...] = ()
-    weights: np.ndarray | None = None  # (rows, E) or (E,), rows on the simplex
+    weights: np.ndarray | None = None  # (rows, E), rows on the simplex
     sink: list | None = None
 
 
@@ -255,8 +241,6 @@ class MMoELayer(Module):
         if routing.kind != "fixed":
             raise ContractError(f"unknown routing kind {routing.kind!r}")
         weights = np.asarray(routing.weights, dtype=x.dtype)
-        if weights.ndim == 1:
-            weights = np.broadcast_to(weights, (batch, weights.size))
         if weights.shape != (batch, self.num_experts):
             raise ShapeError(
                 f"routing weights shape {weights.shape} does not match "

@@ -350,12 +350,6 @@ def clamp_min(a: Tensor, low: float) -> Tensor:
     return _wrap(data, (a,), lambda g: (g * mask,))
 
 
-def relu(a: Tensor) -> Tensor:
-    data = np.maximum(a.data, 0)
-    mask = (a.data > 0).astype(a.dtype)
-    return _wrap(data, (a,), lambda g: (g * mask,))
-
-
 def sigmoid(a: Tensor) -> Tensor:
     data = special.expit(a.data)
     return _wrap(data, (a,), lambda g: (g * data * (1.0 - data),))

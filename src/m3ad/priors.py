@@ -94,8 +94,8 @@ class PriorEncoder(Module):
     def __call__(self, priors: Tensor) -> Tensor:
         if priors.ndim != 2 or priors.shape[-1] != PRIOR_DIM:
             raise ShapeError(f"priors must be (batch, {PRIOR_DIM}), got {priors.shape}")
-        h = nm.relu(self.norm1(self.fc1(priors)))
-        h = nm.relu(self.norm2(self.fc2(h)))
+        h = nm.clamp_min(self.norm1(self.fc1(priors)), 0.0)
+        h = nm.clamp_min(self.norm2(self.fc2(h)), 0.0)
         return self.norm3(self.fc3(h))
 
 

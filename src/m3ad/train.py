@@ -15,8 +15,10 @@ rows, each routed by its task's gates, and optimizes the summed
 cross-entropies.
 
 Everything is deterministic in (seed, config, data): epoch shuffling and
-mask sampling derive from the seed, and validation masks are drawn once
-so the early-stopping metric is comparable across epochs.
+mask sampling derive from the seed. A batch's masks are one bool array
+over the mask-unit grid of its images, drawn from the epoch rng; the
+validation masks are drawn once, so the early-stopping metric is
+comparable across epochs.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import logging
 import math
 import struct
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from . import numerics as nm
 from .config import ModelConfig, TrainConfig, config_as_dict, model_config_from_dict
 from .data import Dataset
 from .errors import CheckpointError, ConfigError, ContractError
-from .heads_losses import finetune_loss, masked_l1_per_sample, pretrain_loss, sample_mask
+from .heads_losses import finetune_loss, masked_l1_per_sample, pretrain_loss, sample_masks
 from .model import M3ADNet
 from .moe import TASKS
 from .numerics import Tensor, no_grad
@@ -273,34 +275,24 @@ def _check_fields(path, where: str, raw, schema: dict) -> None:
                                   f"{type(raw[key]).__name__}")
 
 
-def load_params(model: M3ADNet, ckpt: Checkpoint, strict: bool = True) -> list[str]:
-    """Assign checkpoint parameters into a model by name.
-
-    With ``strict=False``, parameters missing from the checkpoint or with
-    a different shape keep their fresh initialization (used when the
-    change-head arity differs between stages); the skipped names are
-    returned.
-    """
+def load_params(model: M3ADNet, ckpt: Checkpoint) -> None:
+    """Assign checkpoint parameters into a model by name; the checkpoint
+    must hold exactly the model's parameters, each with its shape."""
     named = model.named_parameters()
-    skipped = []
+    extra = set(ckpt.params) - set(named)
+    if extra:
+        raise CheckpointError(f"checkpoint has unknown parameters: {sorted(extra)[:4]}")
     for name, p in named.items():
         arr = ckpt.params.get(name)
         if arr is None or tuple(arr.shape) != p.data.shape:
-            if strict:
-                raise CheckpointError(
-                    f"checkpoint does not provide parameter {name!r} with shape {p.data.shape}")
-            skipped.append(name)
-            continue
+            raise CheckpointError(
+                f"checkpoint does not provide parameter {name!r} with shape {p.data.shape}")
         p.data = arr.astype(p.data.dtype, copy=True)
-    extra = set(ckpt.params) - set(named)
-    if strict and extra:
-        raise CheckpointError(f"checkpoint has unknown parameters: {sorted(extra)[:4]}")
-    return skipped
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> M3ADNet:
     model = M3ADNet(ckpt.model_config, seed=0)
-    load_params(model, ckpt, strict=True)
+    load_params(model, ckpt)
     return model
 
 
@@ -381,33 +373,31 @@ def pretrain_loop(model: M3ADNet, train: Dataset, val: Dataset, cfg: TrainConfig
     mcfg = model.cfg
     hw = train.images.shape[1:]
     val_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _VALMASK_TAG]))
-    val_specs = [sample_mask(val_rng, hw, mcfg.mask_unit, mcfg.mask_ratio)
-                 for _ in range(len(val))]
+    val_masks = sample_masks(val_rng, len(val), hw, mcfg.mask_unit, mcfg.mask_ratio)
     val_weights = model.label_guided_weights(val.diag)
 
     def batch_loss(rng, batch):
-        specs = [sample_mask(rng, hw, mcfg.mask_unit, mcfg.mask_ratio) for _ in batch]
+        masks = sample_masks(rng, batch.size, hw, mcfg.mask_unit, mcfg.mask_ratio)
         total, recon, expert = pretrain_loss(
-            model, train.images[batch], train.diag[batch], specs, cfg.lambda_expert)
+            model, train.images[batch], train.diag[batch], masks, cfg.lambda_expert)
         return {"train_total": total, "train_recon": recon, "train_expert": expert}
 
     def validate():
-        l1 = _masked_l1_eval(model, val, val_specs, val_weights, cfg.batch_size)
+        l1 = _masked_l1_eval(model, val, val_masks, val_weights, cfg.batch_size)
         return {"val_masked_l1": float(l1.mean())}
 
     return _fit(model, cfg, len(train), "pretrain", "min", batch_loss, validate, on_batch)
 
 
-def _masked_l1_eval(model: M3ADNet, ds: Dataset, specs, weights: np.ndarray,
+def _masked_l1_eval(model: M3ADNet, ds: Dataset, masks: np.ndarray, weights: np.ndarray,
                     batch_size: int = 16) -> np.ndarray:
     """Per-sample masked L1 of the reconstructions under fixed routing,
-    one (E,) row of ``weights`` per sample."""
+    one unit mask and one (E,) row of ``weights`` per sample."""
     values = np.empty(len(ds))
     with no_grad():
         for batch in _batches(np.arange(len(ds)), batch_size):
-            batch_specs = [specs[i] for i in batch]
-            pred = model.reconstruct(ds.images[batch], weights[batch], batch_specs)
-            values[batch] = masked_l1_per_sample(pred.data, ds.images[batch], batch_specs)
+            pred = model.reconstruct(ds.images[batch], weights[batch], masks[batch])
+            values[batch] = masked_l1_per_sample(pred.data, ds.images[batch], masks[batch])
     return values
 
 
@@ -444,22 +434,35 @@ def task_accuracies(model: M3ADNet, ds: Dataset, stats: PriorStats,
             float(np.count_nonzero(logits["change"].argmax(axis=1) == ds.change) / len(ds)))
 
 
+def _load_init(model: M3ADNet, init: Checkpoint) -> None:
+    have, want = config_as_dict(init.model_config), config_as_dict(model.cfg)
+    differ = [key for key in want if key != "num_change_classes" and have[key] != want[key]]
+    if differ:
+        raise CheckpointError("init checkpoint differs from the model config in " + ", ".join(
+            f"{key} ({have[key]!r} vs {want[key]!r})" for key in differ))
+    params = dict(init.params)
+    if have["num_change_classes"] != want["num_change_classes"]:
+        fresh = model.heads.change.named_parameters(prefix="heads.change.")
+        params.update((name, p.data) for name, p in fresh.items())
+        log.info("fine-tune init: change head kept fresh (%d -> %d classes)",
+                 have["num_change_classes"], want["num_change_classes"])
+    load_params(model, replace(init, params=params))
+
+
 def finetune_loop(model: M3ADNet, train: Dataset, val: Dataset, cfg: TrainConfig,
                   init: Checkpoint | None = None,
                   on_batch=None) -> tuple[Checkpoint, list[dict]]:
     """Dual-pass multi-task fine-tuning; the monitored quantity is the
     mean of the two validation task accuracies.
 
-    ``init`` seeds the model with pretrained parameters; shapes that
-    differ (the change head when switching label schemes) and parameters
-    new to this stage keep their fresh initialization.
+    ``init`` seeds the model with pretrained parameters. Its model config
+    must equal the model's except in ``num_change_classes``; when that
+    differs (switching label schemes) the change head keeps its fresh
+    initialization.
     """
     cfg.validate()
     if init is not None:
-        skipped = load_params(model, init, strict=False)
-        if skipped:
-            log.info("fine-tune init: %d parameters kept fresh (%s, ...)",
-                     len(skipped), skipped[0])
+        _load_init(model, init)
     if int(train.change.max()) >= model.cfg.num_change_classes:
         raise ContractError(
             f"change label {int(train.change.max())} out of range for "

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import shutil
 import struct
 import warnings
 
@@ -12,7 +13,7 @@ import pytest
 from m3ad.cli import main
 from m3ad.data import load_manifest, load_split
 from m3ad.moe import TASKS, task_routing
-from m3ad.numerics import no_grad
+from m3ad.numerics import no_grad, save_m3t
 from m3ad.priors import normalize_priors
 from m3ad.train import load_checkpoint, model_from_checkpoint
 
@@ -296,3 +297,46 @@ def test_out_of_range_config_values_exit_1(tmp_path, capsys, flags, key):
     assert rc == 1
     err = capsys.readouterr().err.replace(str(tmp_path), "")
     assert err.startswith("error: ") and key in err
+
+
+def test_finetune_init_of_another_model_config_exits_1(pipeline, tmp_path, capsys):
+    """A checkpoint pretrained at embed 8 does not seed an embed-16 model."""
+    rc = main(["finetune", "--config", str(pipeline["cfg"]), "--data", str(pipeline["manifest"]),
+               "--out", str(tmp_path), "--set", "embed_dim=16",
+               "--init", str(pipeline["out"] / "pretrain.m3ck")])
+    assert rc == 1
+    assert "embed_dim (8 vs 16)" in capsys.readouterr().err
+    assert not (tmp_path / "finetune.m3ck").exists()
+
+
+def _data_copy(manifest, dest):
+    shutil.copytree(os.path.dirname(manifest), dest)
+    return dest / "manifest.csv"
+
+
+@pytest.mark.parametrize("image", [np.zeros((64, 64)), np.zeros(32 * 32),
+                                   np.full((32, 32), np.nan)], ids=["64x64", "1-D", "nan"])
+def test_split_image_of_another_shape_exits_1(pipeline, tmp_path, capsys, image):
+    manifest = _data_copy(pipeline["manifest"], tmp_path / "data")
+    record = next(r for r in load_manifest(manifest) if r.split == "train")
+    save_m3t(tmp_path / "data" / record.path, image.astype(np.float32))
+    rc = main(["pretrain", "--config", str(pipeline["cfg"]), "--data", str(manifest),
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(manifest) in err and record.path in err
+
+
+@pytest.mark.parametrize("field, value", [("age", "nan"), ("etiv", "inf"), ("age", "-inf")])
+def test_non_finite_manifest_value_exits_1(pipeline, tmp_path, capsys, field, value):
+    manifest = _data_copy(pipeline["manifest"], tmp_path / "data")
+    with open(manifest, newline="") as fh:
+        rows = list(csv.reader(fh))
+    line = next(i for i, row in enumerate(rows) if row[-1] == "test")
+    rows[line][rows[0].index(field)] = value
+    with open(manifest, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    rc = main(["eval", "--checkpoint", str(pipeline["out"] / "finetune.m3ck"),
+               "--data", str(manifest), "--out", str(tmp_path / "eval")])
+    assert rc == 1
+    assert f"manifest.csv:{line + 1}: {field}={float(value)} is not finite" in capsys.readouterr().err

@@ -12,7 +12,7 @@ from m3ad.gradcheck import PRIMITIVE_TOL, check_primitives
 _EXPECTED_OPS = {
     "add", "sub", "mul", "div", "add_broadcast",
     "matmul", "matmul_batched",
-    "sqrt", "abs", "relu", "clamp_min",
+    "sqrt", "abs", "clamp_min",
     "sigmoid", "softplus", "gelu",
     "sum_axis", "mean_axis", "mean_all",
     "reshape", "transpose", "getitem", "take", "concat", "roll",

@@ -2,80 +2,111 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import tiny_model_config
 from m3ad.errors import ContractError, ShapeError
-from m3ad.heads_losses import (MaskSpec, ReconDecoder, TaskHeads, apply_mask,
-                               expert_specialization_loss, finetune_loss,
-                               masked_l1_per_sample, pretrain_loss, recon_loss,
-                               sample_mask)
+from m3ad.heads_losses import (ReconDecoder, TaskHeads, apply_mask, expert_specialization_loss,
+                               finetune_loss, masked_l1_per_sample, pretrain_loss, recon_loss,
+                               sample_masks, tile_masks)
 from m3ad.model import M3ADNet
 from m3ad.numerics import Tensor
 
 
-def spec_from_indices(indices, unit=2, hw=(4, 4)):
-    return MaskSpec(unit=unit, image_hw=hw, indices=np.asarray(indices))
+def masks_from_indices(*rows, grid=(2, 2)):
+    """(B, *grid) unit masks, one list of flat unit indices per sample."""
+    out = np.zeros((len(rows), grid[0] * grid[1]), dtype=bool)
+    for mask, indices in zip(out, rows):
+        mask[list(indices)] = True
+    return out.reshape((len(rows),) + grid)
 
 
 # -- mask sampling -----------------------------------------------------
 
 
 def test_sample_mask_exact_count(rng):
-    spec = sample_mask(rng, (64, 64), 8, 0.6)
-    assert spec.indices.size == round(0.6 * 64) == 38
-    assert np.array_equal(spec.indices, np.unique(spec.indices))
-    assert spec.indices.min() >= 0 and spec.indices.max() < 64
+    masks = sample_masks(rng, 3, (64, 64), 8, 0.6)
+    assert masks.shape == (3, 8, 8) and masks.dtype == bool
+    assert round(0.6 * 64) == 38
+    assert (masks.reshape(3, -1).sum(axis=1) == 38).all()
 
 
 def test_sample_mask_rounds_half_up_cases(rng):
     # 24x24 at unit 8 gives 9 units; 0.3 * 9 = 2.7 rounds to 3 (int() would
     # truncate to 2)
-    spec = sample_mask(rng, (24, 24), 8, 0.3)
-    assert spec.indices.size == 3
-    assert sample_mask(rng, (32, 32), 8, 0.6).indices.size == round(0.6 * 16) == 10
+    assert sample_masks(rng, 1, (24, 24), 8, 0.3).sum() == 3
+    assert sample_masks(rng, 1, (32, 32), 8, 0.6).sum() == round(0.6 * 16) == 10
 
 
 def test_sample_mask_deterministic():
-    a = sample_mask(np.random.default_rng(7), (64, 64), 8, 0.6)
-    b = sample_mask(np.random.default_rng(7), (64, 64), 8, 0.6)
-    np.testing.assert_array_equal(a.indices, b.indices)
+    a = sample_masks(np.random.default_rng(7), 4, (64, 64), 8, 0.6)
+    b = sample_masks(np.random.default_rng(7), 4, (64, 64), 8, 0.6)
+    np.testing.assert_array_equal(a, b)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 5), uh=st.integers(1, 6),
+       uw=st.integers(1, 6), unit=st.sampled_from([1, 2, 4, 8]),
+       ratio=st.floats(0.01, 0.99))
+def test_sample_masks_match_per_sample_choice(seed, n, uh, uw, unit, ratio):
+    """Each row hides round(ratio * units) units, and the masks and the
+    rng stream equal one rng.choice per sample, in order."""
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    masks = sample_masks(rng, n, (uh * unit, uw * unit), unit, ratio)
+    assert masks.shape == (n, uh, uw) and masks.dtype == bool
+    count = int(round(ratio * uh * uw))
+    for mask in masks:
+        want = np.zeros(uh * uw, dtype=bool)
+        want[ref.choice(uh * uw, size=count, replace=False)] = True
+        np.testing.assert_array_equal(mask.reshape(-1), want)
+    assert rng.random() == ref.random()
 
 
 def test_sample_mask_contracts(rng):
     with pytest.raises(ContractError):
-        sample_mask(rng, (64, 64), 8, 0.0)
+        sample_masks(rng, 1, (64, 64), 8, 0.0)
     with pytest.raises(ContractError):
-        sample_mask(rng, (64, 64), 8, 1.0)
+        sample_masks(rng, 1, (64, 64), 8, 1.0)
     with pytest.raises(ContractError):
-        sample_mask(rng, (60, 64), 8, 0.5)
+        sample_masks(rng, 1, (60, 64), 8, 0.5)
 
 
 def test_mask_spec_pixel_geometry():
-    spec = spec_from_indices([0, 3])  # units (0,0) and (1,1) of a 2x2 unit grid
-    expected = np.zeros((4, 4), dtype=bool)
-    expected[0:2, 0:2] = True
-    expected[2:4, 2:4] = True
-    np.testing.assert_array_equal(spec.pixel_mask(), expected)
-    np.testing.assert_array_equal(spec.unit_mask(), [[True, False], [False, True]])
-    np.testing.assert_array_equal(spec.pixel_indices(),
-                                  np.flatnonzero(expected.reshape(-1)))
+    masks = masks_from_indices([0, 3])  # units (0,0) and (1,1) of a 2x2 unit grid
+    expected = np.zeros((1, 4, 4), dtype=bool)
+    expected[0, 0:2, 0:2] = True
+    expected[0, 2:4, 2:4] = True
+    np.testing.assert_array_equal(tile_masks(masks, (4, 4)), expected)
+    np.testing.assert_array_equal(masks[0], [[True, False], [False, True]])
+
+
+@pytest.mark.parametrize("grid, rep", [((2, 2), 1), ((2, 2), 4), ((3, 5), 2), ((4, 4), 8)])
+def test_tile_masks_match_kron(grid, rep):
+    """The token (unit / patch) and pixel (unit) expansions of random
+    masks against an np.kron reference."""
+    masks = np.random.default_rng(rep).random((3,) + grid) < 0.5
+    got = tile_masks(masks, (grid[0] * rep, grid[1] * rep))
+    want = np.stack([np.kron(m, np.ones((rep, rep), dtype=bool)) for m in masks])
+    np.testing.assert_array_equal(got, want)
 
 
 def test_token_mask_expansion():
-    spec = spec_from_indices([1], unit=4, hw=(8, 8))  # unit (0,1)
-    tok = spec.token_mask(2)  # 2x2 tokens per unit
-    expected = np.zeros((4, 4))
-    expected[0:2, 2:4] = 1.0
+    masks = masks_from_indices([1])  # unit (0,1) of a 2x2 unit grid
+    tok = tile_masks(masks, (4, 4))  # 2x2 tokens per unit
+    expected = np.zeros((1, 4, 4), dtype=bool)
+    expected[0, 0:2, 2:4] = True
     np.testing.assert_array_equal(tok, expected)
-    with pytest.raises(ContractError):
-        spec.token_mask(3)
+    for grid in ((3, 3), (4, 2), (4, 6)):  # no square tiling
+        with pytest.raises(ContractError):
+            tile_masks(masks, grid)
 
 
 def test_apply_mask_substitutes_token(rng):
     tokens = Tensor(rng.standard_normal((1, 4, 4, 3)))
     mask_token = Tensor(np.array([9.0, 8.0, 7.0]), requires_grad=True)
-    spec = spec_from_indices([2], unit=4, hw=(8, 8))  # unit (1,0) -> tokens [2:4, 0:2]
-    out = apply_mask(tokens, [spec], mask_token, 2).data
+    masks = masks_from_indices([2])  # unit (1,0) -> tokens [2:4, 0:2]
+    out = apply_mask(tokens, masks, mask_token).data
     np.testing.assert_array_equal(out[0, 2:4, 0:2], np.broadcast_to([9.0, 8.0, 7.0], (2, 2, 3)))
     untouched = np.ones((4, 4), dtype=bool)
     untouched[2:4, 0:2] = False
@@ -84,19 +115,17 @@ def test_apply_mask_substitutes_token(rng):
 
 def test_apply_mask_empty_is_identity(rng):
     tokens = Tensor(rng.standard_normal((2, 4, 4, 3)))
-    spec = spec_from_indices([], unit=4, hw=(8, 8))
-    out = apply_mask(tokens, [spec, spec], Tensor(np.zeros(3)), 2)
+    out = apply_mask(tokens, masks_from_indices([], []), Tensor(np.zeros(3)))
     assert out is tokens
 
 
 def test_apply_mask_contracts(rng):
     tokens = Tensor(rng.standard_normal((2, 4, 4, 3)))
-    spec = spec_from_indices([0], unit=4, hw=(8, 8))
     with pytest.raises(ContractError):
-        apply_mask(tokens, [spec], Tensor(np.zeros(3)), 2)
-    bad = spec_from_indices([0], unit=4, hw=(16, 16))
-    with pytest.raises(ShapeError):
-        apply_mask(tokens, [bad, bad], Tensor(np.zeros(3)), 2)
+        apply_mask(tokens, masks_from_indices([0]), Tensor(np.zeros(3)))
+    bad = masks_from_indices([0], [0], grid=(3, 3))  # a 3x3 unit grid cannot tile 4x4 tokens
+    with pytest.raises(ContractError):
+        apply_mask(tokens, bad, Tensor(np.zeros(3)))
 
 
 # -- decoder and heads -------------------------------------------------
@@ -141,38 +170,39 @@ def test_recon_loss_hand_oracle():
     target = np.zeros((1, 4, 4))
     pred[0, 0:2, 0:2] = [[1.0, 2.0], [3.0, 4.0]]
     target[0, 0:2, 0:2] = [[0.0, 1.0], [1.0, 8.0]]
-    spec = spec_from_indices([0])  # covers rows 0:2, cols 0:2
-    loss = recon_loss(Tensor(pred), target, [spec])
+    masks = masks_from_indices([0])  # covers rows 0:2, cols 0:2
+    loss = recon_loss(Tensor(pred), target, masks)
     assert abs(loss.item() - (1 + 1 + 2 + 4) / 4.0) < 1e-12
 
 
 def test_recon_loss_ignores_outside_mask_bit_exactly(rng):
     target = rng.standard_normal((2, 16, 16))
     pred = rng.standard_normal((2, 16, 16))
-    specs = [sample_mask(rng, (16, 16), 4, 0.5) for _ in range(2)]
-    base = recon_loss(Tensor(pred), target, specs).data.copy()
+    masks = sample_masks(rng, 2, (16, 16), 4, 0.5)
+    base = recon_loss(Tensor(pred), target, masks).data.copy()
     perturbed = pred.copy()
-    for i, spec in enumerate(specs):
-        outside = ~spec.pixel_mask()
-        perturbed[i][outside] += rng.standard_normal(outside.sum()) * 100.0
-    again = recon_loss(Tensor(perturbed), target, specs).data
+    outside = ~tile_masks(masks, (16, 16))
+    perturbed[outside] += rng.standard_normal(outside.sum()) * 100.0
+    again = recon_loss(Tensor(perturbed), target, masks).data
     assert base == again
 
 
 def test_recon_loss_contracts(rng):
     target = rng.standard_normal((1, 4, 4))
     with pytest.raises(ShapeError):
-        recon_loss(Tensor(rng.standard_normal((1, 4, 5))), target, [])
+        recon_loss(Tensor(rng.standard_normal((1, 4, 5))), target, masks_from_indices([0]))
     with pytest.raises(ContractError):
-        recon_loss(Tensor(target), target, [spec_from_indices([])])
+        recon_loss(Tensor(target), target, masks_from_indices([]))
+    with pytest.raises(ContractError):  # one mask per sample
+        recon_loss(Tensor(target), target, masks_from_indices([0], [0]))
 
 
 def test_recon_loss_gradient_confined_to_mask(rng):
     target = rng.standard_normal((1, 4, 4))
     pred = Tensor(rng.standard_normal((1, 4, 4)), requires_grad=True)
-    spec = spec_from_indices([1])  # rows 0:2, cols 2:4
-    recon_loss(pred, target, [spec]).backward()
-    inside = spec.pixel_mask()
+    masks = masks_from_indices([1])  # rows 0:2, cols 2:4
+    recon_loss(pred, target, masks).backward()
+    inside = tile_masks(masks, (4, 4))[0]
     assert (pred.grad[0][~inside] == 0).all()
     assert (pred.grad[0][inside] != 0).all()
 
@@ -180,10 +210,10 @@ def test_recon_loss_gradient_confined_to_mask(rng):
 def test_masked_l1_per_sample_matches_recon_loss(rng):
     target = rng.standard_normal((3, 16, 16))
     pred = rng.standard_normal((3, 16, 16))
-    specs = [sample_mask(rng, (16, 16), 4, 0.5) for _ in range(3)]
-    per = masked_l1_per_sample(pred, target, specs)
+    masks = sample_masks(rng, 3, (16, 16), 4, 0.5)
+    per = masked_l1_per_sample(pred, target, masks)
     # equal mask sizes make the pixel mean equal the mean of sample means
-    pooled = recon_loss(Tensor(pred), target, specs).item()
+    pooled = recon_loss(Tensor(pred), target, masks).item()
     assert abs(per.mean() - pooled) < 1e-12
 
 
@@ -193,17 +223,16 @@ _CLASS_SCALE = (1.0, 0.9, 0.7)
 def test_expert_specialization_loss_explicit_sum(rng):
     images = rng.standard_normal((4, 8, 8))
     labels = np.array([0, 2, 2, 0])
-    specs = [sample_mask(rng, (8, 8), 4, 0.5) for _ in range(4)]
+    masks = sample_masks(rng, 4, (8, 8), 4, 0.5)
     pred = Tensor(images * np.take(_CLASS_SCALE, labels)[:, None, None])
-    loss = expert_specialization_loss(pred, images, labels, specs)
+    loss = expert_specialization_loss(pred, images, labels, masks)
+    pixels = tile_masks(masks, (8, 8))
     expected = 0.0
     for klass in (0, 2):
         members = np.flatnonzero(labels == klass)
         terms = []
         for i in members:
-            idx = specs[i].pixel_indices()
-            diff = np.abs(images[i].reshape(-1)[idx] * _CLASS_SCALE[klass]
-                          - images[i].reshape(-1)[idx])
+            diff = np.abs(images[i][pixels[i]] * _CLASS_SCALE[klass] - images[i][pixels[i]])
             terms.append(diff.mean())
         expected += np.mean(terms)
     assert abs(loss.item() - expected) < 1e-12
@@ -212,29 +241,29 @@ def test_expert_specialization_loss_explicit_sum(rng):
 def test_expert_specialization_loss_needs_samples(rng):
     with pytest.raises(ContractError):
         expert_specialization_loss(Tensor(np.zeros((0, 8, 8))), np.zeros((0, 8, 8)),
-                                   np.array([], dtype=int), [])
+                                   np.array([], dtype=int), np.zeros((0, 2, 2), dtype=bool))
 
 
 def _pretrain_case(labels, seed=0):
     rng = np.random.default_rng(seed)
     model = M3ADNet(tiny_model_config(dtype="float64"), seed=seed)
     images = rng.standard_normal((len(labels), 32, 32))
-    specs = [sample_mask(rng, (32, 32), 8, 0.5) for _ in labels]
-    return model, images, np.asarray(labels), specs
+    masks = sample_masks(rng, len(labels), (32, 32), 8, 0.5)
+    return model, images, np.asarray(labels), masks
 
 
 def test_pretrain_loss_lambda_semantics():
-    model, images, labels, specs = _pretrain_case([0, 1])
-    total0, recon0, expert0 = pretrain_loss(model, images, labels, specs, 0.0)
+    model, images, labels, masks = _pretrain_case([0, 1])
+    total0, recon0, expert0 = pretrain_loss(model, images, labels, masks, 0.0)
     assert total0 is recon0
     assert expert0.item() == 0.0
-    total, recon, expert = pretrain_loss(model, images, labels, specs, 0.7)
+    total, recon, expert = pretrain_loss(model, images, labels, masks, 0.7)
     assert abs(total.item() - (recon.item() + 0.7 * expert.item())) < 1e-12
     # the class-only rows stacked below do not move the label-guided ones
     assert abs(recon.item() - recon0.item()) < 1e-12
     assert expert.item() > 0.0
     with pytest.raises(ContractError):
-        pretrain_loss(model, images, labels, specs, -0.1)
+        pretrain_loss(model, images, labels, masks, -0.1)
 
 
 def test_pretrain_loss_matches_per_class_reference():
@@ -242,26 +271,25 @@ def test_pretrain_loss_matches_per_class_reference():
     pass, then one class-only pass per class present over its members,
     each sample's masked L1 averaged over its class. Values and gradients
     agree up to summation order."""
-    model, images, labels, specs = _pretrain_case([2, 0, 2, 1, 0, 2], seed=4)
+    model, images, labels, masks = _pretrain_case([2, 0, 2, 1, 0, 2], seed=4)
 
     def reference():
-        pred = model.reconstruct(images, model.label_guided_weights(labels), specs)
-        recon = recon_loss(pred, images, specs)
+        pred = model.reconstruct(images, model.label_guided_weights(labels), masks)
+        recon = recon_loss(pred, images, masks)
         expert = None
         for klass in range(3):
             members = np.flatnonzero(labels == klass)
-            sub = [specs[i] for i in members]
-            pred_k = model.reconstruct(images[members], model.class_only_weights(labels[members]),
-                                       sub)
+            weights = model.label_guided_weights(labels[members], shared_weight=0.0)
+            pred_k = model.reconstruct(images[members], weights, masks[members])
             for j, i in enumerate(members):
-                term = recon_loss(pred_k[j:j + 1], images[i:i + 1], [specs[i]])
+                term = recon_loss(pred_k[j:j + 1], images[i:i + 1], masks[i:i + 1])
                 term = term * (1.0 / members.size)
                 expert = term if expert is None else expert + term
         return recon + expert * 0.5, recon, expert
 
     grads = []
     values = []
-    for fn in (lambda: pretrain_loss(model, images, labels, specs, 0.5), reference):
+    for fn in (lambda: pretrain_loss(model, images, labels, masks, 0.5), reference):
         model.zero_grad()
         total, recon, expert = fn()
         total.backward()
@@ -281,9 +309,9 @@ def test_pretrain_experts_without_rows_get_no_gradient():
     """With no AD sample in the batch, the AD expert pair of every layer
     gets no row in either half of the stacked pass and stays out of the
     graph, as do the gates."""
-    model, images, labels, specs = _pretrain_case([0, 1, 1, 0])
+    model, images, labels, masks = _pretrain_case([0, 1, 1, 0])
     model.zero_grad()
-    pretrain_loss(model, images, labels, specs, 1.0)[0].backward()
+    pretrain_loss(model, images, labels, masks, 1.0)[0].backward()
     for expert in range(model.cfg.num_experts):
         names = model.expert_parameter_names(expert)
         params = model.named_parameters()

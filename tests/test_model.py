@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_model_config
-from m3ad.heads_losses import sample_mask
+from m3ad.heads_losses import sample_masks
 from m3ad.model import M3ADNet
 from m3ad import numerics as nm
 from m3ad.moe import task_routing
@@ -54,9 +54,9 @@ def test_encode_rejects_bad_shapes(rng):
 def test_masking_changes_encoding(rng):
     model = M3ADNet(tiny_model_config(), seed=2)
     images = rng.standard_normal((2, 32, 32))
-    spec = sample_mask(rng, (32, 32), 8, 0.5)
+    masks = sample_masks(rng, 1, (32, 32), 8, 0.5).repeat(2, axis=0)
     plain = model.encode(images, _ROUTE)
-    masked = model.encode(images, _ROUTE, specs=[spec, spec])
+    masked = model.encode(images, _ROUTE, masks=masks)
     assert np.abs(plain.data - masked.data).max() > 1e-6
 
 
@@ -128,11 +128,12 @@ def test_dual_pass_matches_single_task_passes(rng):
 def test_reconstruction_shapes(rng):
     model = M3ADNet(tiny_model_config(), seed=7)
     images = rng.standard_normal((2, 32, 32))
-    specs = [sample_mask(rng, (32, 32), 8, 0.5) for _ in range(2)]
+    masks = sample_masks(rng, 2, (32, 32), 8, 0.5)
     labels = np.array([0, 2])
-    recon = model.reconstruct(images, model.label_guided_weights(labels), specs)
+    recon = model.reconstruct(images, model.label_guided_weights(labels), masks)
     assert recon.shape == (2, 32, 32)
-    recon_k = model.reconstruct(images, model.class_only_weights([1, 1]), specs)
+    recon_k = model.reconstruct(images, model.label_guided_weights([1, 1], shared_weight=0.0),
+                                masks)
     assert recon_k.shape == (2, 32, 32)
     assert np.abs(recon.data - recon_k.data).max() > 0
 

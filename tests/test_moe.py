@@ -13,8 +13,8 @@ import m3ad
 from m3ad import numerics as nm
 from m3ad.entry import _BLAS_VARS
 from m3ad.errors import ContractError, ShapeError
-from m3ad.moe import (MMoELayer, Routing, class_only_weights, expert_groups, expert_mix,
-                      fixed_routing, label_guided_weights, task_routing)
+from m3ad.moe import (MMoELayer, Routing, expert_groups, expert_mix, fixed_routing,
+                      label_guided_weights, task_routing)
 from m3ad.numerics import Tensor
 
 
@@ -43,14 +43,15 @@ def test_label_guided_weights_contracts():
 
 
 def test_class_only_weight_table():
+    """Label-guided rows at shared weight 0 route each sample through its
+    class's experts alone."""
     np.testing.assert_array_equal(
-        class_only_weights(1, 8, 2, np.float64),
-        [0.0, 0.0, 0.0, 0.0, 0.5, 0.5, 0.0, 0.0])
+        label_guided_weights(np.array([1, 0]), 8, 2, 0.0, np.float64),
+        [[0.0, 0.0, 0.0, 0.0, 0.5, 0.5, 0.0, 0.0],
+         [0.0, 0.0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0]])
     np.testing.assert_array_equal(
-        class_only_weights(0, 5, 2, np.float64),
-        [0.0, 0.0, 1.0, 0.0, 0.0])
-    with pytest.raises(ContractError):
-        class_only_weights(3, 8, 2, np.float64)
+        label_guided_weights(np.array([0]), 5, 2, 0.0, np.float64),
+        [[0.0, 0.0, 1.0, 0.0, 0.0]])
 
 
 def test_routing_constructors():
@@ -61,8 +62,8 @@ def test_routing_constructors():
         task_routing("segmentation")
     with pytest.raises(ContractError):
         task_routing()
-    f = fixed_routing(np.ones(8) / 8)
-    assert f.kind == "fixed" and f.weights.shape == (8,)
+    f = fixed_routing(np.ones((2, 8)) / 8)
+    assert f.kind == "fixed" and f.weights.shape == (2, 8)
 
 
 def _layer(seed=5, dim=8):
@@ -143,8 +144,8 @@ def test_stacked_task_blocks_match_single_task_passes(rng):
 def test_fixed_one_hot_selects_single_expert(rng):
     layer = _layer()
     x = Tensor(rng.standard_normal((2, 4, 8)))
-    w = np.zeros(8)
-    w[3] = 1.0
+    w = np.zeros((2, 8))
+    w[:, 3] = 1.0
     out = layer(x, fixed_routing(w))
     np.testing.assert_allclose(out.data, layer.experts[3](x).data, atol=1e-12)
 
@@ -167,17 +168,18 @@ def test_fixed_routing_zero_columns_get_no_gradient(rng):
 def test_fixed_routing_weight_contracts(rng):
     layer = _layer()
     x = Tensor(rng.standard_normal((2, 4, 8)))
-    # 1-D weights broadcast over the batch
-    out = layer(x, fixed_routing(np.ones(8) / 8))
+    out = layer(x, fixed_routing(np.ones((2, 8)) / 8))
     assert out.shape == (2, 4, 8)
+    with pytest.raises(ShapeError):  # weights take one row per sample
+        layer(x, fixed_routing(np.ones(8) / 8))
     with pytest.raises(ShapeError):
         layer(x, fixed_routing(np.ones((3, 8)) / 8))
     with pytest.raises(ContractError):
-        layer(x, fixed_routing(np.zeros(8)))
+        layer(x, fixed_routing(np.zeros((2, 8))))
     with pytest.raises(ContractError):
         layer(x, Routing(kind="mystery"))
     with pytest.raises(ShapeError):
-        layer(Tensor(rng.standard_normal((2, 8))), fixed_routing(np.ones(8) / 8))
+        layer(Tensor(rng.standard_normal((2, 8))), fixed_routing(np.ones((2, 8)) / 8))
 
 
 def test_fixed_routing_matches_explicit_sum(rng):
@@ -229,8 +231,7 @@ def _reference_layer(layer, x, routing):
         w = layer.gate_weights(x, *routing.tasks)
         cols = [nm.reshape(w[:, e], (b, 1, 1)) for e in range(layer.num_experts)]
     else:
-        weights = np.broadcast_to(np.asarray(routing.weights, dtype=x.dtype),
-                                  (b, layer.num_experts))
+        weights = np.asarray(routing.weights, dtype=x.dtype)
         cols = [weights[:, e].reshape(b, 1, 1) if np.any(weights[:, e]) else None
                 for e in range(layer.num_experts)]
     out = None
@@ -254,7 +255,7 @@ _ROUTINGS = {
     "task": lambda dt: task_routing("change"),
     "label_guided": lambda dt: fixed_routing(
         label_guided_weights(np.array([0, 2, 1, 0]), 8, 2, 0.15, dt)),
-    "class_only": lambda dt: fixed_routing(class_only_weights(1, 8, 2, dt)),
+    "class_only": lambda dt: fixed_routing(label_guided_weights(np.ones(4, int), 8, 2, 0.0, dt)),
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from m3ad import tokmlp
 from m3ad.errors import ShapeError
-from m3ad.heads_losses import finetune_loss, pretrain_loss, sample_mask
+from m3ad.heads_losses import finetune_loss, pretrain_loss, sample_masks
 from m3ad.model import M3ADNet
 from m3ad.numerics import Tensor, no_grad
 from m3ad.tokmlp import (DEFAULT_OFFSETS, TokMLPBlock, axis_shift, conv3x3,
@@ -223,12 +223,11 @@ def _one_step_each(model, rng):
     images = rng.standard_normal((4, 32, 32)).astype(np.float32)
     diag, change = np.array([0, 1, 2, 1]), np.array([0, 1, 2, 0])
     priors = rng.standard_normal((4, 3)).astype(np.float32)
-    specs = [sample_mask(rng, (32, 32), model.cfg.mask_unit, model.cfg.mask_ratio)
-             for _ in range(4)]
+    masks = sample_masks(rng, 4, (32, 32), model.cfg.mask_unit, model.cfg.mask_ratio)
     out = {}
     for stage in ("pretrain", "finetune"):
         if stage == "pretrain":
-            loss = pretrain_loss(model, images, diag, specs, 1.0)[0]
+            loss = pretrain_loss(model, images, diag, masks, 1.0)[0]
         else:
             loss = finetune_loss(*model.dual_task_logits(images, priors), diag, change)
         model.zero_grad()

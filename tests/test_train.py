@@ -339,30 +339,51 @@ def test_load_params_strict_errors():
     missing = dataclasses.replace(ckpt, params={k: v for k, v in ckpt.params.items()
                                                 if k != "mask_token"})
     with pytest.raises(CheckpointError, match="mask_token"):
-        load_params(target, missing, strict=True)
+        load_params(target, missing)
 
     extra = dataclasses.replace(ckpt, params={**ckpt.params, "ghost": np.zeros(3)})
     with pytest.raises(CheckpointError, match="unknown parameters"):
-        load_params(target, extra, strict=True)
+        load_params(target, extra)
 
     wrong_shape = dataclasses.replace(
         ckpt, params={**ckpt.params, "mask_token": np.zeros(17, dtype=np.float32)})
     with pytest.raises(CheckpointError, match="mask_token"):
-        load_params(target, wrong_shape, strict=True)
+        load_params(target, wrong_shape)
 
 
-def test_load_params_nonstrict_keeps_fresh_head():
+class _Stop(Exception):
+    pass
+
+
+def test_finetune_init_keeps_only_change_head_fresh(tiny_splits):
+    """A pretrained checkpoint of another change-head arity loads every
+    parameter but the change head, which keeps its fresh values."""
+    train, val, _ = tiny_splits
     src = M3ADNet(tiny_model_config(num_change_classes=3), seed=41)
     ckpt = snapshot(src, None, "pretrain", 0, {})
     dst = M3ADNet(tiny_model_config(num_change_classes=7), seed=42)
     fresh = {name: p.data.copy() for name, p in dst.named_parameters().items()}
+    loaded = {}
 
-    skipped = load_params(dst, ckpt, strict=False)
-    assert sorted(skipped) == ["heads.change.bias", "heads.change.weight"]
-    named = dst.named_parameters()
-    for name in skipped:
-        np.testing.assert_array_equal(named[name].data, fresh[name])
-    np.testing.assert_array_equal(named["mask_token"].data, ckpt.params["mask_token"])
+    def grab(model, epoch, batch):  # before the first optimizer step
+        loaded.update({name: p.data.copy() for name, p in model.named_parameters().items()})
+        raise _Stop
+
+    with pytest.raises(_Stop):
+        finetune_loop(dst, train, val, tiny_train_config(epochs=1), init=ckpt, on_batch=grab)
+    head = {"heads.change.bias", "heads.change.weight"}
+    assert loaded.keys() == fresh.keys() == set(ckpt.params) | head
+    for name, arr in loaded.items():
+        np.testing.assert_array_equal(arr, fresh[name] if name in head else ckpt.params[name],
+                                      err_msg=name)
+
+
+def test_finetune_init_rejects_another_model_config(tiny_splits):
+    train, val, _ = tiny_splits
+    ckpt = snapshot(M3ADNet(tiny_model_config(), seed=41), None, "pretrain", 0, {})
+    model = M3ADNet(tiny_model_config(embed_dim=16, mask_ratio=0.5), seed=42)
+    with pytest.raises(CheckpointError, match=r"embed_dim \(8 vs 16\), mask_ratio"):
+        finetune_loop(model, train, val, tiny_train_config(epochs=1), init=ckpt)
 
 
 # -- loops -------------------------------------------------------------
@@ -545,20 +566,19 @@ def test_predict_matches_batch1_passes(tiny_splits):
 def test_masked_l1_eval_per_sample(tiny_splits, routing):
     """Batches of 3 score each sample as a batch-of-one pass with its own
     routing row does."""
-    from m3ad.heads_losses import masked_l1_per_sample, sample_mask
+    from m3ad.heads_losses import masked_l1_per_sample, sample_masks
     _, val, _ = tiny_splits
     model = M3ADNet(tiny_model_config(dtype="float64"), seed=3)
-    rng = np.random.default_rng(0)
-    specs = [sample_mask(rng, (32, 32), 8, 0.5) for _ in range(len(val))]
+    masks = sample_masks(np.random.default_rng(0), len(val), (32, 32), 8, 0.5)
     weights = (model.label_guided_weights(val.diag) if routing == "label_guided"
-               else model.class_only_weights(np.zeros(len(val), dtype=int)))
-    values = _masked_l1_eval(model, val, specs, weights, batch_size=3)
+               else model.label_guided_weights(np.zeros(len(val), dtype=int), shared_weight=0.0))
+    values = _masked_l1_eval(model, val, masks, weights, batch_size=3)
     assert values.shape == (len(val),)
     assert np.all(values > 0)
     with no_grad():
         for i in range(len(val)):
-            pred = model.reconstruct(val.images[i:i + 1], weights[i:i + 1], specs[i:i + 1])
-            single = masked_l1_per_sample(pred.data, val.images[i:i + 1], specs[i:i + 1])
+            pred = model.reconstruct(val.images[i:i + 1], weights[i:i + 1], masks[i:i + 1])
+            single = masked_l1_per_sample(pred.data, val.images[i:i + 1], masks[i:i + 1])
             np.testing.assert_allclose(values[i], single[0], rtol=1e-12)
 
 
