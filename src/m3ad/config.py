@@ -102,8 +102,9 @@ class ModelConfig:
             raise ConfigError(f"fusion_type must be one of {FUSION_TYPES}, got {self.fusion_type!r}")
         if self.num_change_classes not in (3, 7):
             raise ConfigError(f"num_change_classes must be 3 or 7, got {self.num_change_classes}")
-        if self.mask_unit < 1:
-            raise ConfigError(f"mask_unit must be positive, got {self.mask_unit}")
+        if self.mask_unit < 1 or self.mask_unit % self.patch_size:
+            raise ConfigError(f"mask_unit must be a positive multiple of patch_size "
+                              f"{self.patch_size}, got {self.mask_unit}")
         if not 0.0 < self.mask_ratio < 1.0:
             raise ConfigError(f"mask_ratio must lie in (0, 1), got {self.mask_ratio}")
         if self.dtype not in ("float32", "float64"):
@@ -258,8 +259,12 @@ def parse_config_text(text: str, cfg: RunConfig | None = None,
 
 
 def load_config(path, cfg: RunConfig | None = None) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), cfg=cfg, source=str(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text: {err}") from None
+    return parse_config_text(text, cfg=cfg, source=str(path))
 
 
 def apply_overrides(cfg: RunConfig, assignments: Sequence[str]) -> RunConfig:

@@ -14,6 +14,10 @@ transitions (AD to MCI, AD to NC) are never generated.
 
 Every sample uses its own RNG stream derived from (seed, index), so
 generation order cannot affect content.
+
+Each scan is a tensor file (see :func:`m3ad.numerics.save_m3t`) that
+holds one float32 array named ``image`` and an empty header; the
+manifest CSV lists the scans with their priors, labels and split.
 """
 
 from __future__ import annotations
@@ -158,7 +162,7 @@ def gen_synthetic(out_dir, seed: int, n: int, size: int, scheme: str = "C3",
         img = synth_image(rng, size, diag, code)
         age, gender, etiv = _sample_priors(rng, diag)
         rel = os.path.join("images", f"sample_{i:05d}.m3t")
-        save_m3t(os.path.join(out_dir, rel), img)
+        save_m3t(os.path.join(out_dir, rel), {"image": img})
         records.append(SampleRecord(path=rel, age=age, gender=gender, etiv=etiv,
                                     diag=diag, change=change, split="train"))
     records = assign_splits(records, fractions, seed)
@@ -185,7 +189,10 @@ def load_manifest(path, check_files: bool = True) -> list[SampleRecord]:
     records: list[SampleRecord] = []
     seen: set[str] = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        try:
+            reader = csv.reader(fh.readlines())
+        except UnicodeDecodeError as err:
+            raise ManifestError(f"{path}: not UTF-8 text: {err}") from None
         try:
             header = next(reader)
         except StopIteration:
@@ -311,7 +318,11 @@ def load_split(manifest_path, split: str) -> Dataset:
     base = os.path.dirname(os.path.abspath(manifest_path))
     images = []
     for r in records:
-        image = load_m3t(os.path.join(base, r.path))
+        _, arrays = load_m3t(os.path.join(base, r.path))
+        if list(arrays) != ["image"] or arrays["image"].dtype != np.float32:
+            raise ManifestError(f"{manifest_path}: {r.path!r} does not hold exactly one "
+                                "float32 array named 'image'")
+        image = arrays["image"]
         if image.ndim != 2:
             raise ManifestError(f"{manifest_path}: image {r.path!r} has shape {image.shape}, "
                                 "not 2-D")

@@ -14,6 +14,18 @@ _BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
+def thread_count() -> int:
+    """The engine's worker count: M3AD_THREADS, or the CPUs the process
+    may use when it is unset. Raises ValueError for any other value than
+    a positive integer."""
+    n = os.environ.get("M3AD_THREADS")
+    if not n:
+        return len(os.sched_getaffinity(0))
+    if not n.isdigit() or int(n) < 1:
+        raise ValueError(f"M3AD_THREADS must be a positive integer, got {n!r}")
+    return int(n)
+
+
 def cap_threads() -> None:
     """Pin the BLAS/OpenMP pools at one thread and check M3AD_THREADS.
 
@@ -23,11 +35,11 @@ def cap_threads() -> None:
     Explicitly set backend variables still win over the pin, but a
     multi-threaded BLAS under the pool oversubscribes the cores.
     """
-    n = os.environ.get("M3AD_THREADS")
-    if n and (not n.isdigit() or int(n) < 1):
-        print(f"error: M3AD_THREADS must be a positive integer, got {n!r}",
-              file=sys.stderr)
-        raise SystemExit(1)
+    try:
+        thread_count()
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        raise SystemExit(1) from None
     for var in _BLAS_VARS:
         os.environ.setdefault(var, "1")
 

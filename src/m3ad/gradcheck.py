@@ -148,7 +148,7 @@ def check_composites(rng: np.random.Generator | None = None) -> dict[str, float]
     # attention-mixer block, shifted, with gate routing
     mrng = np.random.default_rng(3)
     attn = WindowAttention(mrng, 8, 2, 4, dt)
-    moe = MMoELayer(mrng, 8, 8, 2, 2, 1.0, dt)
+    moe = MMoELayer(mrng, 8, 8, 2, 1.0, dt)
     block = M3ADBlock(attn, moe, 8, dt, shifted=True, window=4)
     xg = Tensor(rng.standard_normal((2, 8, 8, 8)).astype(dt))
     wg = _weight(rng, (2, 8, 8, 8))

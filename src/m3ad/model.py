@@ -51,8 +51,8 @@ class M3ADNet(Module):
                     mixer = WindowAttention(rng, dim, cfg.num_heads[stage], cfg.window, dt)
                 else:
                     mixer = TokMLPBlock(rng, dim, dt)
-                moe = MMoELayer(rng, dim, cfg.num_experts, cfg.num_shared_experts,
-                                cfg.expert_hidden_ratio, cfg.gate_temp, dt)
+                moe = MMoELayer(rng, dim, cfg.num_experts, cfg.expert_hidden_ratio,
+                                cfg.gate_temp, dt)
                 self.blocks.append(M3ADBlock(mixer, moe, dim, dt,
                                              shifted=bool(depth % 2), window=cfg.window))
         self.merges = [PatchMerge(rng, cfg.stage_dim(s), dt) for s in range(3)]

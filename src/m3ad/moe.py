@@ -193,14 +193,13 @@ class MMoELayer(Module):
     """
 
     def __init__(self, rng: np.random.Generator, dim: int, num_experts: int,
-                 num_shared: int, hidden_ratio: int, gate_temp: float, dtype):
+                 hidden_ratio: int, gate_temp: float, dtype):
         self.experts = [ExpertMLP(rng, dim, hidden_ratio * dim, dtype)
                         for _ in range(num_experts)]
         self.feature_attn = Linear(rng, dim, dim, dtype)
         self.gate_diagnosis = Linear(rng, dim, num_experts, dtype, bias=False)
         self.gate_change = Linear(rng, dim, num_experts, dtype, bias=False)
         self.num_experts = num_experts
-        self.num_shared = num_shared
         self.gate_temp = float(gate_temp)
 
     def _gate_linear(self, task: str) -> Linear:

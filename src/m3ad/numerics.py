@@ -9,7 +9,9 @@ against central finite differences (see :func:`grad_check`).
 
 Also hosted here because they sit at the same level of the stack:
 the :class:`Module` parameter container, the ``no_grad`` context, the
-``.m3t`` tensor file format, and the engine's worker pool.
+engine's worker pool, and the one on-disk tensor format
+(:func:`save_m3t`, :func:`load_m3t`): named arrays under a JSON header,
+sealed by a CRC-32. Scans and checkpoints are both such files.
 
 Thread policy: the engine owns the cores. Ops whose work splits into
 independent parts (the experts of an MMoE layer) run those parts on a
@@ -25,15 +27,19 @@ multi-threaded BLAS under the pool oversubscribes the cores.
 from __future__ import annotations
 
 import contextlib
+import json
+import math
 import os
 import struct
 import threading
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy import special
 
+from .entry import thread_count as _thread_count
 from .errors import CheckpointError, ConfigError, ContractError, ShapeError
 
 _GRAD_ENABLED = True
@@ -601,21 +607,15 @@ _POOL: ThreadPoolExecutor | None = None
 _POOL_LOCK = threading.Lock()
 
 
-def _thread_count() -> int:
-    n = os.environ.get("M3AD_THREADS")
-    if not n:
-        return len(os.sched_getaffinity(0))
-    if not n.isdigit() or int(n) < 1:
-        raise ConfigError(f"M3AD_THREADS must be a positive integer, got {n!r}")
-    return int(n)
-
-
 def _engine_pool() -> ThreadPoolExecutor | None:
     """The engine's worker pool, made on first use; None with one thread."""
     global _POOL
     with _POOL_LOCK:
         if _POOL is None:
-            n = _thread_count()
+            try:
+                n = _thread_count()
+            except ValueError as err:
+                raise ConfigError(str(err)) from None
             if n > 1:
                 _POOL = ThreadPoolExecutor(max_workers=n, thread_name_prefix="m3ad")
         return _POOL
@@ -766,42 +766,89 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], eps: float = 1
 
 # -- .m3t tensor files -------------------------------------------------
 
-_M3T_MAGIC = b"M3TD"
-_M3T_VERSION = 1
+_M3T_MAGIC = b"M3CK"
+_M3T_VERSION = 3
+_M3T_DTYPES = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8")}
+_M3T_PREFIX = 16  # magic, u32 version, u64 header length
 
 
-def save_m3t(path, array: np.ndarray) -> None:
-    """Write one float32 array: magic, version, rank, extents, row-major payload.
+def save_m3t(path, arrays: dict[str, np.ndarray], header: dict | None = None) -> None:
+    """Write named float32/float64 arrays and a JSON header to one file.
 
-    All header integers and the payload are little-endian; float64 input is
-    cast down, so only float32 data round-trips bit-exactly.
+    Layout: magic, u32 version, u64 header length, the UTF-8 JSON header,
+    the little-endian row-major payloads in the order of the header's
+    ``tensors`` list (each array's name, dtype and shape; it replaces a
+    ``tensors`` key of ``header``), then the u32 CRC-32 of every byte
+    before it, computed while writing.
     """
-    # np.ascontiguousarray would promote a 0-d array to shape (1,)
-    arr = np.asarray(array).astype("<f4", order="C", copy=False)
+    arrays = {name: np.asarray(arr) for name, arr in arrays.items()}
+    # the scalar type's name is dtype.name without its Python-level getter
+    entries = [{"name": name, "dtype": arr.dtype.type.__name__, "shape": list(arr.shape)}
+               for name, arr in arrays.items()]
+    bad = [e for e in entries if e["dtype"] not in _M3T_DTYPES]
+    if bad:
+        raise ContractError(f"tensor {bad[0]['name']!r} has dtype {bad[0]['dtype']}, "
+                            f"not one of {tuple(_M3T_DTYPES)}")
+    head = json.dumps({**(header or {}), "tensors": entries}).encode("utf-8")
+    head = _M3T_MAGIC + struct.pack("<IQ", _M3T_VERSION, len(head)) + head
+    crc = zlib.crc32(head)
     with open(path, "wb") as fh:
-        fh.write(_M3T_MAGIC)
-        fh.write(struct.pack("<I", _M3T_VERSION))
-        fh.write(struct.pack("<I", arr.ndim))
-        for extent in arr.shape:
-            fh.write(struct.pack("<Q", extent))
-        fh.write(arr.tobytes())
+        fh.write(head)
+        for entry, arr in zip(entries, arrays.values()):
+            # astype, not np.ascontiguousarray, which promotes 0-d arrays to (1,)
+            arr = arr.astype(_M3T_DTYPES[entry["dtype"]], order="C", copy=False)
+            fh.write(arr)
+            crc = zlib.crc32(arr, crc)
+        fh.write(struct.pack("<I", crc))
 
 
-def load_m3t(path) -> np.ndarray:
+def load_m3t(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a file written by :func:`save_m3t`: its header (without the
+    tensor list) and its arrays by name. Raises CheckpointError naming
+    the file for a bad magic or version, a CRC mismatch, a header that
+    does not describe the payloads, or a length other than it implies."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 12 or blob[:4] != _M3T_MAGIC:
-        raise CheckpointError(f"{path}: not a tensor file (bad magic)")
-    version, rank = struct.unpack_from("<II", blob, 4)
+    if len(blob) < _M3T_PREFIX + 4 or blob[:4] != _M3T_MAGIC:
+        raise CheckpointError(f"{path}: not a tensor file (bad magic or truncated)")
+    version, head_len = struct.unpack_from("<IQ", blob, 4)
     if version != _M3T_VERSION:
-        raise CheckpointError(f"{path}: unsupported tensor format version {version}")
-    offset = 12
-    if len(blob) < offset + 8 * rank:
-        raise CheckpointError(f"{path}: truncated tensor header")
-    shape = struct.unpack_from(f"<{rank}Q", blob, offset) if rank else ()
-    offset += 8 * rank
-    count = int(np.prod(shape)) if rank else 1
-    if len(blob) != offset + 4 * count:
-        raise CheckpointError(
-            f"{path}: payload length {len(blob) - offset} does not match shape {shape}")
-    return np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(shape).copy()
+        raise CheckpointError(f"{path}: unsupported format version {version}")
+    if zlib.crc32(memoryview(blob)[:-4]) != struct.unpack_from("<I", blob, len(blob) - 4)[0]:
+        raise CheckpointError(f"{path}: CRC mismatch (corrupt or truncated file)")
+    try:
+        header = json.loads(blob[_M3T_PREFIX:_M3T_PREFIX + head_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise CheckpointError(f"{path}: corrupt header: {err}") from None
+    _check_fields(path, "header", header, {"tensors": list})
+    entries = header.pop("tensors")
+    for e in entries:
+        _check_fields(path, "tensor entry", e, {"name": str, "dtype": str, "shape": list})
+        if e["dtype"] not in _M3T_DTYPES or not all(type(n) is int and n >= 0 for n in e["shape"]):
+            raise CheckpointError(f"{path}: tensor {e['name']!r} has dtype {e['dtype']!r} and "
+                                  f"shape {e['shape']}; dtypes are {tuple(_M3T_DTYPES)}")
+    dtypes = [_M3T_DTYPES[e["dtype"]] for e in entries]
+    counts = [math.prod(e["shape"]) for e in entries]
+    offset = _M3T_PREFIX + head_len
+    size = offset + sum(n * dt.itemsize for n, dt in zip(counts, dtypes)) + 4
+    if size != len(blob):
+        raise CheckpointError(f"{path}: the header describes {size} bytes, the file holds "
+                              f"{len(blob)}")
+    arrays = {}
+    for e, dtype, count in zip(entries, dtypes, counts):
+        arrays[e["name"]] = np.frombuffer(blob, dtype, count, offset).reshape(e["shape"]).copy()
+        offset += count * dtype.itemsize
+    return header, arrays
+
+
+def _check_fields(path, where: str, raw, schema: dict) -> None:
+    """Raise CheckpointError unless ``raw`` is a dict holding every key of
+    ``schema`` with a value of the listed type (a bool is not a number)."""
+    if not isinstance(raw, dict):
+        raise CheckpointError(f"{path}: {where} is a {type(raw).__name__}, not an object")
+    for key, kind in schema.items():
+        if key not in raw:
+            raise CheckpointError(f"{path}: {where} lacks field {key!r}")
+        if isinstance(raw[key], bool) or not isinstance(raw[key], kind):
+            raise CheckpointError(f"{path}: {where} field {key!r} holds a "
+                                  f"{type(raw[key]).__name__}")

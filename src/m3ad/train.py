@@ -14,6 +14,10 @@ forward pass per batch over a diagnosis block and a change block of
 rows, each routed by its task's gates, and optimizes the summed
 cross-entropies.
 
+A checkpoint is a tensor file (see :func:`m3ad.numerics.save_m3t`) of
+the parameters, with the model config, stage, epoch, best value and
+prior statistics in its header.
+
 Everything is deterministic in (seed, config, data): epoch shuffling and
 mask sampling derive from the seed. A batch's masks are one bool array
 over the mask-unit grid of its images, drawn from the epoch rng; the
@@ -23,10 +27,7 @@ comparable across epochs.
 
 from __future__ import annotations
 
-import json
 import logging
-import math
-import struct
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -137,13 +138,8 @@ class EarlyStopper:
 
 # -- checkpoints -------------------------------------------------------
 
-_CKPT_MAGIC = b"M3CK"
-_CKPT_VERSION = 2
-_HEADER_FIELDS = {"tensors": list, "model_config": dict, "stage": str, "epoch": int,
-                  "best": dict, "prior_stats": (dict, type(None))}
-_ENTRY_FIELDS = {"kind": str, "name": str, "dtype": str, "shape": list, "offset": int,
-                 "nbytes": int}
-_CKPT_ITEMSIZE = {"float32": 4, "float64": 8}
+_HEADER_FIELDS = {"model_config": dict, "stage": str, "epoch": int, "best": dict,
+                  "prior_stats": (dict, type(None))}
 
 
 @dataclass
@@ -173,84 +169,24 @@ def snapshot(model: M3ADNet, optimizer: AdamW | None, stage: str, epoch: int,
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """magic, version, u64 header length, JSON header, raw payloads."""
-    index = []
-    payloads = []
-    offset = 0
-
-    for name, arr in ckpt.params.items():
-        raw = np.ascontiguousarray(arr)
-        if raw.dtype.byteorder == ">":
-            raw = raw.astype(raw.dtype.newbyteorder("<"))
-        blob = raw.tobytes()
-        index.append({"kind": "param", "name": name, "dtype": str(raw.dtype),
-                      "shape": list(raw.shape), "offset": offset, "nbytes": len(blob)})
-        payloads.append(blob)
-        offset += len(blob)
-
-    header = {
+    """A tensor file of the parameters, with the model config, stage,
+    epoch, best value and prior statistics in its header."""
+    nm.save_m3t(path, ckpt.params, {
         "model_config": config_as_dict(ckpt.model_config),
         "stage": ckpt.stage,
         "epoch": ckpt.epoch,
         "best": ckpt.best,
         "prior_stats": ckpt.prior_stats.as_dict() if ckpt.prior_stats else None,
-        "tensors": index,
-    }
-    head = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<I", _CKPT_VERSION))
-        fh.write(struct.pack("<Q", len(head)))
-        fh.write(head)
-        for blob in payloads:
-            fh.write(blob)
+    })
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16 or blob[:4] != _CKPT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    version, = struct.unpack_from("<I", blob, 4)
-    if version != _CKPT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    head_len, = struct.unpack_from("<Q", blob, 8)
-    if len(blob) < 16 + head_len:
-        raise CheckpointError(f"{path}: truncated checkpoint header")
-    try:
-        header = json.loads(blob[16:16 + head_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
-        raise CheckpointError(f"{path}: corrupt checkpoint header: {err}") from None
-    base = 16 + head_len
-    _check_fields(path, "header", header, _HEADER_FIELDS)
-
-    params: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        _check_fields(path, "tensor entry", entry, {"name": str})
-        name = entry["name"]
-        _check_fields(path, f"tensor {name!r}", entry, _ENTRY_FIELDS)
-        if entry["kind"] != "param":
-            raise CheckpointError(f"{path}: unknown tensor kind {entry['kind']!r} for {name!r}")
-        if entry["dtype"] not in _CKPT_ITEMSIZE:
-            raise CheckpointError(f"{path}: tensor {name!r} has dtype {entry['dtype']!r}, "
-                                  f"not one of {tuple(_CKPT_ITEMSIZE)}")
-        shape = entry["shape"]
-        if not all(type(n) is int and n >= 0 for n in shape):
-            raise CheckpointError(f"{path}: tensor {name!r} has shape {shape}")
-        size = math.prod(shape) * _CKPT_ITEMSIZE[entry["dtype"]]
-        if entry["nbytes"] != size or entry["offset"] < 0:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} has nbytes {entry['nbytes']} and offset "
-                f"{entry['offset']}; shape {shape} needs nbytes {size} at offset >= 0")
-        lo = base + entry["offset"]
-        hi = lo + entry["nbytes"]
-        if hi > len(blob):
-            raise CheckpointError(f"{path}: truncated payload for {name!r}")
-        params[name] = np.frombuffer(blob[lo:hi], dtype=entry["dtype"]).reshape(shape).copy()
+    header, params = nm.load_m3t(path)
+    nm._check_fields(path, "header", header, _HEADER_FIELDS)
     stats = header["prior_stats"]
     if stats is not None:
-        _check_fields(path, "prior_stats", stats,
-                      dict.fromkeys((f.name for f in fields(PriorStats)), (int, float)))
+        nm._check_fields(path, "prior_stats", stats,
+                         dict.fromkeys((f.name for f in fields(PriorStats)), (int, float)))
     try:
         model_config = model_config_from_dict(header["model_config"])
     except ConfigError as err:
@@ -260,19 +196,6 @@ def load_checkpoint(path) -> Checkpoint:
         stage=header["stage"], params=params,
         epoch=header["epoch"], best=header["best"],
         prior_stats=PriorStats.from_dict(stats) if stats is not None else None)
-
-
-def _check_fields(path, where: str, raw, schema: dict) -> None:
-    """Raise CheckpointError unless ``raw`` is a dict holding every key of
-    ``schema`` with a value of the listed type (a bool is not a number)."""
-    if not isinstance(raw, dict):
-        raise CheckpointError(f"{path}: checkpoint {where} is a {type(raw).__name__}, not an object")
-    for key, kind in schema.items():
-        if key not in raw:
-            raise CheckpointError(f"{path}: checkpoint {where} lacks field {key!r}")
-        if isinstance(raw[key], bool) or not isinstance(raw[key], kind):
-            raise CheckpointError(f"{path}: checkpoint {where} field {key!r} holds a "
-                                  f"{type(raw[key]).__name__}")
 
 
 def load_params(model: M3ADNet, ckpt: Checkpoint) -> None:
@@ -368,16 +291,23 @@ def _fit(model: M3ADNet, cfg: TrainConfig, n: int, stage: str, mode: str, batch_
 def pretrain_loop(model: M3ADNet, train: Dataset, val: Dataset, cfg: TrainConfig,
                   on_batch=None) -> tuple[Checkpoint, list[dict]]:
     """Masked-reconstruction pretraining; returns the best checkpoint
-    (by validation masked L1) and one log row per completed epoch."""
+    (by validation masked L1) and one log row per completed epoch.
+    A ``mask_unit`` that does not divide the images, or a ``mask_ratio``
+    that hides no unit, raises ConfigError before the first step."""
     cfg.validate()
-    mcfg = model.cfg
     hw = train.images.shape[1:]
+    unit, ratio = model.cfg.mask_unit, model.cfg.mask_ratio
+    if hw[0] % unit or hw[1] % unit:
+        raise ConfigError(f"mask_unit {unit} does not divide the {hw[0]}x{hw[1]} images")
+    if round(ratio * (hw[0] // unit) * (hw[1] // unit)) < 1:
+        raise ConfigError(f"mask_ratio {ratio} hides no unit of the "
+                          f"{hw[0] // unit}x{hw[1] // unit} mask grid")
     val_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _VALMASK_TAG]))
-    val_masks = sample_masks(val_rng, len(val), hw, mcfg.mask_unit, mcfg.mask_ratio)
+    val_masks = sample_masks(val_rng, len(val), hw, unit, ratio)
     val_weights = model.label_guided_weights(val.diag)
 
     def batch_loss(rng, batch):
-        masks = sample_masks(rng, batch.size, hw, mcfg.mask_unit, mcfg.mask_ratio)
+        masks = sample_masks(rng, batch.size, hw, unit, ratio)
         total, recon, expert = pretrain_loss(
             model, train.images[batch], train.diag[batch], masks, cfg.lambda_expert)
         return {"train_total": total, "train_recon": recon, "train_expert": expert}

@@ -1,13 +1,29 @@
 """Shared fixtures: tiny model configs, a small generated dataset, and
 the acceptance-criteria summary hook."""
 
+import json
 import logging
+import struct
+import tempfile
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from m3ad.config import ModelConfig, TrainConfig
 from m3ad.data import gen_synthetic, load_split
+
+# property tests draw the same examples on every run, keep no example
+# database and set no per-example deadline, so that a run is repeatable
+settings.register_profile("m3ad", deadline=None, derandomize=True, database=None)
+settings.load_profile("m3ad")
+# Hypothesis also caches the constants it reads from the sources in its
+# home directory; keep that in a temporary directory removed at exit
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="m3ad-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 # claim the root logger before any CLI test lets basicConfig bind it to a
 # per-test capture buffer that dies with its test
@@ -27,6 +43,32 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for number in sorted(ACCEPTANCE_LINES):
         terminalreporter.write_line(ACCEPTANCE_LINES[number])
+
+
+def m3t_header(blob: bytes) -> dict:
+    """The JSON header of a tensor file's bytes, tensor list included."""
+    head_len, = struct.unpack_from("<Q", blob, 8)
+    return json.loads(blob[16:16 + head_len])
+
+
+def m3t_with_header(blob: bytes, header) -> bytes:
+    """A tensor file's bytes with another header (a JSON value, or raw
+    bytes) and a recomputed CRC, so that only the checks of the header's
+    contents can reject it."""
+    head_len, = struct.unpack_from("<Q", blob, 8)
+    head = header if isinstance(header, bytes) else json.dumps(header).encode("utf-8")
+    body = blob[:8] + struct.pack("<Q", len(head)) + head + blob[16 + head_len:-4]
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def cut_and_flip(data, blob: bytes) -> tuple[bytes, bytes]:
+    """A Hypothesis-drawn truncation of ``blob`` and a copy of it with one
+    byte changed."""
+    cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+    flipped = bytearray(blob)
+    flipped[data.draw(st.integers(0, len(blob) - 1), label="pos")] ^= data.draw(
+        st.integers(1, 255), label="xor")
+    return blob[:cut], bytes(flipped)
 
 
 def tiny_model_config(**overrides) -> ModelConfig:

@@ -161,7 +161,7 @@ def test_attention_token_count_contract(rng):
 
 def _block(rng, shifted):
     mixer = WindowAttention(rng, 8, 2, 4, np.float64)
-    moe = MMoELayer(rng, 8, 8, 2, 2, 1.0, np.float64)
+    moe = MMoELayer(rng, 8, 8, 2, 1.0, np.float64)
     return M3ADBlock(mixer, moe, 8, np.float64, shifted=shifted, window=4)
 
 

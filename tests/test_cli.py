@@ -1,7 +1,6 @@
 """End-to-end CLI behavior at toy scale: artifacts, exit codes, streams."""
 
 import csv
-import json
 import os
 import shutil
 import struct
@@ -10,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import m3t_header, m3t_with_header
 from m3ad.cli import main
 from m3ad.data import load_manifest, load_split
 from m3ad.moe import TASKS, task_routing
@@ -131,37 +131,34 @@ def test_eval_warns_once_per_task(pipeline, tmp_path):
     assert len(excluded) == undefined >= 1
 
 
-@pytest.mark.parametrize("damage", ["version 1", "tensor kind", "offset"])
+@pytest.mark.parametrize("damage", ["version 1", "version 2", "CRC mismatch",
+                                    "the header describes"])
 def test_eval_exits_1_on_bad_checkpoint(pipeline, tmp_path, capsys, damage):
     blob = (pipeline["out"] / "finetune.m3ck").read_bytes()
-    if damage == "version 1":
-        blob = blob[:4] + struct.pack("<I", 1) + blob[8:]
+    if damage.startswith("version"):
+        blob = blob[:4] + struct.pack("<I", int(damage[-1])) + blob[8:]
+    elif damage == "CRC mismatch":
+        blob = blob[:-100] + bytes([blob[-100] ^ 0x40]) + blob[-99:]
     else:
-        head_len, = struct.unpack_from("<Q", blob, 8)
-        header = json.loads(blob[16:16 + head_len])
-        if damage == "offset":
-            del header["tensors"][0]["offset"]
-        else:
-            header["tensors"][0]["kind"] = "v"
-        head = json.dumps(header).encode("utf-8")
-        blob = blob[:8] + struct.pack("<Q", len(head)) + head + blob[16 + head_len:]
+        header = m3t_header(blob)
+        header["tensors"][0]["shape"] = [3]
+        blob = m3t_with_header(blob, header)
     bad = tmp_path / "bad.m3ck"
     bad.write_bytes(blob)
     rc = main(["eval", "--checkpoint", str(bad), "--data", str(pipeline["manifest"]),
                "--out", str(tmp_path / "eval")])
     assert rc == 1
-    assert damage in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and damage in err
 
 
 @pytest.mark.parametrize("key, value", [("embed_dim", "8"), ("depths", 5), ("window", None)])
 def test_eval_exits_1_on_mistyped_model_config(pipeline, tmp_path, capsys, key, value):
     blob = (pipeline["out"] / "finetune.m3ck").read_bytes()
-    head_len, = struct.unpack_from("<Q", blob, 8)
-    header = json.loads(blob[16:16 + head_len])
+    header = m3t_header(blob)
     header["model_config"][key] = value
-    head = json.dumps(header).encode("utf-8")
     bad = tmp_path / "bad.m3ck"
-    bad.write_bytes(blob[:8] + struct.pack("<Q", len(head)) + head + blob[16 + head_len:])
+    bad.write_bytes(m3t_with_header(blob, header))
     rc = main(["eval", "--checkpoint", str(bad), "--data", str(pipeline["manifest"]),
                "--out", str(tmp_path / "eval")])
     assert rc == 1
@@ -280,6 +277,39 @@ def test_bad_config_value_names_the_line(tmp_path, capsys):
     assert "epochs" in err
 
 
+def test_config_file_of_invalid_utf8_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"epochs = 1\xff\n")
+    rc = main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: not UTF-8 text")
+
+
+def test_manifest_of_invalid_utf8_exits_1(pipeline, tmp_path, capsys):
+    manifest = _data_copy(pipeline["manifest"], tmp_path / "data")
+    blob = manifest.read_bytes()
+    manifest.write_bytes(blob[:-20] + b"\xff" + blob[-19:])
+    rc = main(["pretrain", "--config", str(pipeline["cfg"]), "--data", str(manifest),
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {manifest}: not UTF-8 text")
+
+
+@pytest.mark.parametrize("overrides, key", [
+    (["mask_unit=2"], "mask_unit"),
+    (["mask_ratio=0.01"], "mask_ratio"),
+    (["mask_unit=32", "mask_ratio=0.4"], "mask_ratio"),
+])
+def test_mask_settings_that_cannot_mask_exit_1(pipeline, tmp_path, capsys, overrides, key):
+    flags = [arg for item in overrides for arg in ("--set", item)]
+    rc = main(["pretrain", "--config", str(pipeline["cfg"]), "--data", str(pipeline["manifest"]),
+               "--out", str(tmp_path / "run"), *flags])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not (tmp_path / "run" / "pretrain.m3ck").exists()
+
+
 @pytest.mark.parametrize("flags, key", [
     (["--seed", "-1"], "seed"),
     (["--set", "clip_norm=nan"], "clip_norm"),
@@ -319,7 +349,7 @@ def _data_copy(manifest, dest):
 def test_split_image_of_another_shape_exits_1(pipeline, tmp_path, capsys, image):
     manifest = _data_copy(pipeline["manifest"], tmp_path / "data")
     record = next(r for r in load_manifest(manifest) if r.split == "train")
-    save_m3t(tmp_path / "data" / record.path, image.astype(np.float32))
+    save_m3t(tmp_path / "data" / record.path, {"image": image.astype(np.float32)})
     rc = main(["pretrain", "--config", str(pipeline["cfg"]), "--data", str(manifest),
                "--out", str(tmp_path / "run")])
     assert rc == 1

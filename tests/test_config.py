@@ -125,6 +125,13 @@ def test_model_validation_rejects(patch):
         dataclasses.replace(ModelConfig(), **patch).validate()
 
 
+def test_mask_unit_must_be_a_multiple_of_patch_size():
+    with pytest.raises(ConfigError, match="mask_unit must be a positive multiple of "
+                                          "patch_size 4, got 2"):
+        ModelConfig(mask_unit=2).validate()
+    ModelConfig(patch_size=2, mask_unit=2).validate()
+
+
 def test_model_validation_accepts_default():
     ModelConfig().validate()
     RunConfig().validate()

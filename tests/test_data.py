@@ -5,7 +5,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import cut_and_flip
 from m3ad.config import TRANSITION_PRIORS, TRANSITIONS
 from m3ad.data import (C3_NAMES, Dataset, SampleRecord, assign_splits,
                        class_region_mask, gen_synthetic, kfold_splits,
@@ -13,7 +16,7 @@ from m3ad.data import (C3_NAMES, Dataset, SampleRecord, assign_splits,
                        transition_change_label, transition_diag_label,
                        write_manifest, _marker_tile, _sample_rng)
 from m3ad.errors import ContractError, ManifestError, StratifyError
-from m3ad.numerics import load_m3t
+from m3ad.numerics import load_m3t, save_m3t
 
 
 def test_transition_label_tables():
@@ -179,6 +182,21 @@ def test_manifest_missing_file_check(tmp_path):
     assert load_manifest(path, check_files=False)[0].path == "images/a.m3t"
 
 
+@given(st.data())
+@settings(max_examples=150)
+def test_any_byte_flip_of_a_manifest_raises_manifest_error_or_loads(tmp_path_factory, data):
+    """A flipped digit or a cut at a line end can leave a valid manifest,
+    so a damaged one may load; it never raises anything but ManifestError."""
+    path = tmp_path_factory.getbasetemp() / "fuzz_manifest.csv"
+    write_manifest(path, _records())
+    for damaged in cut_and_flip(data, path.read_bytes()):
+        path.write_bytes(damaged)
+        try:
+            load_manifest(path, check_files=False)
+        except ManifestError:
+            pass
+
+
 def test_manifest_empty_file(tmp_path):
     path = tmp_path / "manifest.csv"
     path.write_text("")
@@ -290,14 +308,28 @@ def test_load_split_arrays(tiny_data_dir, tiny_splits):
     assert train.diag.dtype == np.int64
     assert set(np.unique(train.gender)) <= {0, 1}
     records = load_manifest(tiny_data_dir)
-    raw = load_m3t(os.path.join(os.path.dirname(tiny_data_dir),
-                                [r for r in records if r.split == "train"][0].path))
-    np.testing.assert_allclose(train.images[0], robust_zscore(raw), atol=1e-6)
+    header, arrays = load_m3t(os.path.join(os.path.dirname(tiny_data_dir),
+                                           [r for r in records if r.split == "train"][0].path))
+    assert header == {} and list(arrays) == ["image"]
+    np.testing.assert_allclose(train.images[0], robust_zscore(arrays["image"]), atol=1e-6)
 
 
 def test_load_split_contracts(tiny_data_dir):
     with pytest.raises(ContractError):
         load_split(tiny_data_dir, "holdout")
+
+
+@pytest.mark.parametrize("arrays", [
+    {"image": np.zeros((32, 32))}, {"scan": np.zeros((32, 32), np.float32)},
+    {"image": np.zeros((32, 32), np.float32), "mask": np.zeros((32, 32), np.float32)},
+], ids=["float64", "other name", "two arrays"])
+def test_load_split_needs_one_float32_image(tmp_path, arrays):
+    manifest = gen_synthetic(tmp_path, seed=3, n=6, size=32, fractions=(1.0, 0.0, 0.0))
+    record = load_manifest(manifest)[2]
+    save_m3t(tmp_path / record.path, arrays)
+    with pytest.raises(ManifestError, match=f"{manifest}: '{record.path}' does not hold "
+                                            "exactly one float32 array named 'image'"):
+        load_split(manifest, "train")
 
 
 def test_load_split_missing_rows(tmp_path):

@@ -67,7 +67,7 @@ def test_routing_constructors():
 
 
 def _layer(seed=5, dim=8):
-    return MMoELayer(np.random.default_rng(seed), dim, 8, 2, 2, 1.0, np.float64)
+    return MMoELayer(np.random.default_rng(seed), dim, 8, 2, 1.0, np.float64)
 
 
 def test_gate_weights_on_simplex(rng):
@@ -81,7 +81,7 @@ def test_gate_weights_on_simplex(rng):
 
 
 def test_gate_temperature_scales_logits(rng):
-    hot = MMoELayer(np.random.default_rng(5), 8, 8, 2, 2, 2.0, np.float64)
+    hot = MMoELayer(np.random.default_rng(5), 8, 8, 2, 2.0, np.float64)
     ref = _layer(5)
     x = Tensor(rng.standard_normal((2, 4, 8)))
     w_hot = hot.gate_weights(x, "diagnosis").data
@@ -273,7 +273,7 @@ _DISPATCH_GRAD_RTOL = {np.float32: 2e-6, np.float64: 1e-14}
                                   "calib_label_guided"])
 def test_expert_mix_is_bit_identical_to_per_expert_graph(mode, dtype, pool_mode):
     if mode == "calib_label_guided":
-        layer = MMoELayer(np.random.default_rng(8), 16, 8, 2, 4, 1.0, dtype)
+        layer = MMoELayer(np.random.default_rng(8), 16, 8, 4, 1.0, dtype)
         x = Tensor(np.random.default_rng(9).standard_normal((16, 256, 16)).astype(dtype),
                    requires_grad=True)
         labels = np.random.default_rng(10).integers(0, 3, 16)
@@ -290,7 +290,7 @@ def test_expert_mix_is_bit_identical_to_per_expert_graph(mode, dtype, pool_mode)
                 np.testing.assert_allclose(fused[2][name], grad, rtol=0, atol=tol,
                                            err_msg=name)
         return
-    layer = MMoELayer(np.random.default_rng(8), 8, 8, 2, 2, 1.0, dtype)
+    layer = MMoELayer(np.random.default_rng(8), 8, 8, 2, 1.0, dtype)
     x = Tensor(np.random.default_rng(9).standard_normal((4, 6, 8)).astype(dtype),
                requires_grad=True)
     if mode == "single_expert":
@@ -335,7 +335,7 @@ import numpy as np
 from m3ad.moe import MMoELayer, fixed_routing, label_guided_weights, task_routing
 from m3ad.numerics import Tensor
 rng = np.random.default_rng(0)
-layer = MMoELayer(rng, 16, 8, 2, 4, 1.0, np.float32)
+layer = MMoELayer(rng, 16, 8, 4, 1.0, np.float32)
 x = Tensor(rng.standard_normal((8, 256, 16)).astype(np.float32), requires_grad=True)
 labels = np.array([0, 1, 2, 0, 1, 2, 0, 1])
 res = {}

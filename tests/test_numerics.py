@@ -1,6 +1,7 @@
 """Engine tests: op values against independent oracles, backward
 semantics, and the .m3t container."""
 
+import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -10,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from conftest import cut_and_flip, m3t_with_header
+from m3ad import entry
 from m3ad import numerics as nm
 from m3ad.errors import CheckpointError, ConfigError, ContractError, ShapeError
 from m3ad.numerics import (LayerNorm, Linear, Module, Tensor, grad_check,
@@ -155,11 +158,14 @@ def test_parallel_map_keeps_order_and_uses_pool_only_for_large_work(monkeypatch)
 
 def test_thread_count_comes_from_m3ad_threads(monkeypatch):
     monkeypatch.setenv("M3AD_THREADS", "3")
-    assert nm._thread_count() == 3
+    assert entry.thread_count() == 3
+    monkeypatch.setattr(nm, "_POOL", None)
     for bad in ("0", "two", "-1"):
         monkeypatch.setenv("M3AD_THREADS", bad)
-        with pytest.raises(ConfigError):
-            nm._thread_count()
+        with pytest.raises(ValueError, match="M3AD_THREADS"):
+            entry.thread_count()
+        with pytest.raises(ConfigError, match="M3AD_THREADS"):
+            nm._engine_pool()
 
 
 # -- backward semantics ------------------------------------------------
@@ -377,32 +383,59 @@ def test_grad_check_rejects_non_scalar(rng):
 
 
 def test_m3t_round_trip_is_bit_exact(tmp_path, rng):
-    arr = rng.standard_normal((5, 7)).astype(np.float32)
+    arrays = {"w": rng.standard_normal((5, 7)).astype(np.float32),
+              "columns": np.asfortranarray(rng.standard_normal((3, 4))),
+              "big_endian": rng.standard_normal(6).astype(">f8"),
+              "scalar": np.float32(3.5), "empty": np.zeros((0, 3), np.float64)}
     path = tmp_path / "x.m3t"
-    save_m3t(path, arr)
-    back = load_m3t(path)
-    assert back.dtype == np.float32
-    np.testing.assert_array_equal(back, arr)
-    # scalars round-trip too
-    save_m3t(path, np.float32(3.5))
-    assert load_m3t(path).shape == ()
+    save_m3t(path, arrays, {"stage": "test", "epoch": 2})
+    header, back = load_m3t(path)
+    assert header == {"stage": "test", "epoch": 2}
+    assert list(back) == list(arrays)
+    for name, arr in arrays.items():
+        assert back[name].shape == np.shape(arr) and back[name].dtype.name == arr.dtype.name
+        np.testing.assert_array_equal(back[name], arr)
+    save_m3t(path, {})
+    assert load_m3t(path) == ({}, {})
+
+
+def test_m3t_stores_only_float_arrays(tmp_path):
+    with pytest.raises(ContractError, match="'labels' has dtype int64"):
+        save_m3t(tmp_path / "x.m3t", {"labels": np.arange(3)})
+
+
+def _scan_bytes(tmp_path, rng) -> bytes:
+    path = tmp_path / "scan.m3t"
+    save_m3t(path, {"image": rng.standard_normal((4, 4)).astype(np.float32)})
+    return path.read_bytes()
 
 
 def test_m3t_corruption_detected(tmp_path, rng):
-    path = tmp_path / "x.m3t"
-    save_m3t(path, rng.standard_normal((4, 4)).astype(np.float32))
-    blob = path.read_bytes()
-
+    blob = _scan_bytes(tmp_path, rng)
     bad = tmp_path / "bad.m3t"
-    bad.write_bytes(b"XXXX" + blob[4:])
-    with pytest.raises(CheckpointError):
-        load_m3t(bad)
-    bad.write_bytes(blob[:4] + b"\x09\x00\x00\x00" + blob[8:])
-    with pytest.raises(CheckpointError):
-        load_m3t(bad)
-    bad.write_bytes(blob[:10])
-    with pytest.raises(CheckpointError):
-        load_m3t(bad)
-    bad.write_bytes(blob[:-4])
-    with pytest.raises(CheckpointError):
-        load_m3t(bad)
+    for damaged, message in [
+            (b"M3TD" + blob[4:], "bad magic"),  # the layout of format version 1
+            (blob[:4] + struct.pack("<I", 2) + blob[8:], "version 2"),
+            (blob[:10], "not a tensor file"),
+            (blob[:-4], "CRC mismatch"),
+            (blob[:-5] + bytes([blob[-5] ^ 1]) + blob[-4:], "CRC mismatch"),
+            (m3t_with_header(blob, []), "header is a list"),
+            (m3t_with_header(blob, {"tensors": [{"name": "image", "dtype": "float32",
+                                                 "shape": [4, 3]}]}), "the header describes"),
+            (m3t_with_header(blob, {"tensors": [{"name": "image", "dtype": "float32",
+                                                 "shape": [2**62, 2**62]}]}),
+             "the header describes")]:
+        bad.write_bytes(damaged)
+        with pytest.raises(CheckpointError, match=f"bad.m3t: .*{message}"):
+            load_m3t(bad)
+
+
+@given(st.data())
+@settings(max_examples=150)
+def test_any_cut_or_byte_flip_of_a_tensor_file_is_rejected(tmp_path_factory, data):
+    blob = _scan_bytes(tmp_path_factory.getbasetemp(), np.random.default_rng(7))
+    bad = tmp_path_factory.getbasetemp() / "fuzz.m3t"
+    for damaged in cut_and_flip(data, blob):
+        bad.write_bytes(damaged)
+        with pytest.raises(CheckpointError):
+            load_m3t(bad)

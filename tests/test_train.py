@@ -6,15 +6,19 @@ import json
 import re
 import struct
 import sys
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import tiny_model_config, tiny_train_config
+from conftest import (cut_and_flip, m3t_header, m3t_with_header, tiny_model_config,
+                      tiny_train_config)
 from m3ad import numerics as nm
 from m3ad import train as train_module
 from m3ad.config import TrainConfig
-from m3ad.errors import CheckpointError, ContractError
+from m3ad.errors import CheckpointError, ConfigError, ContractError
 from m3ad.model import M3ADNet
 from m3ad.numerics import Tensor, no_grad
 from m3ad.priors import PriorStats, compute_prior_stats, normalize_priors
@@ -224,57 +228,55 @@ def test_checkpoint_corruption_detected(tmp_path):
     with pytest.raises(CheckpointError, match="version 9"):
         load_checkpoint(bad)
 
-    head_len, = struct.unpack_from("<Q", blob, 8)
-    bad.write_bytes(blob[:16 + head_len - 5])
-    with pytest.raises(CheckpointError, match="truncated checkpoint header"):
+    bad.write_bytes(blob[:12])
+    with pytest.raises(CheckpointError, match="bad magic or truncated"):
         load_checkpoint(bad)
 
-    bad.write_bytes(blob[:16] + b"X" + blob[17:])
-    with pytest.raises(CheckpointError, match="corrupt checkpoint header"):
+    for damaged in (blob[:16] + b"X" + blob[17:], blob[:-20]):
+        bad.write_bytes(damaged)
+        with pytest.raises(CheckpointError, match="CRC mismatch"):
+            load_checkpoint(bad)
+
+    bad.write_bytes(m3t_with_header(blob, b"X" + json.dumps(m3t_header(blob)).encode()))
+    with pytest.raises(CheckpointError, match="corrupt header"):
         load_checkpoint(bad)
 
-    bad.write_bytes(blob[:-20])
-    with pytest.raises(CheckpointError, match="truncated payload"):
-        load_checkpoint(bad)
+
+@pytest.fixture(scope="module")
+def ckpt_blob(tmp_path_factory):
+    return _valid_ckpt_bytes(tmp_path_factory.mktemp("ckpt"))
 
 
-def _header(blob: bytes) -> dict:
-    head_len, = struct.unpack_from("<Q", blob, 8)
-    return json.loads(blob[16:16 + head_len].decode("utf-8"))
+@given(st.data())
+@settings(max_examples=100)
+def test_any_cut_or_byte_flip_of_a_checkpoint_is_rejected(tmp_path_factory, ckpt_blob, data):
+    bad = tmp_path_factory.getbasetemp() / "fuzz.m3ck"
+    for damaged in cut_and_flip(data, ckpt_blob):
+        bad.write_bytes(damaged)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(bad)
 
 
 def test_checkpoint_holds_parameters_only(tmp_path):
     model, _ = _trained_state(seed=8)
     blob = _valid_ckpt_bytes(tmp_path)
-    assert struct.unpack_from("<I", blob, 4) == (2,)
-    header = _header(blob)
+    assert struct.unpack_from("<I", blob, 4) == (3,)
+    header = m3t_header(blob)
     assert "moment_steps" not in header
-    assert {e["kind"] for e in header["tensors"]} == {"param"}
     assert [e["name"] for e in header["tensors"]] == list(model.named_parameters())
+    assert {key for e in header["tensors"] for key in e} == {"name", "dtype", "shape"}
     head_len, = struct.unpack_from("<Q", blob, 8)
-    assert len(blob) == 16 + head_len + sum(p.data.nbytes for p in model.parameters())
+    assert len(blob) == 16 + head_len + sum(p.data.nbytes for p in model.parameters()) + 4
+    assert struct.unpack_from("<I", blob, len(blob) - 4) == (zlib.crc32(blob[:-4]),)
 
 
-def test_checkpoint_rejects_old_version_and_unknown_kind(tmp_path):
+def test_checkpoint_rejects_old_versions(tmp_path):
     blob = _valid_ckpt_bytes(tmp_path)
     bad = tmp_path / "bad.m3ck"
-    bad.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
-    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
-        load_checkpoint(bad)
-
-    header = _header(blob)
-    header["tensors"][3]["kind"] = "m"
-    head = json.dumps(header, sort_keys=True).encode("utf-8")
-    head_len, = struct.unpack_from("<Q", blob, 8)
-    bad.write_bytes(blob[:8] + struct.pack("<Q", len(head)) + head + blob[16 + head_len:])
-    with pytest.raises(CheckpointError, match="unknown tensor kind 'm'"):
-        load_checkpoint(bad)
-
-
-def _with_header(blob: bytes, header: dict) -> bytes:
-    head = json.dumps(header, sort_keys=True).encode("utf-8")
-    head_len, = struct.unpack_from("<Q", blob, 8)
-    return blob[:8] + struct.pack("<Q", len(head)) + head + blob[16 + head_len:]
+    for version in (1, 2):
+        bad.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
+        with pytest.raises(CheckpointError, match=f"unsupported format version {version}"):
+            load_checkpoint(bad)
 
 
 def _header_part(header: dict, where: str) -> dict:
@@ -284,17 +286,17 @@ def _header_part(header: dict, where: str) -> dict:
 
 _FIELDS = ([("header", key) for key in ("tensors", "model_config", "stage", "epoch",
                                         "best", "prior_stats")]
-           + [("tensor", key) for key in ("kind", "name", "dtype", "shape", "offset", "nbytes")]
+           + [("tensor", key) for key in ("name", "dtype", "shape")]
            + [("prior_stats", key) for key in ("age_mean", "age_std", "etiv_mean", "etiv_std")])
 
 
 @pytest.mark.parametrize("where,key", _FIELDS)
 def test_checkpoint_missing_field_names_file_and_field(tmp_path, where, key):
     blob = _valid_ckpt_bytes(tmp_path, PriorStats(70.0, 8.0, 1450.0, 120.0))
-    header = _header(blob)
+    header = m3t_header(blob)
     del _header_part(header, where)[key]
     bad = tmp_path / "bad.m3ck"
-    bad.write_bytes(_with_header(blob, header))
+    bad.write_bytes(m3t_with_header(blob, header))
     with pytest.raises(CheckpointError, match=f"bad.m3ck: .*lacks field '{key}'"):
         load_checkpoint(bad)
 
@@ -303,32 +305,43 @@ def test_checkpoint_missing_field_names_file_and_field(tmp_path, where, key):
     ("header", "tensors", {}), ("header", "model_config", []), ("header", "stage", 2),
     ("header", "epoch", "1"), ("header", "epoch", True), ("header", "best", None),
     ("header", "prior_stats", [70.0]),
-    ("tensor", "kind", 0), ("tensor", "name", None), ("tensor", "dtype", 4),
-    ("tensor", "shape", "8"), ("tensor", "offset", 0.5), ("tensor", "nbytes", "32"),
+    ("tensor", "name", None), ("tensor", "dtype", 4), ("tensor", "shape", "8"),
     ("prior_stats", "age_std", "8"),
 ])
 def test_checkpoint_mistyped_field_names_file_and_field(tmp_path, where, key, value):
     blob = _valid_ckpt_bytes(tmp_path, PriorStats(70.0, 8.0, 1450.0, 120.0))
-    header = _header(blob)
+    header = m3t_header(blob)
     _header_part(header, where)[key] = value
     bad = tmp_path / "bad.m3ck"
-    bad.write_bytes(_with_header(blob, header))
+    bad.write_bytes(m3t_with_header(blob, header))
     with pytest.raises(CheckpointError, match=f"bad.m3ck: .*field '{key}' holds"):
         load_checkpoint(bad)
 
 
 @pytest.mark.parametrize("key,value", [
     ("dtype", "float16"), ("dtype", "int32"), ("shape", [-1, 8]), ("shape", [2.0, 8]),
-    ("nbytes", 4), ("offset", -4),
 ])
 def test_checkpoint_rejects_inconsistent_tensor_entry(tmp_path, key, value):
     blob = _valid_ckpt_bytes(tmp_path)
-    header = _header(blob)
+    header = m3t_header(blob)
     header["tensors"][3][key] = value
     bad = tmp_path / "bad.m3ck"
-    bad.write_bytes(_with_header(blob, header))
+    bad.write_bytes(m3t_with_header(blob, header))
     with pytest.raises(CheckpointError, match=re.escape(f"{key} {value!r}")):
         load_checkpoint(bad)
+
+
+def test_checkpoint_payload_length_follows_from_the_shapes(tmp_path):
+    """Payload offsets are not stored: a shape that describes more or
+    fewer bytes than the file holds fails the one length check."""
+    blob = _valid_ckpt_bytes(tmp_path)
+    bad = tmp_path / "bad.m3ck"
+    for shape in ([1], [2**40, 2**40]):
+        header = m3t_header(blob)
+        header["tensors"][3]["shape"] = shape
+        bad.write_bytes(m3t_with_header(blob, header))
+        with pytest.raises(CheckpointError, match="bad.m3ck: the header describes"):
+            load_checkpoint(bad)
 
 
 def test_load_params_strict_errors():
@@ -408,6 +421,20 @@ def test_pretrain_loop_rows_and_determinism(tiny_splits):
     assert ckpt0.stage == "pretrain"
     assert ckpt0.best["metric"] == "val_masked_l1"
     assert ckpt0.prior_stats is None
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(mask_unit=12), "mask_unit 12 does not divide the 32x32 images"),
+    (dict(mask_ratio=0.01), "mask_ratio 0.01 hides no unit of the 4x4 mask grid"),
+    (dict(mask_unit=32, mask_ratio=0.4), "mask_ratio 0.4 hides no unit of the 1x1 mask grid"),
+])
+def test_pretrain_rejects_mask_settings_before_the_first_step(tiny_splits, overrides, message):
+    train, val, _ = tiny_splits
+    steps = []
+    with pytest.raises(ConfigError, match=message):
+        pretrain_loop(M3ADNet(tiny_model_config(**overrides), seed=1), train, val,
+                      tiny_train_config(), on_batch=lambda *args: steps.append(args))
+    assert steps == []
 
 
 def test_pretrain_nonfinite_loss_names_epoch_and_batch(tiny_splits):
