@@ -2,14 +2,4 @@
 training (label-guided masked pretraining, then dual-gate multi-task
 fine-tuning), on a small numpy autodiff engine."""
 
-from .config import DataConfig, ModelConfig, RunConfig, TrainConfig
-from .model import M3ADNet
-from .numerics import Tensor, grad_check, load_m3t, no_grad, save_m3t
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "DataConfig", "M3ADNet", "ModelConfig", "RunConfig", "Tensor",
-    "TrainConfig", "grad_check", "load_m3t", "no_grad", "save_m3t",
-    "__version__",
-]

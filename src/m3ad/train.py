@@ -36,7 +36,7 @@ import numpy as np
 from . import numerics as nm
 from .config import ModelConfig, TrainConfig, config_as_dict, model_config_from_dict
 from .data import Dataset
-from .errors import CheckpointError, ConfigError, ContractError
+from .errors import CheckpointError, ConfigError, ContractError, ShapeError
 from .heads_losses import finetune_loss, masked_l1_per_sample, pretrain_loss, sample_masks
 from .model import M3ADNet
 from .moe import TASKS
@@ -231,6 +231,13 @@ def _batches(order: np.ndarray, batch_size: int):
         yield order[start:start + batch_size]
 
 
+def _check_scan_shapes(train: Dataset, val: Dataset) -> None:
+    """Validation scores the resolution that training runs at."""
+    have, want = ("x".join(map(str, ds.images.shape[1:])) for ds in (val, train))
+    if have != want:
+        raise ShapeError(f"validation scans are {have} but training scans are {want}")
+
+
 def _fit(model: M3ADNet, cfg: TrainConfig, n: int, stage: str, mode: str, batch_loss,
          validate, on_batch=None,
          prior_stats: PriorStats | None = None) -> tuple[Checkpoint, list[dict]]:
@@ -293,8 +300,11 @@ def pretrain_loop(model: M3ADNet, train: Dataset, val: Dataset, cfg: TrainConfig
     """Masked-reconstruction pretraining; returns the best checkpoint
     (by validation masked L1) and one log row per completed epoch.
     A ``mask_unit`` that does not divide the images, or a ``mask_ratio``
-    that hides no unit, raises ConfigError before the first step."""
+    that hides no unit, raises ConfigError before the first step, and
+    validation scans of another shape than the training scans raise
+    ShapeError."""
     cfg.validate()
+    _check_scan_shapes(train, val)
     hw = train.images.shape[1:]
     unit, ratio = model.cfg.mask_unit, model.cfg.mask_ratio
     if hw[0] % unit or hw[1] % unit:
@@ -388,9 +398,11 @@ def finetune_loop(model: M3ADNet, train: Dataset, val: Dataset, cfg: TrainConfig
     ``init`` seeds the model with pretrained parameters. Its model config
     must equal the model's except in ``num_change_classes``; when that
     differs (switching label schemes) the change head keeps its fresh
-    initialization.
+    initialization. Validation scans of another shape than the training
+    scans raise ShapeError before the first step.
     """
     cfg.validate()
+    _check_scan_shapes(train, val)
     if init is not None:
         _load_init(model, init)
     if int(train.change.max()) >= model.cfg.num_change_classes:

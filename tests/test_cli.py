@@ -357,6 +357,20 @@ def test_split_image_of_another_shape_exits_1(pipeline, tmp_path, capsys, image)
     assert err.startswith("error: ") and str(manifest) in err and record.path in err
 
 
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_val_scans_of_another_shape_than_train_exit_1(pipeline, tmp_path, capsys, command):
+    """Training at 32x32 does not validate at 64x64."""
+    manifest = _data_copy(pipeline["manifest"], tmp_path / "data")
+    for record in load_manifest(manifest):
+        if record.split == "val":
+            save_m3t(tmp_path / "data" / record.path, {"image": np.zeros((64, 64), np.float32)})
+    rc = main([command, "--config", str(pipeline["cfg"]), "--data", str(manifest),
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert "validation scans are 64x64 but training scans are 32x32" in capsys.readouterr().err
+    assert not (tmp_path / "run" / f"{command}.m3ck").exists()
+
+
 @pytest.mark.parametrize("field, value", [("age", "nan"), ("etiv", "inf"), ("age", "-inf")])
 def test_non_finite_manifest_value_exits_1(pipeline, tmp_path, capsys, field, value):
     manifest = _data_copy(pipeline["manifest"], tmp_path / "data")

@@ -324,13 +324,11 @@ def test_expert_mix_contracts(rng):
 
 
 _DETERMINISM_SCRIPT = """
-import importlib.util, os, sys, threading
+import sys, threading
 src, dest = sys.argv[1], sys.argv[2]
-spec = importlib.util.spec_from_file_location("_entry", os.path.join(src, "m3ad", "entry.py"))
-entry = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(entry)
-entry.cap_threads()
 sys.path.insert(0, src)
+from m3ad import entry
+entry.cap_threads()
 import numpy as np
 from m3ad.moe import MMoELayer, fixed_routing, label_guided_weights, task_routing
 from m3ad.numerics import Tensor

@@ -1,7 +1,10 @@
 """Engine tests: op values against independent oracles, backward
 semantics, and the .m3t container."""
 
+import os
 import struct
+import subprocess
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -126,18 +129,90 @@ def test_softplus_and_gelu_extremes():
     np.testing.assert_allclose(ge[0], 0.0, atol=1e-9)
 
 
+# the float32 erf of Eigen and XLA, coefficients from the highest power down
+_ERF32_P = (-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+            -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+            -1.60960333262415e-02)
+_ERF32_Q = (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+            -7.37332916720468e-03, -1.42647390514189e-02)
+
+
+def _gelu32_reference(x):
+    """Whole-array float32 evaluation of the rational GELU: (erf(x/sqrt2),
+    value, slope), one step per expression."""
+    f = np.float32
+    u = np.clip(x * f(0.7071067811865476), f(-4), f(4))
+    t = u * u
+    p, q = f(_ERF32_P[0]), f(_ERF32_Q[0])
+    for c in _ERF32_P[1:]:
+        p = p * t + f(c)
+    for c in _ERF32_Q[1:]:
+        q = q * t + f(c)
+    erf = u * p / q
+    phi = f(0.5) * (f(1) + erf)
+    pdf = f(0.3989422804014327) * np.exp(f(-0.5) * x * x)
+    return erf, x * phi, phi + x * pdf
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gelu_slope_is_computed_only_when_recording(rng, dtype):
     x = (rng.standard_normal(1000) * 3).astype(dtype)
-    phi = 0.5 * (1.0 + special.erf(x * np.asarray(0.7071067811865476, dtype=dtype)))
-    pdf = np.asarray(0.3989422804014327, dtype=dtype) * np.exp(-0.5 * x * x)
+    if dtype == np.float32:
+        _, expected_value, expected_slope = _gelu32_reference(x)
+    else:
+        phi = 0.5 * (1.0 + special.erf(x * np.asarray(0.7071067811865476, dtype=dtype)))
+        pdf = np.asarray(0.3989422804014327, dtype=dtype) * np.exp(-0.5 * x * x)
+        expected_value, expected_slope = x * phi, phi + x * pdf
     value, slope = nm._gelu(x, slope=True)
-    assert np.array_equal(value, x * phi)
-    assert np.array_equal(slope, phi + x * pdf)
+    assert value.dtype == slope.dtype == dtype
+    assert np.array_equal(value, expected_value)
+    assert np.array_equal(slope, expected_slope)
     value_only, none = nm._gelu(x, slope=False)
     assert np.array_equal(value_only, value) and none is None
     with no_grad():
         assert nm.gelu(Tensor(x, requires_grad=True))._vjp is None
+
+
+def test_float32_gelu_tolerance_on_a_grid():
+    """2M points in [-10, 10]: the kernel is the pinned rational; its erf
+    is within 5e-7 of float64 and odd bit for bit, its slope within 1e-6,
+    and it saturates exactly (4*sqrt2 / sqrt2 rounds below 4 in float32,
+    so the clamp starts just above 4*sqrt2 = 5.657)."""
+    x = np.linspace(-10, 10, 2_000_001).astype(np.float32)
+    erf, value, slope = _gelu32_reference(x)
+    got_value, got_slope = nm._gelu(x, slope=True)
+    assert np.array_equal(got_value, value) and np.array_equal(got_slope, slope)
+    x64 = x.astype(np.float64)
+    erf64 = special.erf(x64 / np.sqrt(2.0))
+    assert np.abs(erf - erf64).max() <= 5e-7
+    slope64 = 0.5 * (1.0 + erf64) + x64 * np.exp(-0.5 * x64 * x64) / np.sqrt(2.0 * np.pi)
+    assert np.abs(slope - slope64).max() <= 1e-6
+    assert np.array_equal(_gelu32_reference(-x)[0], -erf)
+    far = np.abs(x) >= 5.66
+    assert np.array_equal(value[far], np.where(x[far] > 0, x[far], 0))
+
+
+def test_float32_gelu_bits_do_not_depend_on_blocking(rng):
+    """Across block edges, on contiguous and strided input, each element
+    gets the bits it gets when its small slice is evaluated alone."""
+    n = 2 * nm._GELU_BLOCK + 3
+    base = (rng.standard_normal(2 * n) * 3).astype(np.float32)
+    for x in (base[:n], base[::2]):
+        value, slope = nm._gelu(x, slope=True)
+        for start in range(0, n, 4093):
+            part_value, part_slope = nm._gelu(x[start:start + 4093], slope=True)
+            assert np.array_equal(value[start:start + 4093], part_value)
+            assert np.array_equal(slope[start:start + 4093], part_slope)
+
+
+def test_importing_the_entry_module_loads_no_numpy():
+    """The console script pins BLAS at one thread in ``entry.cap_threads``,
+    which works only before numpy's first import."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(entry.__file__)))
+    out = subprocess.run([sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+                          "import m3ad.entry; print('numpy' in sys.modules)", src],
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_parallel_map_keeps_order_and_uses_pool_only_for_large_work(monkeypatch):
