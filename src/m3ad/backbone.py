@@ -130,11 +130,6 @@ class WindowAttention(Module):
         floor = np.nextafter(np.asarray(0.01, dtype=self.tau_raw.dtype), np.inf)
         return nm.clamp_min(nm.add(nm.softplus(self.tau_raw), 0.01), floor)
 
-    @property
-    def tau(self) -> np.ndarray:
-        with nm.no_grad():
-            return self._temperature().data
-
     def _rel_index(self, m: int) -> np.ndarray:
         cached = self._index_cache.get(m)
         if cached is None:

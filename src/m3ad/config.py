@@ -230,10 +230,6 @@ _KEYS = {f.name: _typed(section, f.name, _parser(typing.get_type_hints(klass)[f.
          for f in dataclasses.fields(klass)}
 
 
-def known_keys() -> tuple[str, ...]:
-    return tuple(_KEYS)
-
-
 def apply_assignment(cfg: RunConfig, key: str, value: str) -> None:
     setter = _KEYS.get(key)
     if setter is None:

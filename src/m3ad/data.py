@@ -30,7 +30,7 @@ import numpy as np
 from scipy import ndimage
 
 from .config import DIAG_NAMES, TRANSITION_PRIORS, TRANSITIONS
-from .errors import ContractError, ManifestError, StratifyError
+from .errors import ContractError, ManifestError
 from .numerics import load_m3t, save_m3t
 
 SPLITS = ("train", "val", "test")
@@ -183,7 +183,7 @@ def write_manifest(path, records: list[SampleRecord]) -> None:
                              rec.diag, rec.change, rec.split])
 
 
-def load_manifest(path, check_files: bool = True) -> list[SampleRecord]:
+def load_manifest(path) -> list[SampleRecord]:
     """Parse and validate a manifest CSV; paths resolve relative to it."""
     base = os.path.dirname(os.path.abspath(path))
     records: list[SampleRecord] = []
@@ -226,7 +226,7 @@ def load_manifest(path, check_files: bool = True) -> list[SampleRecord]:
                 raise ManifestError(f"{path}:{lineno}: gender={rec.gender} must be 0 or 1")
             if rec.split not in SPLITS:
                 raise ManifestError(f"{path}:{lineno}: split={rec.split!r} not in {SPLITS}")
-            if check_files and not os.path.isfile(os.path.join(base, rec.path)):
+            if not os.path.isfile(os.path.join(base, rec.path)):
                 raise ManifestError(f"{path}:{lineno}: missing image file {rec.path!r}")
             records.append(rec)
     return records
@@ -271,24 +271,6 @@ def assign_splits(records: list[SampleRecord], fractions: tuple[float, float, fl
             split = "train" if pos < n_train else ("val" if pos < n_train + n_val else "test")
             out[idx] = replace(records[idx], split=split)
     return out
-
-
-def kfold_splits(records: list[SampleRecord], k: int, seed: int) -> list[np.ndarray]:
-    """Stratified k-fold partition; returns k disjoint index arrays."""
-    if k < 2:
-        raise ContractError(f"k must be >= 2, got {k}")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), _SPLIT_TAG, k]))
-    diag = np.asarray([r.diag for r in records])
-    folds: list[list[int]] = [[] for _ in range(k)]
-    for klass in range(len(DIAG_NAMES)):
-        members = np.flatnonzero(diag == klass)
-        if members.size and members.size < k:
-            raise StratifyError(
-                f"class {DIAG_NAMES[klass]} has {members.size} samples, fewer than k={k}")
-        perm = members[rng.permutation(members.size)]
-        for pos, idx in enumerate(perm):
-            folds[pos % k].append(int(idx))
-    return [np.sort(np.asarray(fold, dtype=int)) for fold in folds]
 
 
 # -- in-memory dataset -------------------------------------------------

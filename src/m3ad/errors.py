@@ -28,7 +28,3 @@ class ManifestError(M3adError):
 
 class CheckpointError(M3adError):
     """Checkpoint file is corrupt, truncated, or of an unsupported version."""
-
-
-class StratifyError(M3adError):
-    """A split was requested that the label distribution cannot support."""

@@ -22,7 +22,7 @@ import numpy as np
 from . import numerics as nm
 from .backbone import ATTENTION_STAGES, M3ADBlock, PatchEmbed, PatchMerge, WindowAttention
 from .config import ModelConfig
-from .errors import ContractError, ShapeError
+from .errors import ShapeError
 from .heads_losses import ReconDecoder, TaskHeads, apply_mask
 from .moe import TASKS, MMoELayer, Routing, fixed_routing, label_guided_weights, task_routing
 from .numerics import Module, Tensor, parameter
@@ -41,7 +41,7 @@ class M3ADNet(Module):
         dt = self.np_dtype
 
         self.patch_embed = PatchEmbed(rng, cfg.patch_size, cfg.embed_dim, dt)
-        self.mask_token = parameter(rng, (cfg.embed_dim,), dt, name="mask_token")
+        self.mask_token = parameter(rng, (cfg.embed_dim,), dt)
 
         self.blocks: list[M3ADBlock] = []
         for stage in range(4):
@@ -77,14 +77,12 @@ class M3ADNet(Module):
         return arr
 
     def encode(self, images, routing: Routing, priors: np.ndarray | None = None,
-               masks: np.ndarray | None = None, trace: list | None = None) -> Tensor:
+               masks: np.ndarray | None = None) -> Tensor:
         """Run the backbone; returns the final (B, h, w, 8C) grid.
 
         ``priors`` (B, 3), already normalized, switches fusion on;
         ``masks``, (B, H/unit, W/unit) bool, puts the mask token in every
-        masked unit's patch embeddings for masked pretraining;
-        ``trace`` collects (stage, (h, w), channels) after each stage's
-        blocks for shape auditing.
+        masked unit's patch embeddings for masked pretraining.
         """
         x = self.patch_embed(self._as_input(images))
         if masks is not None:
@@ -98,8 +96,6 @@ class M3ADNet(Module):
             for _ in range(self.cfg.depths[stage]):
                 x = self.blocks[block_idx](x, routing)
                 block_idx += 1
-            if trace is not None:
-                trace.append((stage, (x.shape[1], x.shape[2]), x.shape[3]))
             if stage < 3:
                 x = self.merges[stage](x)
             if stage == self.cfg.fusion_stage and clinical is not None:
@@ -144,22 +140,3 @@ class M3ADNet(Module):
         grid = self.encode(nm.concat([x, x]), routing, priors=priors)
         b, h, w, c = grid.shape
         return self.heads(nm.reshape(grid, (b, h * w, c)), *TASKS)
-
-    # -- parameter views -----------------------------------------------
-
-    def gate_parameter_names(self) -> list[str]:
-        """Names of every gate-path parameter (task gates and the shared
-        feature attention), across all mixture layers."""
-        return [name for name in self.named_parameters()
-                if ".moe.feature_attn." in name or ".moe.gate_" in name]
-
-    def expert_parameter_names(self, expert: int) -> list[str]:
-        if not 0 <= expert < self.cfg.num_experts:
-            raise ContractError(f"expert index {expert} out of range")
-        tag = f".moe.experts.{expert}."
-        return [name for name in self.named_parameters() if tag in name]
-
-    def attention_temperatures(self) -> list[np.ndarray]:
-        """Effective per-head tau of every attention block."""
-        return [blk.mixer.tau for blk in self.blocks
-                if isinstance(blk.mixer, WindowAttention)]

@@ -108,9 +108,6 @@ class ExpertMLP(Module):
         self.fc1 = Linear(rng, dim, hidden, dtype)
         self.fc2 = Linear(rng, hidden, dim, dtype)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return expert_mix(x, np.ones((x.shape[0], 1), dtype=x.dtype), [self])
-
 
 def expert_mix(x: Tensor, w, experts: Sequence[ExpertMLP]) -> Tensor:
     """``sum_k w[:, k] * experts[k](x)`` as one graph node.
@@ -221,12 +218,6 @@ class MMoELayer(Module):
         logits = [self._gate_linear(task)(block) for task, block in zip(tasks, blocks)]
         logits = logits[0] if len(logits) == 1 else nm.concat(logits)
         return nm.softmax(nm.div(logits, self.gate_temp), axis=-1)
-
-    def gate_parameters(self) -> dict[str, Tensor]:
-        out = dict(self.feature_attn.named_parameters(prefix="feature_attn."))
-        out.update(self.gate_diagnosis.named_parameters(prefix="gate_diagnosis."))
-        out.update(self.gate_change.named_parameters(prefix="gate_change."))
-        return out
 
     def __call__(self, x: Tensor, routing: Routing) -> Tensor:
         if x.ndim != 3:

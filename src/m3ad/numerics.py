@@ -90,22 +90,19 @@ class Tensor:
     requires_grad : bool
         Leaves with ``requires_grad=True`` receive ``.grad`` after a
         ``backward`` call that reaches them. Repeated backward calls
-        accumulate into ``.grad`` until :meth:`zero_grad`.
-    name : str
-        Optional label used in error messages and checkpoints.
+        accumulate into ``.grad`` until it is reset to ``None``, as
+        :meth:`Module.zero_grad` does.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "name", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None,
-                 dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if not np.issubdtype(arr.dtype, np.floating) or arr.dtype == np.float16:
             arr = arr.astype(np.float32)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self.name = name
         self._parents: tuple[Tensor, ...] = ()
         self._vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
 
@@ -130,15 +127,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
+        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
     # -- graph plumbing ------------------------------------------------
 
@@ -740,27 +730,26 @@ class Module:
             p.grad = None
 
 
-def parameter(rng: np.random.Generator, shape, dtype, scale: float = 0.02,
-              name: str | None = None) -> Tensor:
-    """Gaussian-initialized trainable tensor."""
-    data = (rng.standard_normal(shape) * scale).astype(dtype)
-    return Tensor(data, requires_grad=True, name=name)
+def parameter(rng: np.random.Generator, shape, dtype) -> Tensor:
+    """Trainable tensor drawn from a Gaussian of standard deviation 0.02."""
+    data = (rng.standard_normal(shape) * 0.02).astype(dtype)
+    return Tensor(data, requires_grad=True)
 
 
-def zeros_param(shape, dtype, name: str | None = None) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True, name=name)
+def zeros_param(shape, dtype) -> Tensor:
+    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
 
 
-def full_param(shape, value: float, dtype, name: str | None = None) -> Tensor:
-    return Tensor(np.full(shape, value, dtype=dtype), requires_grad=True, name=name)
+def full_param(shape, value: float, dtype) -> Tensor:
+    return Tensor(np.full(shape, value, dtype=dtype), requires_grad=True)
 
 
 class Linear(Module):
     """Affine map on the last axis: y = x @ W + b with W of shape (in, out)."""
 
     def __init__(self, rng: np.random.Generator, in_dim: int, out_dim: int,
-                 dtype, bias: bool = True, scale: float = 0.02):
-        self.weight = parameter(rng, (in_dim, out_dim), dtype, scale=scale)
+                 dtype, bias: bool = True):
+        self.weight = parameter(rng, (in_dim, out_dim), dtype)
         self.bias = zeros_param((out_dim,), dtype) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -775,26 +764,27 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, dtype, eps: float = 1e-5):
+    def __init__(self, dim: int, dtype):
         self.gamma = Tensor(np.ones(dim, dtype=dtype), requires_grad=True)
         self.beta = zeros_param((dim,), dtype)
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gamma, self.beta, eps=self.eps)
+        return layer_norm(x, self.gamma, self.beta)
 
 
 # -- gradient checking -------------------------------------------------
 
 
-def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], eps: float = 1e-4,
-               coords_per_tensor: int = 6, rng: np.random.Generator | None = None) -> float:
+def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], coords_per_tensor: int = 6,
+               rng: np.random.Generator | None = None) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     ``f`` must rebuild its graph on every call (a closure over ``params``)
     and return a scalar. A sample of coordinates from each parameter is
-    perturbed in place; relative error uses |a - n| / (|a| + |n| + 1e-8).
+    perturbed in place by +-1e-4; relative error uses
+    |a - n| / (|a| + |n| + 1e-8).
     """
+    eps = 1e-4
     rng = rng or np.random.default_rng(0)
     for p in params:
         p.grad = None

@@ -22,7 +22,7 @@ import numpy as np
 from . import numerics as nm
 from .config import FUSION_TYPES
 from .errors import ContractError, ShapeError
-from .numerics import LayerNorm, Linear, Module, Tensor, full_param, zeros_param
+from .numerics import LayerNorm, Linear, Module, Tensor, full_param
 
 PRIOR_DIM = 3
 _HIDDEN = (128, 256)
@@ -127,7 +127,8 @@ class Fusion(Module):
         xc = self._spread(x, clinical)
         if self.kind == "adaptive":
             b = x.shape[0]
-            w = self._gate_weights(x, xc)
+            pooled = nm.concat([x, xc], axis=-1).mean(axis=1)  # (B, 2C)
+            w = nm.softmax(self.gate(pooled), axis=-1)
             w0 = nm.reshape(w[:, 0], (b, 1, 1))
             w1 = nm.reshape(w[:, 1], (b, 1, 1))
             return self.proj(nm.add(nm.mul(w0, x), nm.mul(w1, xc)))
@@ -136,12 +137,6 @@ class Fusion(Module):
         if self.kind == "add":
             return nm.add(nm.mul(x, self.alpha_image), nm.mul(xc, self.alpha_clinical))
         return nm.add(x, self.proj(nm.mul(x, xc)))
-
-    def adaptive_weights(self, x: Tensor, clinical: Tensor) -> Tensor:
-        """The (B, 2) softmax weights of adaptive fusion, for inspection."""
-        if self.kind != "adaptive":
-            raise ContractError(f"fusion kind {self.kind!r} has no adaptive weights")
-        return self._gate_weights(x, self._spread(x, clinical))
 
     @staticmethod
     def _spread(x: Tensor, clinical: Tensor) -> Tensor:
@@ -153,8 +148,3 @@ class Fusion(Module):
             raise ShapeError(
                 f"encoded prior shape {clinical.shape} does not match tokens {x.shape}")
         return nm.broadcast_to(nm.reshape(clinical, (b, 1, c)), (b, l, c))
-
-    def _gate_weights(self, x: Tensor, xc: Tensor) -> Tensor:
-        """Softmax of the gate over the token-pooled image and prior streams."""
-        pooled = nm.concat([x, xc], axis=-1).mean(axis=1)  # (B, 2C)
-        return nm.softmax(self.gate(pooled), axis=-1)

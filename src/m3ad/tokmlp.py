@@ -9,8 +9,8 @@ convolution. Width and height passes share a single tokenizer:
     T_H = Tokenize(Shift_H(Y))
     Z   = f(LN(T_W + MLP(f(T_H))))        with f = GELU
 
-Channels split into one group per shift offset; the default offsets
-(-2..2) give five groups, split as evenly as the channel count allows.
+Channels split into one group per shift offset; the offsets (-2..2)
+give five groups, split as evenly as the channel count allows.
 Shifts are cyclic rolls, so no positions are lost at the borders.
 """
 
@@ -22,7 +22,7 @@ from . import numerics as nm
 from .errors import ShapeError
 from .numerics import LayerNorm, Linear, Module, Tensor, parameter, zeros_param
 
-DEFAULT_OFFSETS = (-2, -1, 0, 1, 2)
+SHIFT_OFFSETS = (-2, -1, 0, 1, 2)
 
 
 def axis_shift(x: Tensor, axis: int, offsets: tuple[int, ...]) -> Tensor:
@@ -70,8 +70,7 @@ def dwconv3x3(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 class TokMLPBlock(Module):
     """Shift, tokenize and mix one (B, H, W, C) feature grid."""
 
-    def __init__(self, rng: np.random.Generator, dim: int, dtype,
-                 offsets: tuple[int, ...] = DEFAULT_OFFSETS):
+    def __init__(self, rng: np.random.Generator, dim: int, dtype):
         self.tok_weight = parameter(rng, (3, 3, dim, dim), dtype)
         self.tok_bias = zeros_param((dim,), dtype)
         self.mlp_w = Linear(rng, dim, dim, dtype)
@@ -79,17 +78,12 @@ class TokMLPBlock(Module):
         self.dw_bias = zeros_param((dim,), dtype)
         self.mlp_h = Linear(rng, dim, dim, dtype)
         self.norm = LayerNorm(dim, dtype)
-        self.offsets = tuple(offsets)
 
     def tokenize(self, x: Tensor) -> Tensor:
         return conv3x3(x, self.tok_weight, self.tok_bias)
 
-    def tokens_w(self, x: Tensor) -> Tensor:
-        """First tokenization (width-shifted path); exposed for testing."""
-        return self.tokenize(axis_shift(x, axis=2, offsets=self.offsets))
-
     def __call__(self, x: Tensor) -> Tensor:
-        tw = self.tokens_w(x)
+        tw = self.tokenize(axis_shift(x, axis=2, offsets=SHIFT_OFFSETS))
         y = nm.gelu(dwconv3x3(self.mlp_w(tw), self.dw_weight, self.dw_bias))
-        th = self.tokenize(axis_shift(y, axis=1, offsets=self.offsets))
+        th = self.tokenize(axis_shift(y, axis=1, offsets=SHIFT_OFFSETS))
         return nm.gelu(self.norm(nm.add(tw, self.mlp_h(nm.gelu(th)))))

@@ -28,7 +28,6 @@ comparable across epochs.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -181,12 +180,20 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; a malformed header, or a parameter or prior
+    statistic that is NaN or infinite, raises CheckpointError naming it."""
     header, params = nm.load_m3t(path)
     nm._check_fields(path, "header", header, _HEADER_FIELDS)
+    for name, arr in params.items():
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
     stats = header["prior_stats"]
     if stats is not None:
         nm._check_fields(path, "prior_stats", stats,
                          dict.fromkeys((f.name for f in fields(PriorStats)), (int, float)))
+        for name, value in stats.items():
+            if not np.isfinite(value):
+                raise CheckpointError(f"{path}: prior_stats field {name!r} is {value}")
     try:
         model_config = model_config_from_dict(header["model_config"])
     except ConfigError as err:
@@ -399,16 +406,19 @@ def finetune_loop(model: M3ADNet, train: Dataset, val: Dataset, cfg: TrainConfig
     must equal the model's except in ``num_change_classes``; when that
     differs (switching label schemes) the change head keeps its fresh
     initialization. Validation scans of another shape than the training
-    scans raise ShapeError before the first step.
+    scans raise ShapeError, and a change label of either split that the
+    change head has no class for raises ContractError, before the first
+    step.
     """
     cfg.validate()
     _check_scan_shapes(train, val)
     if init is not None:
         _load_init(model, init)
-    if int(train.change.max()) >= model.cfg.num_change_classes:
-        raise ContractError(
-            f"change label {int(train.change.max())} out of range for "
-            f"{model.cfg.num_change_classes}-class head")
+    for split, ds in (("training", train), ("validation", val)):
+        top = int(ds.change.max())
+        if top >= model.cfg.num_change_classes:
+            raise ContractError(f"{split} change label {top} out of range for "
+                                f"{model.cfg.num_change_classes}-class head")
 
     stats = compute_prior_stats(train.age, train.etiv)
 
@@ -427,11 +437,3 @@ def finetune_loop(model: M3ADNet, train: Dataset, val: Dataset, cfg: TrainConfig
 
     return _fit(model, cfg, len(train), "finetune", "max", batch_loss, validate, on_batch,
                 prior_stats=stats)
-
-
-def timed_epoch(fn) -> float:
-    """Wall-clock one call; kept separate so timing never lands in logs
-    that are compared across runs."""
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start

@@ -13,6 +13,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from m3ad.backbone import M3ADBlock
 from m3ad.config import ModelConfig, TrainConfig
 from m3ad.data import gen_synthetic, load_split
 
@@ -77,6 +78,24 @@ def tiny_model_config(**overrides) -> ModelConfig:
                 window=4, expert_hidden_ratio=2)
     base.update(overrides)
     return ModelConfig(**base).validate()
+
+
+def stage_trace(model, images, routing) -> list[tuple[int, tuple[int, int], int]]:
+    """(stage, (h, w), channels) of the grid after each stage's blocks in
+    one ``model.encode``, recorded by wrapping ``M3ADBlock.__call__``."""
+    shapes = []
+    call = M3ADBlock.__call__
+
+    def record(block, x, block_routing):
+        out = call(block, x, block_routing)
+        shapes.append(out.shape)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(M3ADBlock, "__call__", record)
+        model.encode(images, routing)
+    ends = np.cumsum(model.cfg.depths) - 1
+    return [(stage, shapes[end][1:3], shapes[end][3]) for stage, end in enumerate(ends)]
 
 
 def tiny_train_config(**overrides) -> TrainConfig:

@@ -12,13 +12,11 @@ from m3ad.model import M3ADNet
 from m3ad.moe import MMoELayer, task_routing
 from m3ad.numerics import Tensor
 
-from conftest import tiny_model_config
+from conftest import stage_trace, tiny_model_config
 
 
 def _stage_trace(model, hw):
-    trace = []
-    model.encode(np.zeros((1, *hw)), task_routing("diagnosis"), trace=trace)
-    return trace
+    return stage_trace(model, np.zeros((1, *hw)), task_routing("diagnosis"))
 
 
 def test_stage_plan_schedule_64_and_128():
@@ -144,11 +142,15 @@ def test_attention_identical_keys_average_values(rng):
 def test_attention_temperature_floor():
     rng = np.random.default_rng(0)
     attn = WindowAttention(rng, 4, 2, 4, np.float64)
-    np.testing.assert_allclose(attn.tau, 1.0, atol=1e-6)  # softplus(raw) = 0.99
+
+    def tau():
+        return attn._temperature().data
+
+    np.testing.assert_allclose(tau(), 1.0, atol=1e-6)  # softplus(raw) = 0.99
     attn.tau_raw.data[:] = -200.0
-    assert (attn.tau > 0.01).all()
+    assert (tau() > 0.01).all()
     attn.tau_raw.data[:] = 100.0
-    np.testing.assert_allclose(attn.tau, 100.01, atol=1e-6)
+    np.testing.assert_allclose(tau(), 100.01, atol=1e-6)
 
 
 def test_attention_token_count_contract(rng):

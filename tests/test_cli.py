@@ -13,7 +13,7 @@ from conftest import m3t_header, m3t_with_header
 from m3ad.cli import main
 from m3ad.data import load_manifest, load_split
 from m3ad.moe import TASKS, task_routing
-from m3ad.numerics import no_grad, save_m3t
+from m3ad.numerics import load_m3t, no_grad, save_m3t
 from m3ad.priors import normalize_priors
 from m3ad.train import load_checkpoint, model_from_checkpoint
 
@@ -132,19 +132,28 @@ def test_eval_warns_once_per_task(pipeline, tmp_path):
 
 
 @pytest.mark.parametrize("damage", ["version 1", "version 2", "CRC mismatch",
-                                    "the header describes"])
+                                    "the header describes",
+                                    "prior_stats field 'age_std' is nan",
+                                    "tensor 'patch_embed.proj.weight' holds non-finite values"])
 def test_eval_exits_1_on_bad_checkpoint(pipeline, tmp_path, capsys, damage):
-    blob = (pipeline["out"] / "finetune.m3ck").read_bytes()
+    good = pipeline["out"] / "finetune.m3ck"
+    blob = good.read_bytes()
+    bad = tmp_path / "bad.m3ck"
     if damage.startswith("version"):
-        blob = blob[:4] + struct.pack("<I", int(damage[-1])) + blob[8:]
+        bad.write_bytes(blob[:4] + struct.pack("<I", int(damage[-1])) + blob[8:])
     elif damage == "CRC mismatch":
-        blob = blob[:-100] + bytes([blob[-100] ^ 0x40]) + blob[-99:]
-    else:
+        bad.write_bytes(blob[:-100] + bytes([blob[-100] ^ 0x40]) + blob[-99:])
+    elif damage == "the header describes":
         header = m3t_header(blob)
         header["tensors"][0]["shape"] = [3]
-        blob = m3t_with_header(blob, header)
-    bad = tmp_path / "bad.m3ck"
-    bad.write_bytes(blob)
+        bad.write_bytes(m3t_with_header(blob, header))
+    else:  # a well-formed file whose values are not finite
+        header, arrays = load_m3t(good)
+        if damage.startswith("prior_stats"):
+            header["prior_stats"]["age_std"] = float("nan")
+        else:
+            arrays["patch_embed.proj.weight"].reshape(-1)[0] = np.nan
+        save_m3t(bad, arrays, header)
     rc = main(["eval", "--checkpoint", str(bad), "--data", str(pipeline["manifest"]),
                "--out", str(tmp_path / "eval")])
     assert rc == 1
@@ -384,3 +393,20 @@ def test_non_finite_manifest_value_exits_1(pipeline, tmp_path, capsys, field, va
                "--data", str(manifest), "--out", str(tmp_path / "eval")])
     assert rc == 1
     assert f"manifest.csv:{line + 1}: {field}={float(value)} is not finite" in capsys.readouterr().err
+
+
+def test_finetune_val_change_label_outside_the_head_exits_1(pipeline, tmp_path, capsys):
+    """Change code 5 is valid in a manifest but has no class in a 3-class
+    head; a validation row holding it stops fine-tuning before any step."""
+    manifest = _data_copy(pipeline["manifest"], tmp_path / "data")
+    with open(manifest, newline="") as fh:
+        rows = list(csv.reader(fh))
+    line = next(i for i, row in enumerate(rows) if row[-1] == "val")
+    rows[line][rows[0].index("change")] = "5"
+    with open(manifest, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    rc = main(["finetune", "--config", str(pipeline["cfg"]), "--data", str(manifest),
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert "validation change label 5 out of range for 3-class head" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "finetune.m3ck").exists()

@@ -9,7 +9,7 @@ import pytest
 import m3ad
 from m3ad.config import (FUSION_TYPES, DataConfig, ModelConfig, RunConfig, TrainConfig,
                          apply_assignment, apply_overrides, config_as_dict,
-                         known_keys, load_config, model_config_from_dict,
+                         load_config, model_config_from_dict,
                          parse_config_text)
 from m3ad.errors import ConfigError
 
@@ -78,12 +78,15 @@ def test_file_then_override_precedence(tmp_path):
 
 
 def test_known_keys_cover_all_dataclass_fields():
-    keys = set(known_keys())
-    for klass in (ModelConfig, TrainConfig):
-        for f in dataclasses.fields(klass):
-            assert f.name in keys
-    # every registered key round-trips through apply_assignment
+    """apply_assignment knows every field of every section by its name:
+    each one takes its own default written as config text back."""
     cfg = RunConfig()
+    for section in (cfg.model, cfg.train, cfg.data):
+        for f in dataclasses.fields(section):
+            value = getattr(section, f.name)
+            text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            apply_assignment(cfg, f.name, text)
+            assert getattr(section, f.name) == value
     apply_assignment(cfg, "gate_temp", "2.5")
     assert cfg.model.gate_temp == 2.5
 

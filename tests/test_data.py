@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from conftest import cut_and_flip
 from m3ad.config import TRANSITION_PRIORS, TRANSITIONS
 from m3ad.data import (C3_NAMES, Dataset, SampleRecord, assign_splits,
-                       class_region_mask, gen_synthetic, kfold_splits,
+                       class_region_mask, gen_synthetic,
                        load_manifest, load_split, robust_zscore, synth_image,
                        transition_change_label, transition_diag_label,
                        write_manifest, _marker_tile, _sample_rng)
-from m3ad.errors import ContractError, ManifestError, StratifyError
+from m3ad.errors import ContractError, ManifestError
 from m3ad.numerics import load_m3t, save_m3t
 
 
@@ -144,10 +144,19 @@ def _records():
             SampleRecord("images/b.m3t", 75.5, 0, 1390.0, 2, 1, "val")]
 
 
+def _touch_images(root, records):
+    """Create the (empty) image files that ``records`` name under ``root``."""
+    for rec in records:
+        image = root / rec.path
+        image.parent.mkdir(parents=True, exist_ok=True)
+        image.touch()
+
+
 def test_manifest_round_trip(tmp_path):
     path = tmp_path / "manifest.csv"
     write_manifest(path, _records())
-    back = load_manifest(path, check_files=False)
+    _touch_images(tmp_path, _records())
+    back = load_manifest(path)
     assert back == _records()
     text = path.read_text()
     assert text.splitlines()[0] == "path,age,gender,etiv,diag,change,split"
@@ -167,19 +176,21 @@ def test_manifest_round_trip(tmp_path):
 def test_manifest_rejects_bad_rows(tmp_path, mutate, message):
     path = tmp_path / "manifest.csv"
     write_manifest(path, _records())
+    _touch_images(tmp_path, _records())
     rows = path.read_text().splitlines()
     mutate(rows)
     path.write_text("\n".join(rows) + "\n")
     with pytest.raises(ManifestError, match=message):
-        load_manifest(path, check_files=False)
+        load_manifest(path)
 
 
 def test_manifest_missing_file_check(tmp_path):
     path = tmp_path / "manifest.csv"
     write_manifest(path, _records()[:1])
     with pytest.raises(ManifestError, match="missing image file"):
-        load_manifest(path, check_files=True)
-    assert load_manifest(path, check_files=False)[0].path == "images/a.m3t"
+        load_manifest(path)
+    _touch_images(tmp_path, _records()[:1])
+    assert load_manifest(path)[0].path == "images/a.m3t"
 
 
 @given(st.data())
@@ -189,10 +200,11 @@ def test_any_byte_flip_of_a_manifest_raises_manifest_error_or_loads(tmp_path_fac
     so a damaged one may load; it never raises anything but ManifestError."""
     path = tmp_path_factory.getbasetemp() / "fuzz_manifest.csv"
     write_manifest(path, _records())
+    _touch_images(path.parent, _records())
     for damaged in cut_and_flip(data, path.read_bytes()):
         path.write_bytes(damaged)
         try:
-            load_manifest(path, check_files=False)
+            load_manifest(path)
         except ManifestError:
             pass
 
@@ -265,34 +277,6 @@ def test_assign_splits_contracts():
         assign_splits(_many_records(10), (0.5, 0.2, 0.2), seed=0)
     with pytest.raises(ContractError):
         assign_splits(_many_records(10), (0.8, 0.3, -0.1), seed=0)
-
-
-def test_kfold_partition_properties():
-    records = _many_records(61)
-    folds = kfold_splits(records, 4, seed=3)
-    assert len(folds) == 4
-    all_idx = np.concatenate(folds)
-    assert len(all_idx) == len(records)
-    assert len(np.unique(all_idx)) == len(records)
-    sizes = [len(f) for f in folds]
-    assert max(sizes) - min(sizes) <= 3  # one +-1 per stratum
-    diag = np.asarray([r.diag for r in records])
-    for klass in range(3):
-        counts = [int((diag[f] == klass).sum()) for f in folds]
-        assert max(counts) - min(counts) <= 1
-    again = kfold_splits(records, 4, seed=3)
-    for a, b in zip(folds, again):
-        np.testing.assert_array_equal(a, b)
-
-
-def test_kfold_contracts():
-    records = _many_records(30)
-    with pytest.raises(ContractError):
-        kfold_splits(records, 1, seed=0)
-    rare = [SampleRecord(f"images/{i}.m3t", 70.0, 0, 1450.0, 2 if i == 0 else 0, 0, "train")
-            for i in range(10)]
-    with pytest.raises(StratifyError):
-        kfold_splits(rare, 3, seed=0)
 
 
 # -- dataset loading ---------------------------------------------------

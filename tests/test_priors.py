@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from m3ad import numerics as nm
 from m3ad.errors import ContractError, ShapeError
 from m3ad.numerics import Tensor
 from m3ad.priors import (Fusion, PriorEncoder, PriorStats, c_fusion_dim,
@@ -99,22 +100,11 @@ def test_adaptive_fusion_forced_weights_equal_projection(rng):
     # a gate with zero weight and bias (1000, -1000) gives exactly (1, 0)
     fus.gate.weight.data[:] = 0.0
     fus.gate.bias.data[:] = (1000.0, -1000.0)
-    assert (fus.adaptive_weights(x, clin).data == [[1.0, 0.0]] * 2).all()
+    pooled = Tensor(rng.standard_normal((2, 16)))
+    assert (nm.softmax(fus.gate(pooled), axis=-1).data == [[1.0, 0.0]] * 2).all()
     out = fus(x, clin)
     expected = fus.proj(x)
     assert (out.data == expected.data).all()
-
-
-def test_adaptive_weights_simplex_and_kind_guard(rng):
-    fus = Fusion(np.random.default_rng(2), "adaptive", 8, np.float64)
-    x, clin = _tokens_and_prior(rng)
-    w = fus.adaptive_weights(x, clin).data
-    assert w.shape == (2, 2)
-    assert (w >= 0).all()
-    np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-6)
-    other = Fusion(np.random.default_rng(2), "add", 8, np.float64)
-    with pytest.raises(ContractError):
-        other.adaptive_weights(x, clin)
 
 
 def test_concat_fusion_shape_and_broadcast(rng):

@@ -8,7 +8,7 @@ from m3ad.errors import ShapeError
 from m3ad.heads_losses import finetune_loss, pretrain_loss, sample_masks
 from m3ad.model import M3ADNet
 from m3ad.numerics import Tensor, no_grad
-from m3ad.tokmlp import (DEFAULT_OFFSETS, TokMLPBlock, axis_shift, conv3x3,
+from m3ad.tokmlp import (SHIFT_OFFSETS, TokMLPBlock, axis_shift, conv3x3,
                          dwconv3x3)
 from m3ad import numerics as nm
 
@@ -61,17 +61,17 @@ def test_dwconv3x3_matches_loop_oracle(rng):
 
 def test_axis_shift_one_channel_per_offset(rng):
     x = rng.standard_normal((1, 6, 6, 5))
-    out = axis_shift(Tensor(x), axis=2, offsets=DEFAULT_OFFSETS).data
-    for ch, off in enumerate(DEFAULT_OFFSETS):
+    out = axis_shift(Tensor(x), axis=2, offsets=SHIFT_OFFSETS).data
+    for ch, off in enumerate(SHIFT_OFFSETS):
         np.testing.assert_array_equal(out[..., ch], np.roll(x[..., ch], off, axis=2))
 
 
 def test_axis_shift_uneven_groups(rng):
     # 7 channels over 5 offsets split 2,2,1,1,1 (leading groups larger)
     x = rng.standard_normal((1, 4, 4, 7))
-    out = axis_shift(Tensor(x), axis=1, offsets=DEFAULT_OFFSETS).data
+    out = axis_shift(Tensor(x), axis=1, offsets=SHIFT_OFFSETS).data
     groups = [(0, 1), (2, 3), (4,), (5,), (6,)]
-    for off, chans in zip(DEFAULT_OFFSETS, groups):
+    for off, chans in zip(SHIFT_OFFSETS, groups):
         for ch in chans:
             np.testing.assert_array_equal(out[..., ch], np.roll(x[..., ch], off, axis=1))
 
@@ -103,15 +103,9 @@ def test_tokmlp_height_path_zeroed_reduces_to_width_tokens(rng):
     block.mlp_h.weight.data[:] = 0.0
     block.mlp_h.bias.data[:] = 0.0
     x = Tensor(rng.standard_normal((1, 4, 4, 8)))
-    expected = nm.gelu(block.norm(block.tokens_w(x)))
+    width_tokens = block.tokenize(axis_shift(x, axis=2, offsets=SHIFT_OFFSETS))
+    expected = nm.gelu(block.norm(width_tokens))
     np.testing.assert_array_equal(block(x).data, expected.data)
-
-
-def test_tokens_w_is_width_shift_then_tokenize(rng):
-    block = TokMLPBlock(np.random.default_rng(5), 8, np.float64)
-    x = Tensor(rng.standard_normal((1, 4, 4, 8)))
-    expected = block.tokenize(axis_shift(x, axis=2, offsets=block.offsets))
-    np.testing.assert_array_equal(block.tokens_w(x).data, expected.data)
 
 
 def test_width_and_height_shifts_differ(rng):
