@@ -10,6 +10,13 @@ feed-forward:
     z1 = Mixer(LN(z)) + z
     z2 = MMoE(LN(z1)) + z1
 
+The attention of a window stack is one engine op,
+:func:`m3ad.numerics.cosine_attention`, between the block's qkv and
+output linears. A block may stack copies of its rows right after its
+mixer: the model runs its first block's mixer once per scan and splits
+the task copies there, ahead of the first MMoE layer (see
+:meth:`m3ad.model.M3ADNet.encode`).
+
 Attention windows adapt to the map: the effective window is
 gcd(H, W, window), which always tiles the grid, collapses to the whole
 map when the map is small, and keeps lookups inside the one relative
@@ -110,6 +117,8 @@ class WindowAttention(Module):
     Scores are cos(q, k) / tau + B with a learnable per-head temperature
     tau = 0.01 + softplus(raw), floored strictly above 0.01, and a
     relative position bias B looked up from a zero-initialized table.
+    The softmax-weighted values of all windows and heads come from one
+    :func:`m3ad.numerics.cosine_attention` node.
     """
 
     def __init__(self, rng: np.random.Generator, dim: int, heads: int, window: int, dtype):
@@ -138,26 +147,11 @@ class WindowAttention(Module):
         return cached
 
     def __call__(self, windows: Tensor, m: int) -> Tensor:
-        bw, t, c = windows.shape
+        t = windows.shape[1]
         if t != m * m:
             raise ShapeError(f"{t} tokens do not fill a {m}x{m} window")
-        hd = c // self.heads
-        qkv = nm.reshape(self.qkv(windows), (bw, t, 3, self.heads, hd))
-        qkv = nm.transpose(qkv, (2, 0, 3, 1, 4))  # (3, bw, heads, t, hd)
-        q, k, v = qkv[0], qkv[1], qkv[2]
-
-        qn = nm.div(q, nm.clamp_min(nm.sqrt(nm.tsum(nm.mul(q, q), axis=-1, keepdims=True)), 1e-12))
-        kn = nm.div(k, nm.clamp_min(nm.sqrt(nm.tsum(nm.mul(k, k), axis=-1, keepdims=True)), 1e-12))
-        cossim = nm.matmul(qn, nm.transpose(kn, (0, 1, 3, 2)))  # (bw, heads, t, t)
-
-        scores = nm.div(cossim, nm.reshape(self._temperature(), (1, self.heads, 1, 1)))
-
-        bias = nm.take(self.bias_table, self._rel_index(m))  # (t*t, heads)
-        bias = nm.transpose(nm.reshape(bias, (t, t, self.heads)), (2, 0, 1))
-        attn = nm.softmax(nm.add(scores, bias), axis=-1)
-
-        out = nm.matmul(attn, v)  # (bw, heads, t, hd)
-        out = nm.reshape(nm.transpose(out, (0, 2, 1, 3)), (bw, t, c))
+        out = nm.cosine_attention(self.qkv(windows), self._temperature(), self.bias_table,
+                                  self._rel_index(m), self.heads)
         return self.proj(out)
 
 
@@ -186,8 +180,13 @@ class M3ADBlock(Module):
             out = nm.roll(out, (shift, shift), axis=(1, 2))
         return out
 
-    def __call__(self, x: Tensor, routing) -> Tensor:
+    def __call__(self, x: Tensor, routing, copies: int = 1) -> Tensor:
+        """``copies`` > 1 stacks that many copies of the mixer's output
+        (plus residual) on the batch axis before the MMoE layer, whose
+        routing covers the stacked rows."""
         x = nm.add(self._mix(self.norm1(x)), x)
+        if copies > 1:
+            x = nm.concat([x] * copies)
         b, h, w, c = x.shape
         tokens = nm.reshape(self.norm2(x), (b, h * w, c))
         moe_out = nm.reshape(self.moe(tokens, routing), (b, h, w, c))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import numerics as nm
-from .backbone import M3ADBlock, WindowAttention
+from .backbone import M3ADBlock, WindowAttention, relative_position_index
 from .config import ModelConfig
 from .heads_losses import finetune_loss
 from .model import M3ADNet
@@ -66,8 +66,6 @@ def check_primitives(rng: np.random.Generator | None = None) -> dict[str, float]
 
     x = _t(rng, 4, 5)
     wx = _weight(rng, (4, 5))
-    xp = _t(rng, 4, 5, positive=True)
-    run("sqrt", lambda: nm.mul(nm.sqrt(xp), wx).sum(), [xp])
     xz = _t(rng, 4, 5, away_from_zero=True)
     run("abs", lambda: nm.mul(nm.absolute(xz), wx).sum(), [xz])
     run("clamp_min", lambda: nm.mul(nm.clamp_min(xz, 0.1), wx).sum(), [xz])
@@ -97,6 +95,13 @@ def check_primitives(rng: np.random.Generator | None = None) -> dict[str, float]
     run("broadcast_to", lambda: nm.mul(nm.broadcast_to(row, (3, 4)), w).sum(), [row])
 
     run("softmax", lambda: nm.mul(nm.softmax(x, axis=-1), wx).sum(), [x])
+    # 3 windows of 2x2 tokens, 2 heads of 2 channels; normal q and k rows
+    # stay far from the norm clamp, and the tau keep the scores moderate
+    qkv, tau, bias = _t(rng, 3, 4, 12), _t(rng, 2, positive=True), _t(rng, 9, 2)
+    rel = relative_position_index(2, 2).reshape(-1)
+    wa = _weight(rng, (3, 4, 4))
+    run("cosine_attention",
+        lambda: nm.mul(nm.cosine_attention(qkv, tau, bias, rel, 2), wa).sum(), [qkv, tau, bias])
     gamma, beta = _t(rng, 5), _t(rng, 5)
     run("layer_norm", lambda: nm.mul(nm.layer_norm(x, gamma, beta), wx).sum(), [x, gamma, beta])
     logits = _t(rng, 4, 3)

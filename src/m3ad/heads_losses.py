@@ -178,8 +178,7 @@ def pretrain_loss(model, images: np.ndarray, labels: np.ndarray,
     rows = [model.label_guided_weights(labels)]
     if lambda_expert != 0.0:
         rows.append(model.label_guided_weights(labels, shared_weight=0.0))
-    pred = model.reconstruct(np.concatenate([images] * len(rows)), np.concatenate(rows),
-                             np.concatenate([masks] * len(rows)))
+    pred = model.reconstruct(images, np.concatenate(rows), masks)
     b = len(labels)
     recon = recon_loss(pred[:b], images, masks)
     if lambda_expert == 0.0:

@@ -13,6 +13,12 @@ phases; only the routing and which heads are read differ:
   the change task, each block routed by its task's gate in every
   mixture-of-experts layer, priors fused in, per-task head on the pooled
   final tokens of its block.
+
+Either way :meth:`M3ADNet.encode` takes each scan once. The copies are
+identical up to the first MMoE layer, so the patch embedding, the mask
+and the first block's mixer run on the B scans, and the copies split
+just before that layer's norm: from there on the routing's rows, a
+whole number of copies of the batch, run stacked.
 """
 
 from __future__ import annotations
@@ -78,7 +84,9 @@ class M3ADNet(Module):
 
     def encode(self, images, routing: Routing, priors: np.ndarray | None = None,
                masks: np.ndarray | None = None) -> Tensor:
-        """Run the backbone; returns the final (B, h, w, 8C) grid.
+        """Run the backbone on B scans; returns the final (rows, h, w, 8C)
+        grid, one row per row of the ``routing``, which covers a whole
+        number of copies of the batch stacked in order.
 
         ``priors`` (B, 3), already normalized, switches fusion on;
         ``masks``, (B, H/unit, W/unit) bool, puts the mask token in every
@@ -87,14 +95,15 @@ class M3ADNet(Module):
         x = self.patch_embed(self._as_input(images))
         if masks is not None:
             x = apply_mask(x, masks, self.mask_token)
+        copies = routing.copies(x.shape[0])
         clinical = None
         if priors is not None:
             priors = np.asarray(priors, dtype=self.np_dtype)
-            clinical = self.prior_encoder(Tensor(priors))
+            clinical = self.prior_encoder(Tensor(np.concatenate([priors] * copies)))
         block_idx = 0
         for stage in range(4):
             for _ in range(self.cfg.depths[stage]):
-                x = self.blocks[block_idx](x, routing)
+                x = self.blocks[block_idx](x, routing, copies if block_idx == 0 else 1)
                 block_idx += 1
             if stage < 3:
                 x = self.merges[stage](x)
@@ -118,8 +127,10 @@ class M3ADNet(Module):
                                     cfg.num_shared_experts, shared_weight, self.np_dtype)
 
     def reconstruct(self, images, weights: np.ndarray, masks: np.ndarray) -> Tensor:
-        """Decoded (B, H, W) pixels of ``images`` under the unit ``masks``
-        (B, H/unit, W/unit) and fixed per-row expert ``weights`` (B, E)."""
+        """Decoded (rows, H, W) pixels of the B ``images`` under their unit
+        ``masks`` (B, H/unit, W/unit), one row per row of the fixed expert
+        ``weights`` (rows, E): a whole number of copies of the batch, each
+        copy with its own weight rows."""
         grid = self.encode(images, fixed_routing(weights), masks=masks)
         return self.decoder(grid)
 
@@ -127,16 +138,14 @@ class M3ADNet(Module):
 
     def dual_task_logits(self, images, priors: np.ndarray | None,
                          sink: list | None = None) -> tuple[Tensor, Tensor]:
-        """(diagnosis, change) logits of one pass over the images stacked
-        twice, the first copy routed by the diagnosis gates and read by
-        the diagnosis head, the second by the change gates and head.
-        ``priors=None`` runs without fusion; ``sink`` collects each MMoE
-        layer's (2B, E) gate weights, in layer order."""
-        x = self._as_input(images)
-        if priors is not None:
-            priors = np.concatenate([priors, priors])
+        """(diagnosis, change) logits of one pass over the images, whose
+        two copies split before the first MMoE layer: the first copy is
+        routed by the diagnosis gates and read by the diagnosis head, the
+        second by the change gates and head. ``priors=None`` runs without
+        fusion; ``sink`` collects each MMoE layer's (2B, E) gate weights,
+        in layer order."""
         routing = task_routing(*TASKS)
         routing.sink = sink
-        grid = self.encode(nm.concat([x, x]), routing, priors=priors)
+        grid = self.encode(images, routing, priors=priors)
         b, h, w, c = grid.shape
         return self.heads(nm.reshape(grid, (b, h * w, c)), *TASKS)

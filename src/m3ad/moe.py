@@ -79,6 +79,19 @@ class Routing:
     weights: np.ndarray | None = None  # (rows, E), rows on the simplex
     sink: list | None = None
 
+    def copies(self, batch: int) -> int:
+        """How many stacked copies of a ``batch`` of scans the rows cover:
+        one per task, or the weight rows over the batch."""
+        if self.kind == "task":
+            return len(self.tasks)
+        if self.kind != "fixed":
+            raise ContractError(f"unknown routing kind {self.kind!r}")
+        rows = len(self.weights)
+        if not batch or not rows or rows % batch:
+            raise ShapeError(f"{rows} routing rows are no whole number of copies "
+                             f"of {batch} scans")
+        return rows // batch
+
 
 def task_routing(*tasks: str) -> Routing:
     if not tasks or any(task not in TASKS for task in tasks):

@@ -348,11 +348,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- elementwise nonlinearities ---------------------------------------
 
 
-def sqrt(a: Tensor) -> Tensor:
-    data = np.sqrt(a.data)
-    return _wrap(data, (a,), lambda g: (g * (0.5 / data),))
-
-
 def absolute(a: Tensor) -> Tensor:
     data = np.abs(a.data)
     return _wrap(data, (a,), lambda g: (g * np.sign(a.data),))
@@ -593,6 +588,91 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         return (data * (g - inner),)
 
     return _wrap(data, (a,), vjp)
+
+
+_NORM_FLOOR = 1e-12
+
+
+def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x / max(||x||, 1e-12) along the last axis, and that divisor."""
+    den = np.sqrt((x * x).sum(axis=-1, keepdims=True))
+    np.maximum(den, _NORM_FLOOR, out=den)
+    return x / den, den
+
+
+def _unit_rows_vjp(g: np.ndarray, unit: np.ndarray, den: np.ndarray) -> None:
+    """Turn ``g``, the gradient of :func:`_unit_rows`'s output, in place
+    into the gradient of its input. A row whose norm is at the floor
+    divides by the floor alone: no gradient flows through its norm."""
+    inner = (g * unit).sum(axis=-1, keepdims=True)
+    inner *= den > _NORM_FLOOR
+    g -= unit * inner
+    g /= den
+
+
+def cosine_attention(qkv: Tensor, tau: Tensor, bias_table: Tensor, index: np.ndarray,
+                     heads: int) -> Tensor:
+    """Swin V2 scaled cosine attention of a stack of windows, one graph node.
+
+    ``qkv`` is (windows, t, 3C), a qkv linear's output: each token's
+    query, key and value, each of ``heads`` heads of C / heads channels.
+    Per window and head the result is softmax(cos(q, k) / tau + B) @ v,
+    with ``tau`` (heads,) and the relative position bias
+    B = bias_table[index], ``index`` being the (t * t,) flat table row of
+    each (query, key) pair. The norms of q and k are clamped at 1e-12.
+    Returns (windows, t, C), the heads side by side.
+
+    The vjp takes the softmax backward dS = P * (dP - rowsum(dP * P))
+    (FlashAttention, untiled) and the l2-normalize vjp. It writes the q,
+    k and v gradients into one buffer, reduces dtau once and scatters
+    dbias once into the table.
+    """
+    bw, t, c3 = qkv.shape
+    c = c3 // 3
+    if (c3 % 3 or c % heads or tau.shape != (heads,) or bias_table.ndim != 2
+            or bias_table.shape[1] != heads or np.shape(index) != (t * t,)):
+        raise ShapeError(f"cosine_attention: qkv {qkv.shape}, tau {tau.shape}, bias table "
+                         f"{bias_table.shape} and index {np.shape(index)} do not fit "
+                         f"{heads} heads")
+    if tau.dtype != qkv.dtype or bias_table.dtype != qkv.dtype:
+        raise ShapeError(f"operand dtypes differ: {qkv.dtype}, {tau.dtype}, {bias_table.dtype}")
+    hd = c // heads
+    q, k, v = qkv.data.reshape(bw, t, 3, heads, hd).transpose(2, 0, 3, 1, 4)
+    qn, qden = _unit_rows(q)
+    kn, kden = _unit_rows(k)
+    # scores key by query, (bw, heads, t, t): numpy reduces the
+    # second-to-last axis about 3x faster than the last
+    rows = index.reshape(t, t).T
+    cos = kn @ qn.swapaxes(-1, -2)
+    tau_b = tau.data.reshape(heads, 1, 1)
+    p = cos / tau_b
+    p += bias_table.data[rows].transpose(2, 0, 1)
+    p -= p.max(axis=-2, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-2, keepdims=True)
+    out = (p.swapaxes(-1, -2) @ v).transpose(0, 2, 1, 3).reshape(bw, t, c)
+
+    def vjp(g):
+        go = g.reshape(bw, t, heads, hd).transpose(0, 2, 1, 3)
+        grad = np.empty((bw, t, 3, heads, hd), dtype=qkv.dtype)
+        gq, gk, gv = grad.transpose(2, 0, 3, 1, 4)
+        np.matmul(p, go, out=gv)
+        ds = v @ go.swapaxes(-1, -2)  # dP
+        ds -= np.einsum("bhji,bhji->bhi", ds, p)[:, :, None, :]
+        ds *= p  # dS
+        gbias = np.zeros_like(bias_table.data)
+        np.add.at(gbias, rows.reshape(-1), ds.sum(axis=0).reshape(heads, t * t).T)
+        # one dot product of dS and cos per window and head
+        gtau = (ds.reshape(bw, heads, 1, t * t) @ cos.reshape(bw, heads, t * t, 1)).sum(axis=0)
+        gtau = gtau.reshape(heads) / -(tau.data * tau.data)
+        ds /= tau_b  # d cos
+        np.matmul(ds.swapaxes(-1, -2), kn, out=gq)
+        np.matmul(ds, qn, out=gk)
+        _unit_rows_vjp(gq, qn, qden)
+        _unit_rows_vjp(gk, kn, kden)
+        return grad.reshape(bw, t, c3), gtau, gbias
+
+    return _wrap(out, (qkv, tau, bias_table), vjp)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

@@ -62,7 +62,7 @@ def compute_prior_stats(age: np.ndarray, etiv: np.ndarray) -> PriorStats:
 
 
 def normalize_priors(age: np.ndarray, gender: np.ndarray, etiv: np.ndarray,
-                     stats: PriorStats, dtype=np.float32) -> np.ndarray:
+                     stats: PriorStats, dtype) -> np.ndarray:
     """Stack normalized (age, gender, eTIV) into a (B, 3) array."""
     if stats.age_std < 1e-8 or stats.etiv_std < 1e-8:
         raise ContractError("degenerate prior statistics (zero spread)")

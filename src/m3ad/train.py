@@ -55,14 +55,24 @@ def cosine_lr(t: int, total: int, base: float, min_lr: float) -> float:
     return min_lr + 0.5 * (base - min_lr) * (1.0 + np.cos(np.pi * t / total))
 
 
-def clip_gradients(params: list[Tensor], max_norm: float) -> float:
+def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
     """Scale all gradients in place so their global L2 norm is at most
-    ``max_norm``; returns the pre-clip norm."""
+    ``max_norm``; returns the pre-clip norm.
+
+    This is the step's finiteness check. The norm sums squares in
+    float64, which float32 gradients cannot overflow, so it is non-finite
+    exactly when some gradient is; then a ContractError names the first
+    such parameter, before any gradient is scaled or parameter moved.
+    """
     total = 0.0
-    grads = [p.grad for p in params if p.grad is not None]
+    grads = [p.grad for p in params.values() if p.grad is not None]
     for g in grads:
         total += float(np.dot(g.reshape(-1).astype(np.float64), g.reshape(-1).astype(np.float64)))
     norm = float(np.sqrt(total))
+    if not np.isfinite(norm):
+        for name, p in params.items():
+            if p.grad is not None and not np.all(np.isfinite(p.grad)):
+                raise ContractError(f"non-finite gradient for parameter {name!r}")
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
         for g in grads:
@@ -75,7 +85,9 @@ class AdamW:
 
     Parameters whose gradient is absent are skipped entirely: no moment
     update, no decay. Each parameter keeps its own step count so bias
-    correction stays exact for late joiners.
+    correction stays exact for late joiners. Moments and parameters are
+    updated in place. Gradients must be finite: :func:`clip_gradients`,
+    which runs before every step, checks them.
     """
 
     BETA1 = 0.9
@@ -93,21 +105,30 @@ class AdamW:
             g = p.grad
             if g is None:
                 continue
-            if not np.all(np.isfinite(g)):
-                raise ContractError(f"non-finite gradient for parameter {name!r}")
             st = self.state.get(name)
             if st is None:
                 st = {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data), "t": 0}
                 self.state[name] = st
             st["t"] += 1
-            t = st["t"]
-            st["m"] = self.BETA1 * st["m"] + (1.0 - self.BETA1) * g
-            st["v"] = self.BETA2 * st["v"] + (1.0 - self.BETA2) * (g * g)
-            m_hat = st["m"] / (1.0 - self.BETA1 ** t)
-            v_hat = st["v"] / (1.0 - self.BETA2 ** t)
+            t, m, v = st["t"], st["m"], st["v"]
+            # the operations of the textbook expressions, in their order,
+            # into two scratch arrays (out= keeps 0-d ones arrays)
+            step, den = np.empty_like(m), np.empty_like(v)
+            m *= self.BETA1
+            m += np.multiply(g, 1.0 - self.BETA1, out=step)
+            v *= self.BETA2
+            np.multiply(g, g, out=den)
+            den *= 1.0 - self.BETA2
+            v += den
+            np.divide(m, 1.0 - self.BETA1 ** t, out=step)  # m_hat
+            np.divide(v, 1.0 - self.BETA2 ** t, out=den)  # v_hat
             if self.weight_decay:
                 p.data -= (self.lr * self.weight_decay) * p.data
-            p.data -= (self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)).astype(p.data.dtype)
+            step *= self.lr
+            np.sqrt(den, out=den)
+            den += self.EPS
+            step /= den
+            p.data -= step
 
 
 class EarlyStopper:
@@ -278,7 +299,7 @@ def _fit(model: M3ADNet, cfg: TrainConfig, n: int, stage: str, mode: str, batch_
             total.backward()
             if on_batch is not None:
                 on_batch(model, epoch, batch)
-            clip_gradients(model.parameters(), cfg.clip_norm)
+            clip_gradients(opt.params, cfg.clip_norm)
             opt.step()
             for name, value in zip(terms, values):
                 sums[name] = sums.get(name, 0.0) + value * batch.size
@@ -337,7 +358,7 @@ def pretrain_loop(model: M3ADNet, train: Dataset, val: Dataset, cfg: TrainConfig
 
 
 def _masked_l1_eval(model: M3ADNet, ds: Dataset, masks: np.ndarray, weights: np.ndarray,
-                    batch_size: int = 16) -> np.ndarray:
+                    batch_size: int) -> np.ndarray:
     """Per-sample masked L1 of the reconstructions under fixed routing,
     one unit mask and one (E,) row of ``weights`` per sample."""
     values = np.empty(len(ds))
@@ -374,7 +395,7 @@ def predict(model: M3ADNet, ds: Dataset, stats: PriorStats | None,
 
 
 def task_accuracies(model: M3ADNet, ds: Dataset, stats: PriorStats,
-                    batch_size: int = 16) -> tuple[float, float]:
+                    batch_size: int) -> tuple[float, float]:
     """(diagnosis accuracy, change accuracy) of argmax predictions."""
     logits, _ = predict(model, ds, stats, batch_size)
     return (float(np.count_nonzero(logits["diagnosis"].argmax(axis=1) == ds.diag) / len(ds)),

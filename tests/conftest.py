@@ -86,8 +86,8 @@ def stage_trace(model, images, routing) -> list[tuple[int, tuple[int, int], int]
     shapes = []
     call = M3ADBlock.__call__
 
-    def record(block, x, block_routing):
-        out = call(block, x, block_routing)
+    def record(block, x, *args):
+        out = call(block, x, *args)
         shapes.append(out.shape)
         return out
 

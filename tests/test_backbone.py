@@ -195,3 +195,159 @@ def test_shifted_block_differs_on_larger_maps(rng):
     x = Tensor(rng.standard_normal((1, 8, 8, 8)))
     routing = task_routing("change")
     assert np.abs(shifted(x, routing).data - plain(x, routing).data).max() > 1e-8
+
+
+# -- the fused attention op against the composite it replaced ------------
+
+
+def _sqrt(a):
+    data = np.sqrt(a.data)
+    return nm._wrap(data, (a,), lambda g: (g * (0.5 / data),))
+
+
+def _composite_attention(qkv, tau, bias_table, index, heads):
+    """Window attention as a chain of engine ops, the oracle of
+    ``nm.cosine_attention``: 26 graph nodes where the op makes one."""
+    bw, t, c3 = qkv.shape
+    c = c3 // 3
+    x = nm.transpose(nm.reshape(qkv, (bw, t, 3, heads, c // heads)), (2, 0, 3, 1, 4))
+    q, k, v = x[0], x[1], x[2]
+    qn = nm.div(q, nm.clamp_min(_sqrt(nm.tsum(nm.mul(q, q), axis=-1, keepdims=True)), 1e-12))
+    kn = nm.div(k, nm.clamp_min(_sqrt(nm.tsum(nm.mul(k, k), axis=-1, keepdims=True)), 1e-12))
+    cossim = nm.matmul(qn, nm.transpose(kn, (0, 1, 3, 2)))
+    scores = nm.div(cossim, nm.reshape(tau, (1, heads, 1, 1)))
+    bias = nm.transpose(nm.reshape(nm.take(bias_table, index), (t, t, heads)), (2, 0, 1))
+    out = nm.matmul(nm.softmax(nm.add(scores, bias), axis=-1), v)
+    return nm.reshape(nm.transpose(out, (0, 2, 1, 3)), (bw, t, c))
+
+
+def _attention_case(dtype, windows, m, window, heads, hd, seed, tau=None):
+    rng = np.random.default_rng(seed)
+    t, c = m * m, heads * hd
+    qkv = rng.standard_normal((windows, t, 3 * c))
+    tau = rng.uniform(0.05, 1.5, heads) if tau is None else np.full(heads, tau)
+    table = 0.5 * rng.standard_normal(((2 * window - 1) ** 2, heads))
+    seed_grad = rng.standard_normal((windows, t, c)).astype(dtype)
+    return [qkv, tau, table], relative_position_index(m, window).reshape(-1), seed_grad
+
+
+def _run_attention(fn, arrays, index, heads, seed_grad):
+    leaves = [Tensor(a.astype(seed_grad.dtype), requires_grad=True) for a in arrays]
+    out = fn(*leaves, index, heads)
+    out.backward(seed_grad)
+    return [out.data] + [leaf.grad for leaf in leaves]
+
+
+def _rel_err(got, want):
+    scale = np.abs(want).max()
+    return np.abs(got - want).max() / scale if scale else np.abs(got).max()
+
+
+_TAU_FLOOR = float(np.nextafter(0.01, np.inf))
+
+# (windows, m, table window, heads, head channels, tau): m = window, a
+# sub-block of the bias table (m < window), one-token windows, and tau
+# at the floor (scores up to 100)
+_ATTENTION_CASES = [(6, 4, 4, 2, 3, None), (4, 4, 8, 2, 4, None), (5, 1, 4, 3, 2, None),
+                    (3, 2, 4, 2, 4, _TAU_FLOOR)]
+# Bounds on the error relative to the largest magnitude of the output
+# and of each gradient (qkv, tau, bias table). The op sums in another
+# order (it reduces a score matrix along its other axis). Over 200 seeds
+# of these cases the float64 errors stayed below 2e-15, and 5e-13 for
+# the tau gradient: each softmax row of dS sums to zero, so the sum that
+# makes dtau cancels. float32 stayed below 1e-6, and 1e-4 for dtau.
+_BOUNDS = {np.float64: (1e-12, 1e-12, 1e-12, 1e-12), np.float32: (1e-5, 1e-5, 5e-4, 1e-5)}
+
+
+@pytest.mark.parametrize("case", _ATTENTION_CASES)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_cosine_attention_matches_composite(case, dtype):
+    windows, m, window, heads, hd, tau = case
+    arrays, index, g = _attention_case(dtype, windows, m, window, heads, hd, seed=m, tau=tau)
+    fused = _run_attention(nm.cosine_attention, arrays, index, heads, g)
+    oracle = _run_attention(_composite_attention, arrays, index, heads, g)
+    for name, got, want, bound in zip(("out", "qkv", "tau", "bias_table"), fused, oracle,
+                                      _BOUNDS[dtype]):
+        assert got.dtype == dtype and got.shape == want.shape
+        assert _rel_err(got, want) <= bound, name
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_cosine_attention_norm_clamp(dtype):
+    """A q row and a k row with norms below the 1e-12 clamp: both are
+    divided by the clamp, and no gradient flows through their norms. An
+    exactly zero q row gives the composite's output and gradients, except
+    in its own gradient, which is finite where the composite's sqrt vjp
+    makes 0 * inf."""
+    arrays, index, g = _attention_case(dtype, 3, 2, 4, 2, 3, seed=5)
+    qkv = arrays[0]
+    qkv[0, 1, 0:3] = 1e-14  # window 0, token 1, head 0: q
+    qkv[2, 0, 9:12] = -3e-14  # window 2, token 0, head 1: k
+    fused = _run_attention(nm.cosine_attention, arrays, index, 2, g)
+    oracle = _run_attention(_composite_attention, arrays, index, 2, g)
+    for got, want, bound in zip(fused, oracle, _BOUNDS[dtype]):
+        assert _rel_err(got, want) <= bound
+    qkv[0, 1, 0:3] = 0.0
+    fused = _run_attention(nm.cosine_attention, arrays, index, 2, g)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        oracle = _run_attention(_composite_attention, arrays, index, 2, g)
+    zero_row = (0, 1, slice(0, 3))
+    assert np.isnan(oracle[1][zero_row]).all() and np.isfinite(fused[1]).all()
+    fused[1][zero_row] = oracle[1][zero_row] = 0.0
+    for got, want, bound in zip(fused, oracle, _BOUNDS[dtype]):
+        assert _rel_err(got, want) <= bound
+
+
+def test_shifted_block_matches_composite_attention(monkeypatch):
+    """A shifted attention block, its output and every parameter gradient,
+    with the op and with the composite in its place."""
+    rng = np.random.default_rng(8)
+    block = _block(np.random.default_rng(9), shifted=True)
+    x = Tensor(rng.standard_normal((2, 8, 8, 8)))
+    seed = rng.standard_normal((2, 8, 8, 8))
+
+    def run():
+        block.zero_grad()
+        out = block(x, task_routing("diagnosis"))
+        out.backward(seed)
+        return out.data, {name: p.grad for name, p in block.named_parameters().items()}
+
+    fused, fused_grads = run()
+    mixer = block.mixer
+
+    def composite_call(self, windows, m):
+        out = _composite_attention(self.qkv(windows), self._temperature(), self.bias_table,
+                                   self._rel_index(m), self.heads)
+        return self.proj(out)
+
+    monkeypatch.setattr(WindowAttention, "__call__", composite_call)
+    oracle, oracle_grads = run()
+    assert _rel_err(fused, oracle) <= 1e-12
+    assert mixer.bias_table.grad is not None
+    for name, grad in oracle_grads.items():
+        if grad is None:  # the change gate
+            assert fused_grads[name] is None
+        else:
+            assert _rel_err(fused_grads[name], grad) <= 1e-12, name
+
+
+def _op_nodes(out):
+    """Names of the ops of every graph node behind ``out``."""
+    names, stack, seen = [], [out], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._vjp is None:
+            continue
+        seen.add(id(node))
+        names.append(node._vjp.__qualname__.split(".")[0])
+        stack.extend(node._parents)
+    return names
+
+
+def test_window_attention_is_one_node(rng):
+    attn = WindowAttention(rng, 8, 2, 4, np.float32)
+    windows = Tensor(rng.standard_normal((3, 16, 8)).astype(np.float32), requires_grad=True)
+    ops = _op_nodes(attn(windows, 4))
+    assert ops.count("cosine_attention") == 1
+    assert not {"softmax", "div", "take", "getitem"} & set(ops)
+    assert len(ops) == 12  # 4 per linear, 3 for tau, the op

@@ -12,12 +12,12 @@ from m3ad.gradcheck import PRIMITIVE_TOL, check_primitives
 _EXPECTED_OPS = {
     "add", "sub", "mul", "div", "add_broadcast",
     "matmul", "matmul_batched",
-    "sqrt", "abs", "clamp_min",
+    "abs", "clamp_min",
     "sigmoid", "softplus", "gelu",
     "sum_axis", "mean_axis", "mean_all",
     "reshape", "transpose", "getitem", "take", "concat", "roll",
     "taps3x3", "broadcast_to",
-    "softmax", "layer_norm", "cross_entropy",
+    "softmax", "cosine_attention", "layer_norm", "cross_entropy",
     "conv3x3", "dwconv3x3", "expert_mix",
 }
 

@@ -5,10 +5,10 @@ import pytest
 
 from conftest import stage_trace, tiny_model_config
 from m3ad.backbone import WindowAttention
-from m3ad.heads_losses import sample_masks
+from m3ad.heads_losses import apply_mask, sample_masks
 from m3ad.model import M3ADNet
 from m3ad import numerics as nm
-from m3ad.moe import task_routing
+from m3ad.moe import fixed_routing, task_routing
 from m3ad.numerics import Tensor, no_grad
 from m3ad.errors import ShapeError
 from m3ad.priors import compute_prior_stats, normalize_priors
@@ -22,7 +22,7 @@ def _priors(n, rng):
     etiv = rng.uniform(1200, 1700, n)
     stats = compute_prior_stats(np.array([60.0, 70.0, 80.0]),
                                 np.array([1300.0, 1450.0, 1600.0]))
-    return normalize_priors(age, gender, etiv, stats)
+    return normalize_priors(age, gender, etiv, stats, dtype=np.float32)
 
 
 def test_encode_shapes_and_trace(rng):
@@ -189,3 +189,140 @@ def test_tensor_input_passthrough(rng):
     images = Tensor(rng.standard_normal((1, 32, 32)))
     out = model.encode(images, _ROUTE)
     assert out.data.dtype == np.float64
+
+
+# -- the copies split after the first mixer --------------------------------
+
+
+def _stacked_grid(model, images, routing, copies, priors=None, masks=None):
+    """The encoder pass with every copy stacked from the patch embedding
+    on, the oracle of ``encode``, which splits the copies after the first
+    block's mixer."""
+    x = model.patch_embed(Tensor(np.concatenate([images] * copies).astype(model.np_dtype)))
+    if masks is not None:
+        x = apply_mask(x, np.concatenate([masks] * copies), model.mask_token)
+    clinical = None
+    if priors is not None:
+        clinical = model.prior_encoder(Tensor(np.concatenate([priors] * copies)))
+    blocks = iter(model.blocks)
+    for stage, depth in enumerate(model.cfg.depths):
+        for _ in range(depth):
+            x = next(blocks)(x, routing)
+        if stage < 3:
+            x = model.merges[stage](x)
+        if stage == model.cfg.fusion_stage and clinical is not None:
+            b, h, w, c = x.shape
+            x = nm.reshape(model.fusion(nm.reshape(x, (b, h * w, c)), clinical), (b, h, w, c))
+    return x
+
+
+def _stacked_dual_logits(model, images, priors, sink=None):
+    routing = task_routing("diagnosis", "change")
+    routing.sink = sink
+    grid = _stacked_grid(model, images, routing, 2, priors=priors)
+    b, h, w, c = grid.shape
+    return model.heads(nm.reshape(grid, (b, h * w, c)), "diagnosis", "change")
+
+
+def _stacked_reconstruct(model, images, weights, masks):
+    copies = len(weights) // len(images)
+    return model.decoder(_stacked_grid(model, images, fixed_routing(weights), copies,
+                                       masks=masks))
+
+
+@pytest.mark.parametrize("batch", [1, 2, 16])
+def test_dual_pass_runs_first_mixer_once_bit_exactly(rng, batch):
+    """Scoring takes each scan once up to the first MMoE layer and equals
+    the pass that stacks both copies from the start, bit for bit: every
+    product keeps its rows, only fewer of them run."""
+    model = M3ADNet(tiny_model_config(depths=(2, 1, 1, 1)), seed=14)
+    images = rng.standard_normal((batch, 32, 32)).astype(np.float32)
+    priors = _priors(batch, rng)
+    sink, oracle_sink = [], []
+    with no_grad():
+        got = model.dual_task_logits(images, priors, sink=sink)
+        want = _stacked_dual_logits(model, images, priors, oracle_sink)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.data, b.data)
+    assert len(sink) == len(oracle_sink) == len(model.blocks)
+    for a, b in zip(sink, oracle_sink):
+        assert a.shape == (2 * batch, model.cfg.num_experts) and np.array_equal(a, b)
+
+
+def test_pretrain_forward_and_masked_l1_eval_are_bit_exact(tiny_splits):
+    """The pretrain loss's forward pass (label-guided over class-only
+    rows) and validation's masked L1 equal the stacked pass bit for bit."""
+    from m3ad.heads_losses import masked_l1_per_sample
+    from m3ad.train import _masked_l1_eval
+    _, val, _ = tiny_splits
+    model = M3ADNet(tiny_model_config(), seed=15)
+    masks = sample_masks(np.random.default_rng(1), len(val), (32, 32), 8, 0.5)
+    weights = np.concatenate([model.label_guided_weights(val.diag),
+                              model.label_guided_weights(val.diag, shared_weight=0.0)])
+    with no_grad():
+        got = model.reconstruct(val.images, weights, masks).data
+        want = _stacked_reconstruct(model, val.images, weights, masks).data
+        assert got.shape == (2 * len(val), 32, 32) and np.array_equal(got, want)
+        values = _masked_l1_eval(model, val, masks, weights[:len(val)], batch_size=len(val))
+        oracle = _stacked_reconstruct(model, val.images, weights[:len(val)], masks).data
+    assert np.array_equal(values, masked_l1_per_sample(oracle, val.images, masks))
+
+
+def _grads(model, loss):
+    model.zero_grad()
+    loss.backward()
+    return {name: p.grad for name, p in model.named_parameters().items()}
+
+
+def test_training_gradients_match_the_stacked_pass(tiny_splits):
+    """One pretrain step and one fine-tune step. The first block's
+    gradients now add the copies before its weight products, so they
+    change in summation order only: in float64 within 1e-12 of the
+    largest entry of each gradient (measured: below 1e-14)."""
+    from m3ad.heads_losses import (expert_specialization_loss, finetune_loss, pretrain_loss,
+                                   recon_loss)
+    train, _, _ = tiny_splits
+    model = M3ADNet(tiny_model_config(dtype="float64"), seed=16)
+    images, labels = train.images[:8].astype(np.float64), train.diag[:8]
+    masks = sample_masks(np.random.default_rng(2), 8, (32, 32), 8, 0.5)
+    stats = compute_prior_stats(train.age, train.etiv)
+    priors = normalize_priors(train.age[:8], train.gender[:8], train.etiv[:8], stats,
+                              dtype=np.float64)
+    weights = np.concatenate([model.label_guided_weights(labels),
+                              model.label_guided_weights(labels, shared_weight=0.0)])
+    pred = _stacked_reconstruct(model, images, weights, masks)
+    stacked = nm.add(recon_loss(pred[:8], images, masks),
+                     expert_specialization_loss(pred[8:], images, labels, masks))
+    pairs = [(pretrain_loss(model, images, labels, masks, 1.0)[0], stacked)]
+    diag, change = train.diag[:8], train.change[:8]
+    pairs.append((finetune_loss(*model.dual_task_logits(images, priors), diag, change),
+                  finetune_loss(*_stacked_dual_logits(model, images, priors), diag, change)))
+    for loss, oracle in pairs:
+        assert loss.item() == oracle.item()
+        got, want = _grads(model, loss), _grads(model, oracle)
+        for name, grad in want.items():
+            if grad is None:
+                assert got[name] is None
+                continue
+            err = np.abs(got[name] - grad).max()
+            assert err <= 1e-12 * np.abs(grad).max(), name
+
+
+def test_pretrain_without_specialization_runs_one_copy(monkeypatch):
+    """At lambda_expert 0 the pass holds the label-guided rows alone, and
+    its reconstruction term equals the one of the two-copy pass."""
+    from m3ad.heads_losses import ReconDecoder, pretrain_loss
+    rng = np.random.default_rng(3)
+    model = M3ADNet(tiny_model_config(), seed=17)
+    images = rng.standard_normal((4, 32, 32)).astype(np.float32)
+    labels = np.array([0, 1, 2, 1])
+    masks = sample_masks(rng, 4, (32, 32), 8, 0.5)
+    rows = []
+    call = ReconDecoder.__call__
+    monkeypatch.setattr(ReconDecoder, "__call__",
+                        lambda self, grid: rows.append(grid.shape[0]) or call(self, grid))
+    total, recon, expert = pretrain_loss(model, images, labels, masks, 0.0)
+    _, recon_both, expert_both = pretrain_loss(model, images, labels, masks, 1.0)
+    assert rows == [4, 8]
+    assert total is recon and expert.item() == 0.0 and expert_both.item() > 0.0
+    assert recon.item() == recon_both.item()

@@ -31,11 +31,13 @@ def test_normalize_priors_hand_case():
     out = normalize_priors(np.array([80.0, 60.0]), np.array([1, 0]),
                            np.array([1550.0, 1350.0]), stats, dtype=np.float64)
     np.testing.assert_allclose(out, [[1.0, 1.0, 1.0], [-1.0, 0.0, -1.0]], atol=1e-12)
-    out32 = normalize_priors(np.array([70.0]), np.array([0]), np.array([1450.0]), stats)
+    out32 = normalize_priors(np.array([70.0]), np.array([0]), np.array([1450.0]), stats,
+                             dtype=np.float32)
     assert out32.dtype == np.float32
     degenerate = PriorStats(age_mean=70.0, age_std=0.0, etiv_mean=1450.0, etiv_std=100.0)
     with pytest.raises(ContractError):
-        normalize_priors(np.array([70.0]), np.array([0]), np.array([1450.0]), degenerate)
+        normalize_priors(np.array([70.0]), np.array([0]), np.array([1450.0]), degenerate,
+                         dtype=np.float32)
 
 
 def test_prior_stats_dict_round_trip():

@@ -98,9 +98,89 @@ def test_adamw_late_joiner_bias_correction():
 
 
 def test_adamw_rejects_nonfinite_gradient():
+    """The step's finiteness check is clip_gradients, which runs before
+    AdamW.step: the error names the parameter and nothing is scaled."""
     p = _param([1.0], grad=[np.inf])
+    q = _param([1.0], grad=[3.0])
     with pytest.raises(ContractError, match="bad_param"):
-        AdamW({"bad_param": p}, lr=0.1, weight_decay=0.0).step()
+        clip_gradients({"good": q, "bad_param": p}, max_norm=1.0)
+    assert q.grad.tolist() == [3.0]
+
+
+def test_late_nonfinite_gradient_moves_nothing():
+    """A NaN in the last of three gradients is rejected before any
+    gradient is scaled and before any parameter or moment moves."""
+    params = {f"p{i}": _param([1.0, -2.0], grad=[0.5, 0.25]) for i in range(3)}
+    opt = AdamW(params, lr=0.1, weight_decay=0.01)
+    opt.step()
+    params["p2"].grad = np.array([0.5, np.nan])
+    before = {name: (p.data.copy(), p.grad.copy(), opt.state[name]["m"].copy(),
+                     opt.state[name]["v"].copy(), opt.state[name]["t"])
+              for name, p in params.items()}
+    with pytest.raises(ContractError, match="'p2'"):
+        clip_gradients(params, max_norm=0.1)
+        opt.step()
+    for name, p in params.items():
+        data, grad, m, v, t = before[name]
+        np.testing.assert_array_equal(p.data, data)
+        np.testing.assert_array_equal(p.grad, grad)
+        np.testing.assert_array_equal(opt.state[name]["m"], m)
+        np.testing.assert_array_equal(opt.state[name]["v"], v)
+        assert opt.state[name]["t"] == t
+
+
+def _textbook_adamw_step(opt, params, state):
+    """AdamW.step written with fresh arrays, the oracle of the in-place one."""
+    for name, p in params.items():
+        g = p.grad
+        if g is None:
+            continue
+        st = state.setdefault(name, {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data),
+                                     "t": 0})
+        st["t"] += 1
+        t = st["t"]
+        st["m"] = opt.BETA1 * st["m"] + (1.0 - opt.BETA1) * g
+        st["v"] = opt.BETA2 * st["v"] + (1.0 - opt.BETA2) * (g * g)
+        m_hat = st["m"] / (1.0 - opt.BETA1 ** t)
+        v_hat = st["v"] / (1.0 - opt.BETA2 ** t)
+        if opt.weight_decay:
+            p.data -= (opt.lr * opt.weight_decay) * p.data
+        p.data -= (opt.lr * m_hat / (np.sqrt(v_hat) + opt.EPS)).astype(p.data.dtype)
+
+
+def test_adamw_in_place_matches_textbook_bit_for_bit(tiny_splits):
+    """A pretrain step, then two fine-tune steps in which the gate
+    parameters join late: parameters and moments equal, bit for bit,
+    those of the textbook expressions."""
+    from m3ad.heads_losses import finetune_loss, pretrain_loss, sample_masks
+    train, _, _ = tiny_splits
+    model = M3ADNet(tiny_model_config(), seed=4)
+    oracle = {name: Tensor(p.data.copy()) for name, p in model.named_parameters().items()}
+    opt = AdamW(model.named_parameters(), lr=1e-3, weight_decay=0.05)
+    state: dict = {}
+    stats = compute_prior_stats(train.age, train.etiv)
+    batch = np.arange(8)
+    priors = normalize_priors(train.age[batch], train.gender[batch], train.etiv[batch], stats,
+                              dtype=model.np_dtype)
+    masks = sample_masks(np.random.default_rng(0), 8, (32, 32), 8, 0.5)
+    losses = [lambda: pretrain_loss(model, train.images[batch], train.diag[batch], masks, 1.0)[0]]
+    losses += 2 * [lambda: finetune_loss(*model.dual_task_logits(train.images[batch], priors),
+                                         train.diag[batch], train.change[batch])]
+    for loss in losses:
+        model.zero_grad()
+        loss().backward()
+        clip_gradients(opt.params, 1.0)
+        for name, p in model.named_parameters().items():
+            oracle[name].grad = None if p.grad is None else p.grad.copy()
+        opt.step()
+        _textbook_adamw_step(opt, oracle, state)
+        for name, p in model.named_parameters().items():
+            np.testing.assert_array_equal(p.data, oracle[name].data)
+    assert state.keys() == opt.state.keys()
+    assert any(".moe.gate_" in name and st["t"] == 2 for name, st in opt.state.items())
+    for name, st in state.items():
+        for key in ("m", "v", "t"):
+            np.testing.assert_array_equal(opt.state[name][key], st[key])
 
 
 # -- schedule, clipping, stopping --------------------------------------
@@ -119,7 +199,7 @@ def test_clip_gradients_scales_to_unit_norm():
     a = _param([0.0], grad=[3.0])
     b = _param([0.0], grad=[4.0])
     c = _param([0.0])  # no gradient: ignored
-    norm = clip_gradients([a, b, c], max_norm=1.0)
+    norm = clip_gradients({"a": a, "b": b, "c": c}, max_norm=1.0)
     assert norm == pytest.approx(5.0)
     np.testing.assert_allclose(a.grad, [0.6])
     np.testing.assert_allclose(b.grad, [0.8])
@@ -127,7 +207,7 @@ def test_clip_gradients_scales_to_unit_norm():
 
 def test_clip_gradients_leaves_small_norms_alone():
     a = _param([0.0], grad=[0.3])
-    norm = clip_gradients([a], max_norm=1.0)
+    norm = clip_gradients({"a": a}, max_norm=1.0)
     assert norm == pytest.approx(0.3)
     np.testing.assert_array_equal(a.grad, [0.3])
 
@@ -563,7 +643,7 @@ def test_task_accuracies_range(tiny_splits):
     train, val, _ = tiny_splits
     model = M3ADNet(tiny_model_config(), seed=3)
     stats = compute_prior_stats(train.age, train.etiv)
-    diag_acc, change_acc = task_accuracies(model, val, stats)
+    diag_acc, change_acc = task_accuracies(model, val, stats, batch_size=16)
     for acc in (diag_acc, change_acc):
         assert 0.0 <= acc <= 1.0
         assert acc * len(val) == pytest.approx(round(acc * len(val)))
@@ -574,7 +654,8 @@ def test_predict_matches_batch1_passes(tiny_splits):
     model = M3ADNet(tiny_model_config(), seed=3)
     stats = compute_prior_stats(train.age, train.etiv)
     logits, gate_sums = predict(model, train, stats, batch_size=6)
-    priors = normalize_priors(train.age, train.gender, train.etiv, stats)
+    priors = normalize_priors(train.age, train.gender, train.etiv, stats,
+                              dtype=model.np_dtype)
     with no_grad():
         for i in range(len(train)):
             singles = model.dual_task_logits(train.images[i:i + 1], priors[i:i + 1])
