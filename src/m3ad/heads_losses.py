@@ -9,12 +9,20 @@ stacked on the class-only rows. A batch's masks are one (B, H/unit,
 W/unit) bool array over unit-sized squares, tiled onto the token grid
 for the mask token and onto the pixel grid for the losses.
 
+Every masked score is one engine op, :func:`m3ad.numerics.masked_l1`:
+per-sample sums of weight * |pred - target|, each pixel weighted by its
+share of the score and by 0 outside the mask. The reconstruction loss,
+the specialization term and the validation metric differ only in those
+shares.
+
 Fine-tuning is dual-gate: one pass over a diagnosis block and a change
 block of rows, a shared pooling head per task, and a weighted sum of
 the two cross-entropies.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -70,7 +78,7 @@ def apply_mask(tokens: Tensor, masks: np.ndarray, mask_token: Tensor) -> Tensor:
         return tokens
     w_np = tile_masks(masks, (h, w))[..., None].astype(tokens.dtype.type)
     token_b = nm.reshape(mask_token, (1, 1, 1, c))
-    return nm.add(nm.mul(tokens, 1.0 - w_np), nm.mul(nm.broadcast_to(token_b, tokens.shape), w_np))
+    return nm.add(nm.mul(tokens, 1.0 - w_np), nm.mul(token_b, w_np))
 
 
 class ReconDecoder(Module):
@@ -113,40 +121,42 @@ class TaskHeads(Module):
         raise ContractError(f"unknown task {task!r}")
 
 
-def _gather_masked(pred: Tensor, target: np.ndarray, masks: np.ndarray):
-    """Masked pixels of prediction and target as flat aligned vectors,
-    with the number of masked pixels of each sample."""
+def _masked_l1_rows(pred: Tensor, target: np.ndarray, masks: np.ndarray,
+                    share: Callable[[np.ndarray], np.ndarray]) -> Tensor:
+    """The :func:`~m3ad.numerics.masked_l1` rows of ``pred`` against
+    ``target``: each masked pixel of sample i weighs ``share(sizes)[i]``
+    (or the one value ``share`` returns), ``sizes`` being the samples'
+    counts of masked pixels, and every other pixel 0."""
+    if pred.shape != np.shape(target):
+        raise ShapeError(f"prediction shape {pred.shape} != target shape {np.shape(target)}")
     b, h, w = pred.shape
     if len(masks) != b:
         raise ContractError(f"{len(masks)} masks for batch of {b}")
-    pixels = tile_masks(masks, (h, w)).reshape(b, h * w)
-    idx = np.flatnonzero(pixels)
-    if idx.size == 0:
+    pixels = tile_masks(masks, (h, w))
+    sizes = np.count_nonzero(pixels, axis=(1, 2))
+    if not sizes.any():
         raise ContractError("empty mask: reconstruction loss is undefined")
-    pred_sel = nm.take(nm.reshape(pred, (b * h * w,)), idx)
-    target_sel = np.asarray(target, dtype=pred.dtype.type).reshape(-1)[idx]
-    return pred_sel, target_sel, np.count_nonzero(pixels, axis=1)
+    weights = pixels * np.asarray(share(sizes), dtype=pred.dtype).reshape(-1, 1, 1)
+    return nm.masked_l1(pred, target, weights)
 
 
 def recon_loss(pred: Tensor, target: np.ndarray, masks: np.ndarray) -> Tensor:
-    """Mean absolute error over masked pixels only.
+    """Mean absolute error over the masked pixels of the batch: each of
+    the N masked pixels weighs 1 / N, a quotient in pred's dtype.
 
-    Pixels outside the mask never enter the computation, so perturbing
-    them changes neither the value (bitwise) nor any gradient.
+    Pixels outside the mask weigh 0, so perturbing them changes neither
+    the value (bitwise) nor any gradient.
     """
-    if pred.shape != np.asarray(target).shape:
-        raise ShapeError(
-            f"prediction shape {pred.shape} != target shape {np.asarray(target).shape}")
-    pred_sel, target_sel, _ = _gather_masked(pred, target, masks)
-    return nm.absolute(nm.sub(pred_sel, target_sel)).mean()
+    return _masked_l1_rows(pred, target, masks,
+                           lambda sizes: np.divide(1, sizes.sum(), dtype=pred.dtype)).sum()
 
 
 def masked_l1_per_sample(pred: np.ndarray, target: np.ndarray,
                          masks: np.ndarray) -> np.ndarray:
-    """Per-sample masked mean L1 on plain arrays (evaluation helper)."""
-    pixels = tile_masks(masks, pred.shape[1:])
-    return np.array([np.abs(p[m] - t[m]).mean() for p, t, m in zip(pred, target, pixels)],
-                    dtype=np.float64)
+    """Per-sample masked mean L1 on plain arrays (evaluation helper): each
+    masked pixel weighs 1 / its sample's mask size. Builds no graph."""
+    rows = _masked_l1_rows(Tensor(pred), target, masks, lambda sizes: 1.0 / np.maximum(sizes, 1))
+    return rows.data.astype(np.float64)
 
 
 def expert_specialization_loss(pred: Tensor, images: np.ndarray, labels: np.ndarray,
@@ -155,13 +165,12 @@ def expert_specialization_loss(pred: Tensor, images: np.ndarray, labels: np.ndar
 
     Each sample's error is averaged over its mask, then over the samples
     of its class, and the class terms sum (absent classes add nothing):
-    one weighted sum over masked pixels, each pixel weighted by
-    1 / (its mask size * its class count).
+    each masked pixel weighs 1 / (its mask size * its class count),
+    computed in float64 and cast to pred's dtype.
     """
-    pred_sel, target_sel, sizes = _gather_masked(pred, images, masks)
-    weights = np.repeat(1.0 / (sizes * np.bincount(labels)[labels]), sizes)
-    diff = nm.absolute(nm.sub(pred_sel, target_sel))
-    return nm.mul(diff, weights.astype(pred.dtype.type)).sum()
+    counts = np.bincount(labels)[labels]
+    return _masked_l1_rows(pred, images, masks,
+                           lambda sizes: 1.0 / (np.maximum(sizes, 1) * counts)).sum()
 
 
 def pretrain_loss(model, images: np.ndarray, labels: np.ndarray,

@@ -85,7 +85,7 @@ class Tensor:
     ----------
     data : array-like
         Floating-point payload. Integer, boolean and float16 input is
-        cast to float32; label indices and gather indices are passed to
+        cast to float32; labels, index arrays and masks are passed to
         ops as raw numpy arrays instead.
     requires_grad : bool
         Leaves with ``requires_grad=True`` receive ``.grad`` after a
@@ -188,34 +188,7 @@ class Tensor:
                 acc = grads.get(id(parent))
                 grads[id(parent)] = pg if acc is None else acc + pg
 
-    # -- operator sugar ------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
+    # -- indexing and reductions ---------------------------------------
 
     def __getitem__(self, key):
         return getitem(self, key)
@@ -225,14 +198,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims: bool = False):
         return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes: Sequence[int]):
-        return transpose(self, axes)
 
 
 def _records(parents: Sequence[Tensor]) -> bool:
@@ -273,9 +238,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # -- arithmetic --------------------------------------------------------
 
 
-def add(a, b) -> Tensor:
-    if not isinstance(a, Tensor):
-        a, b = b, a
+def add(a: Tensor, b) -> Tensor:
     b = _coerce(b, a)
     data = a.data + b.data
 
@@ -285,21 +248,7 @@ def add(a, b) -> Tensor:
     return _wrap(data, (a, b), vjp)
 
 
-def sub(a, b) -> Tensor:
-    if not isinstance(a, Tensor):
-        a = Tensor(np.asarray(a, dtype=b.dtype))
-    b = _coerce(b, a)
-    data = a.data - b.data
-
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _wrap(data, (a, b), vjp)
-
-
-def mul(a, b) -> Tensor:
-    if not isinstance(a, Tensor):
-        a, b = b, a
+def mul(a: Tensor, b) -> Tensor:
     b = _coerce(b, a)
     data = a.data * b.data
 
@@ -309,9 +258,7 @@ def mul(a, b) -> Tensor:
     return _wrap(data, (a, b), vjp)
 
 
-def div(a, b) -> Tensor:
-    if not isinstance(a, Tensor):
-        a = Tensor(np.asarray(a, dtype=b.dtype))
+def div(a: Tensor, b) -> Tensor:
     b = _coerce(b, a)
     data = a.data / b.data
 
@@ -331,26 +278,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
     if a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
-        if not (a.ndim == 2 or b.ndim == 2):
-            raise ShapeError(f"matmul batch dimensions differ: {a.shape} @ {b.shape}")
+        raise ShapeError(f"matmul batch dimensions differ: {a.shape} @ {b.shape}")
     if a.dtype != b.dtype:
         raise ShapeError(f"operand dtypes differ: {a.dtype} vs {b.dtype}")
     data = a.data @ b.data
 
     def vjp(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
 
     return _wrap(data, (a, b), vjp)
 
 
 # -- elementwise nonlinearities ---------------------------------------
-
-
-def absolute(a: Tensor) -> Tensor:
-    data = np.abs(a.data)
-    return _wrap(data, (a,), lambda g: (g * np.sign(a.data),))
 
 
 def clamp_min(a: Tensor, low: float) -> Tensor:
@@ -499,25 +438,6 @@ def getitem(a: Tensor, key) -> Tensor:
     def vjp(g):
         full = np.zeros(shape, dtype=g.dtype)
         full[key] = g
-        return (full,)
-
-    return _wrap(data, (a,), vjp)
-
-
-def take(a: Tensor, indices: np.ndarray) -> Tensor:
-    """Gather rows along axis 0 with an integer index array.
-
-    Duplicate indices are allowed; their gradients accumulate.
-    """
-    idx = np.asarray(indices)
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise ShapeError(f"take() needs integer indices, got dtype {idx.dtype}")
-    data = np.take(a.data, idx, axis=0)
-    shape = a.shape
-
-    def vjp(g):
-        full = np.zeros(shape, dtype=g.dtype)
-        np.add.at(full, idx, g)
         return (full,)
 
     return _wrap(data, (a,), vjp)
@@ -727,6 +647,23 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return _wrap(data, (logits,), vjp)
 
 
+def masked_l1(pred: Tensor, target: np.ndarray, weights: np.ndarray) -> Tensor:
+    """Per-row sums of ``weights * |pred - target|`` over every axis but
+    the first: a (rows,) tensor. ``weights`` holds each element's share
+    of the score and is 0 where it does not count; ``target`` and
+    ``weights`` take ``pred``'s shape and dtype. The gradient of row r is
+    g[r] * weights * sign(pred - target)."""
+    target = np.asarray(target, dtype=pred.dtype)
+    weights = np.asarray(weights, dtype=pred.dtype)
+    if target.shape != pred.shape or weights.shape != pred.shape:
+        raise ShapeError(f"masked_l1: pred {pred.shape}, target {target.shape} and weights "
+                         f"{weights.shape} must share one shape")
+    diff = pred.data - target
+    rows = (-1,) + (1,) * (pred.ndim - 1)
+    data = (weights * np.abs(diff)).reshape(len(diff), -1).sum(axis=1)
+    return _wrap(data, (pred,), lambda g: (g.reshape(rows) * weights * np.sign(diff),))
+
+
 # -- worker pool -------------------------------------------------------
 
 # Work (rows x hidden units x parts) from which a thread hand-off pays.
@@ -781,7 +718,7 @@ class Module:
     """Base class for anything that owns parameters.
 
     Parameters are discovered by walking instance attributes: tensors with
-    ``requires_grad``, nested modules, and lists of either. Attribute
+    ``requires_grad``, nested modules, and lists or tuples of modules. Attribute
     definition order fixes the traversal order, which checkpoints and the
     optimizer both rely on.
     """
@@ -799,9 +736,7 @@ class Module:
                 out.update(value.named_parameters(prefix=f"{name}."))
             elif isinstance(value, (list, tuple)):
                 for i, item in enumerate(value):
-                    if isinstance(item, Tensor) and item.requires_grad:
-                        out[f"{name}.{i}"] = item
-                    elif isinstance(item, Module):
+                    if isinstance(item, Module):
                         out.update(item.named_parameters(prefix=f"{name}.{i}."))
         return out
 

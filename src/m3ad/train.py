@@ -67,7 +67,8 @@ def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
     total = 0.0
     grads = [p.grad for p in params.values() if p.grad is not None]
     for g in grads:
-        total += float(np.dot(g.reshape(-1).astype(np.float64), g.reshape(-1).astype(np.float64)))
+        g64 = g.reshape(-1).astype(np.float64)
+        total += float(np.dot(g64, g64))
     norm = float(np.sqrt(total))
     if not np.isfinite(norm):
         for name, p in params.items():

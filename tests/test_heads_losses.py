@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_model_config
+from m3ad import numerics as nm
 from m3ad.errors import ContractError, ShapeError
 from m3ad.heads_losses import (ReconDecoder, TaskHeads, apply_mask, expert_specialization_loss,
                                finetune_loss, masked_l1_per_sample, pretrain_loss, recon_loss,
@@ -111,6 +112,25 @@ def test_apply_mask_substitutes_token(rng):
     untouched = np.ones((4, 4), dtype=bool)
     untouched[2:4, 0:2] = False
     np.testing.assert_array_equal(out[0][untouched], tokens.data[0][untouched])
+
+
+def test_apply_mask_matches_broadcast_token_bit_for_bit(rng):
+    """Letting ``mul`` broadcast the (1, 1, 1, C) mask token gives the
+    value and token gradient of multiplying an explicit broadcast copy."""
+    tokens = Tensor(rng.standard_normal((3, 4, 4, 5)).astype(np.float32), requires_grad=True)
+    token = Tensor(rng.standard_normal(5).astype(np.float32), requires_grad=True)
+    masks = rng.random((3, 2, 2)) < 0.5
+    seed = rng.standard_normal((3, 4, 4, 5)).astype(np.float32)
+    out = apply_mask(tokens, masks, token)
+    out.backward(seed)
+    got = out.data, tokens.grad, token.grad
+    tokens.grad = token.grad = None
+    w = tile_masks(masks, (4, 4))[..., None].astype(np.float32)
+    spread = nm.broadcast_to(nm.reshape(token, (1, 1, 1, 5)), tokens.shape)
+    ref = nm.add(nm.mul(tokens, 1.0 - w), nm.mul(spread, w))
+    ref.backward(seed)
+    for a, b in zip(got, (ref.data, tokens.grad, token.grad)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_apply_mask_empty_is_identity(rng):
@@ -238,6 +258,25 @@ def test_expert_specialization_loss_explicit_sum(rng):
     assert abs(loss.item() - expected) < 1e-12
 
 
+def test_sample_with_empty_mask_adds_nothing(rng):
+    """A sample whose mask is empty weighs 0 in every masked score: the
+    batch scores equal those of the other samples, and its row reads 0."""
+    images = rng.standard_normal((3, 8, 8))
+    pred = rng.standard_normal((3, 8, 8))
+    masks = masks_from_indices([0, 3], [], [1])
+    labels = np.array([1, 1, 0])
+    keep = [0, 2]
+    per = masked_l1_per_sample(pred, images, masks)
+    assert per[1] == 0.0
+    np.testing.assert_array_equal(per[keep], masked_l1_per_sample(pred[keep], images[keep],
+                                                                  masks[keep]))
+    assert recon_loss(Tensor(pred), images, masks).item() == pytest.approx(
+        recon_loss(Tensor(pred[keep]), images[keep], masks[keep]).item(), rel=1e-14)
+    # the empty sample still counts in its class, as the per-class mean says
+    expert = expert_specialization_loss(Tensor(pred), images, labels, masks).item()
+    assert expert == pytest.approx(per[0] / 2 + per[2], rel=1e-14)
+
+
 def test_expert_specialization_loss_needs_samples(rng):
     with pytest.raises(ContractError):
         expert_specialization_loss(Tensor(np.zeros((0, 8, 8))), np.zeros((0, 8, 8)),
@@ -283,9 +322,9 @@ def test_pretrain_loss_matches_per_class_reference():
             pred_k = model.reconstruct(images[members], weights, masks[members])
             for j, i in enumerate(members):
                 term = recon_loss(pred_k[j:j + 1], images[i:i + 1], masks[i:i + 1])
-                term = term * (1.0 / members.size)
-                expert = term if expert is None else expert + term
-        return recon + expert * 0.5, recon, expert
+                term = nm.mul(term, 1.0 / members.size)
+                expert = term if expert is None else nm.add(expert, term)
+        return nm.add(recon, nm.mul(expert, 0.5)), recon, expert
 
     grads = []
     values = []
@@ -303,6 +342,39 @@ def test_pretrain_loss_matches_per_class_reference():
         else:
             np.testing.assert_allclose(grads[0][name], ref, rtol=0,
                                        atol=1e-10 * np.abs(ref).max(), err_msg=name)
+
+
+@pytest.mark.parametrize("lambda_expert", [0.0, 0.7])
+def test_pretrain_loss_pred_gradient_is_weighted_sign(monkeypatch, lambda_expert):
+    """The gradient reaching the float32 reconstructions is, bit for bit,
+    sign(pred - target) times each pixel's weight: 1 / N over the N masked
+    pixels of the batch for the label-guided rows, lambda times
+    1 / (mask size * class count) for the class-only rows, 0 outside the
+    masks. Training bits rest on this."""
+    rng = np.random.default_rng(5)
+    model = M3ADNet(tiny_model_config(), seed=5)
+    labels = np.array([2, 0, 2, 1, 0])
+    b = len(labels)
+    images = rng.standard_normal((b, 32, 32)).astype(np.float32)
+    masks = sample_masks(rng, b, (32, 32), 8, 0.5)
+    copies = 2 if lambda_expert else 1
+    pred = Tensor(rng.standard_normal((copies * b, 32, 32)).astype(np.float32),
+                  requires_grad=True)
+    pixels = tile_masks(masks, (32, 32))
+    pred.data[:b][pixels] = np.where(rng.random(pixels.sum()) < 0.1, images[pixels],
+                                     pred.data[:b][pixels])  # some zero differences
+    monkeypatch.setattr(model, "reconstruct", lambda *args: pred)
+    total = pretrain_loss(model, images, labels, masks, lambda_expert)[0]
+    total.backward()
+
+    recon = pixels * (np.float32(1) / np.float32(pixels.sum()))
+    want = [np.sign(pred.data[:b] - images) * recon]
+    if lambda_expert:
+        spec = (1.0 / (pixels.sum(axis=(1, 2)) * np.bincount(labels)[labels])).astype(np.float32)
+        spec = np.float32(lambda_expert) * spec
+        want.append(np.sign(pred.data[b:] - images) * (pixels * spec[:, None, None]))
+    assert pred.grad.dtype == np.float32
+    np.testing.assert_array_equal(pred.grad, np.concatenate(want))
 
 
 def test_pretrain_experts_without_rows_get_no_gradient():

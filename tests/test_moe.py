@@ -333,6 +333,7 @@ from m3ad import entry
 entry.cap_threads()
 import numpy as np
 from m3ad.moe import MMoELayer, fixed_routing, label_guided_weights, task_routing
+from m3ad import numerics as nm
 from m3ad.numerics import Tensor
 rng = np.random.default_rng(0)
 layer = MMoELayer(rng, 16, 8, 4, 1.0, np.float32)
@@ -344,7 +345,7 @@ for name, routing in (("task", task_routing("diagnosis")),
     layer.zero_grad()
     x.grad = None
     out = layer(x, routing)
-    (out * Tensor(rng.standard_normal(out.shape).astype(np.float32))).sum().backward()
+    nm.mul(out, rng.standard_normal(out.shape).astype(np.float32)).sum().backward()
     res[name + "/out"] = out.data
     res[name + "/x"] = x.grad
     for n, p in layer.named_parameters().items():

@@ -56,6 +56,8 @@ def test_matmul_shape_errors(rng):
         nm.matmul(t64(rng, 3, 4), t64(rng, 5, 2))
     with pytest.raises(ShapeError):
         nm.matmul(t64(rng, 2, 3, 4), t64(rng, 3, 4, 2))
+    with pytest.raises(ShapeError):  # no batch broadcasting of a 2-D operand
+        nm.matmul(t64(rng, 2, 3, 4), t64(rng, 4, 2))
 
 
 def test_layer_norm_matches_direct_formula(rng):
@@ -248,26 +250,26 @@ def test_thread_count_comes_from_m3ad_threads(monkeypatch):
 
 def test_backward_accumulates_until_zero_grad(rng):
     p = t64(rng, 3)
-    (p * 2.0).sum().backward()
+    nm.mul(p, 2.0).sum().backward()
     first = p.grad.copy()
-    (p * 2.0).sum().backward()
+    nm.mul(p, 2.0).sum().backward()
     np.testing.assert_array_equal(p.grad, 2.0 * first)
     p.grad = None  # what Module.zero_grad does to each parameter
-    (p * 2.0).sum().backward()
+    nm.mul(p, 2.0).sum().backward()
     np.testing.assert_array_equal(p.grad, first)
 
 
 def test_backward_requires_scalar_without_seed(rng):
     p = t64(rng, 3)
     with pytest.raises(ContractError):
-        (p * 2.0).backward()
+        nm.mul(p, 2.0).backward()
     with pytest.raises(ShapeError):
-        (p * 2.0).sum().backward(np.ones(2))
+        nm.mul(p, 2.0).sum().backward(np.ones(2))
 
 
 def test_backward_seed_gradient(rng):
     p = t64(rng, 3)
-    out = p * 3.0
+    out = nm.mul(p, 3.0)
     seed = np.array([1.0, 0.0, -2.0])
     out.backward(seed)
     np.testing.assert_allclose(p.grad, 3.0 * seed, atol=1e-12)
@@ -276,22 +278,22 @@ def test_backward_seed_gradient(rng):
 def test_broadcast_add_gradients(rng):
     a = t64(rng, 3, 4)
     row = t64(rng, 1, 4)
-    (a + row).sum().backward()
+    nm.add(a, row).sum().backward()
     np.testing.assert_array_equal(a.grad, np.ones((3, 4)))
     np.testing.assert_array_equal(row.grad, np.full((1, 4), 3.0))
 
 
 def test_scalar_operand_broadcast(rng):
     p = t64(rng, 2, 2)
-    out = (1.0 - p) / 2.0
+    out = nm.div(nm.add(nm.mul(p, -1.0), 1.0), 2.0)  # (1 - p) / 2
     out.sum().backward()
     np.testing.assert_allclose(p.grad, np.full((2, 2), -0.5), atol=1e-12)
 
 
 def test_diamond_graph_accumulates_through_shared_node(rng):
     p = t64(rng, 3)
-    shared = p * 2.0
-    out = (shared + shared * 3.0).sum()  # d/dp = 2 + 6
+    shared = nm.mul(p, 2.0)
+    out = nm.add(shared, nm.mul(shared, 3.0)).sum()  # d/dp = 2 + 6
     out.backward()
     np.testing.assert_allclose(p.grad, np.full(3, 8.0), atol=1e-12)
 
@@ -314,10 +316,10 @@ def test_integer_input_becomes_float32():
 def test_no_grad_blocks_graph(rng):
     p = t64(rng, 3)
     with no_grad():
-        out = (p * 2.0).sum()
+        out = nm.mul(p, 2.0).sum()
     assert out._vjp is None
     assert not out.requires_grad
-    out2 = (p * 2.0).sum()
+    out2 = nm.mul(p, 2.0).sum()
     assert out2._vjp is not None
 
 
@@ -331,19 +333,6 @@ def test_getitem_copies_and_scatters(rng):
     expected = np.zeros((4, 4))
     expected[1:3, ::2] = 1.0
     np.testing.assert_array_equal(p.grad, expected)
-
-
-def test_take_accumulates_duplicate_indices(rng):
-    table = t64(rng, 4, 2)
-    out = nm.take(table, np.array([1, 1, 3]))
-    np.testing.assert_array_equal(out.data[0], out.data[1])
-    out.sum().backward()
-    expected = np.zeros((4, 2))
-    expected[1] = 2.0
-    expected[3] = 1.0
-    np.testing.assert_array_equal(table.grad, expected)
-    with pytest.raises(ShapeError):
-        nm.take(table, np.array([0.5]))
 
 
 def test_concat_contracts(rng):
@@ -393,10 +382,39 @@ def test_clamp_min_gradient_gate():
     np.testing.assert_array_equal(p.grad, [0.0, 0.0, 1.0])
 
 
-def test_absolute_sign_gradient():
-    p = Tensor(np.array([-2.0, 3.0]), requires_grad=True)
-    nm.absolute(p).sum().backward()
-    np.testing.assert_array_equal(p.grad, [-1.0, 1.0])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_masked_l1_rows_and_sign_gradient(rng, dtype):
+    """Row sums of weights * |pred - target| against a loop, and the
+    gradient g[row] * weights * sign(pred - target) bit for bit, with a
+    zero-weight row, zero-weight entries and a zero difference."""
+    pred = t64(rng, 3, 2, 4)
+    pred.data = pred.data.astype(dtype)
+    target = rng.standard_normal((3, 2, 4)).astype(dtype)
+    target[0, 0, 0] = pred.data[0, 0, 0]
+    weights = (rng.random((3, 2, 4)) * (rng.random((3, 2, 4)) < 0.6)).astype(dtype)
+    weights[1] = 0.0
+    out = nm.masked_l1(pred, target, weights)
+    assert out.shape == (3,) and out.dtype == dtype
+    for r in range(3):
+        want = sum(w * abs(p - t) for w, p, t in zip(
+            weights[r].ravel().tolist(), pred.data[r].ravel().tolist(), target[r].ravel().tolist()))
+        np.testing.assert_allclose(out.data[r], want, rtol=1e-6 if dtype == np.float32 else 1e-14)
+    assert out.data[1] == 0.0
+    seed = np.array([0.5, -2.0, 3.0], dtype=dtype)
+    out.backward(seed)
+    want = seed[:, None, None] * weights * np.sign(pred.data - target)
+    np.testing.assert_array_equal(pred.grad, want)
+    assert pred.grad[0, 0, 0] == 0.0 and not pred.grad[1].any()
+
+
+def test_masked_l1_contracts(rng):
+    pred = t64(rng, 2, 3)
+    with pytest.raises(ShapeError):
+        nm.masked_l1(pred, np.zeros((2, 4)), np.zeros((2, 3)))
+    with pytest.raises(ShapeError):
+        nm.masked_l1(pred, np.zeros((2, 3)), np.zeros(3))
+    with no_grad():
+        assert nm.masked_l1(pred, np.zeros((2, 3)), np.ones((2, 3)))._vjp is None
 
 
 # -- containers and helpers --------------------------------------------
@@ -449,7 +467,7 @@ def test_grad_check_accepts_correct_gradient(rng):
 def test_grad_check_rejects_non_scalar(rng):
     p = Tensor(rng.standard_normal(3), requires_grad=True)
     with pytest.raises(ContractError):
-        grad_check(lambda: p * 2.0, [p], rng=rng)
+        grad_check(lambda: nm.mul(p, 2.0), [p], rng=rng)
 
 
 def test_m3t_round_trip_is_bit_exact(tmp_path, rng):

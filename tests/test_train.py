@@ -212,6 +212,20 @@ def test_clip_gradients_leaves_small_norms_alone():
     np.testing.assert_array_equal(a.grad, [0.3])
 
 
+def test_clip_gradients_norm_matches_two_cast_formula(rng):
+    """The norm casts each float32 gradient to float64 once and dots it
+    with itself: bit for bit the dot of two separate casts."""
+    params = {}
+    for i, shape in enumerate([(3, 5), (7,), (), (4, 2, 3), (10_001,), (64, 1_563)]):
+        p = params[f"p{i}"] = Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
+        p.grad = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-4, 4)).astype(np.float32)
+    want = 0.0
+    for p in params.values():
+        g = p.grad.reshape(-1)
+        want += float(np.dot(g.astype(np.float64), g.astype(np.float64)))
+    assert clip_gradients(params, max_norm=np.inf) == float(np.sqrt(want))
+
+
 def test_early_stopper_exact_timing():
     stop = EarlyStopper(patience=2, mode="min")
     assert stop.update(1.0, 0) is False
