@@ -78,12 +78,13 @@ class ModelConfig:
             raise ConfigError("depths and num_heads must list exactly 4 stages")
         if any(d < 1 for d in self.depths):
             raise ConfigError(f"stage depths must be positive, got {self.depths}")
+        for key in ("patch_size", "embed_dim", "expert_hidden_ratio"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
         for s, h in enumerate(self.num_heads):
             dim = self.embed_dim * (1 << s)
             if h < 1 or dim % h:
                 raise ConfigError(f"stage {s} channels {dim} not divisible by {h} heads")
-        if self.patch_size < 1:
-            raise ConfigError(f"patch_size must be positive, got {self.patch_size}")
         if self.window < 2 or self.window % 2:
             raise ConfigError(f"window must be even and >= 2, got {self.window}")
         if self.num_shared_experts < 1 or self.num_shared_experts >= self.num_experts:
@@ -294,6 +295,9 @@ def model_config_from_dict(raw: dict) -> ModelConfig:
     unknown = set(raw) - set(kinds)
     if unknown:
         raise ConfigError(f"unknown model config keys in checkpoint: {sorted(unknown)}")
+    missing = set(kinds) - set(raw)
+    if missing:
+        raise ConfigError(f"model config keys missing from checkpoint: {sorted(missing)}")
     for key, value in raw.items():
         kind = kinds[key]
         if not _holds(value, kind):

@@ -3,7 +3,7 @@
 Runs :func:`m3ad.numerics.grad_check` (central finite differences) over
 every primitive op and over the composite pieces of the network, all in
 double precision. The battery is shared by the ``gradcheck`` CLI command
-and the acceptance tests; thresholds are 1e-5 for primitives and 1e-3
+and the test suite; thresholds are 1e-5 for primitives and 1e-3
 for composites.
 """
 
@@ -16,7 +16,7 @@ from .backbone import M3ADBlock, WindowAttention, relative_position_index
 from .config import ModelConfig
 from .heads_losses import finetune_loss
 from .model import M3ADNet
-from .moe import ExpertMLP, MMoELayer, expert_mix, task_routing
+from .moe import ExpertMLP, MMoELayer, Routing, expert_mix
 from .numerics import Tensor, grad_check
 from .priors import Fusion, PriorEncoder
 from .tokmlp import TokMLPBlock, conv3x3, dwconv3x3
@@ -152,15 +152,22 @@ def check_composites(rng: np.random.Generator | None = None) -> dict[str, float]
         params = list(module.named_parameters().values()) if hasattr(module, "named_parameters") else module
         out[name] = grad_check(f, params, coords_per_tensor=coords, rng=rng)
 
-    # attention-mixer block, shifted, with gate routing
+    # attention-mixer block, shifted, with gate routing: one diagnosis
+    # row, one change row
     mrng = np.random.default_rng(3)
     attn = WindowAttention(mrng, 8, 2, 4, dt)
     moe = MMoELayer(mrng, 8, 8, 2, 1.0, dt)
     block = M3ADBlock(attn, moe, 8, dt, shifted=True, window=4)
+    # a unit-scale gate path from its own generator: at the 0.02 initial
+    # scale some of its gradients are near 1e-8, below what finite
+    # differences resolve
+    grng = np.random.default_rng(1)
+    for lin in (moe.feature_attn, moe.gate_diagnosis, moe.gate_change):
+        for p in lin.parameters():
+            p.data[...] = grng.standard_normal(p.shape)
     xg = Tensor(rng.standard_normal((2, 8, 8, 8)).astype(dt))
     wg = _weight(rng, (2, 8, 8, 8))
-    run("m3ad_block_attention",
-        lambda: nm.mul(block(xg, task_routing("diagnosis")), wg).sum(), block)
+    run("m3ad_block_attention", lambda: nm.mul(block(xg, Routing()), wg).sum(), block)
 
     tok = TokMLPBlock(mrng, 8, dt)
     x4 = Tensor(rng.standard_normal((2, 4, 4, 8)).astype(dt))

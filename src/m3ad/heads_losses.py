@@ -15,9 +15,9 @@ share of the score and by 0 outside the mask. The reconstruction loss,
 the specialization term and the validation metric differ only in those
 shares.
 
-Fine-tuning is dual-gate: one pass over a diagnosis block and a change
-block of rows, a shared pooling head per task, and a weighted sum of
-the two cross-entropies.
+Fine-tuning is dual-gate: one pass over a diagnosis copy of the batch
+stacked on a change copy, a pooling head per task on its half of the
+rows, and a weighted sum of the two cross-entropies.
 """
 
 from __future__ import annotations
@@ -105,20 +105,14 @@ class TaskHeads(Module):
         self.diagnosis = Linear(rng, dim, 3, dtype)
         self.change = Linear(rng, dim, num_change, dtype)
 
-    def __call__(self, tokens: Tensor, *tasks: str) -> tuple[Tensor, ...]:
-        """Pool every row of the (rows, L, C) tokens, then apply each
-        task's head to that task's equal, contiguous block of rows."""
+    def __call__(self, tokens: Tensor) -> tuple[Tensor, Tensor]:
+        """(diagnosis, change) logits: pool every row of the (rows, L, C)
+        tokens, then apply the diagnosis head to the first half of the
+        rows and the change head to the second."""
         if tokens.ndim != 3:
             raise ShapeError(f"heads expect (B, L, C) tokens, got {tokens.shape}")
-        blocks = task_blocks(self.norm(tokens.mean(axis=1)), tasks)
-        return tuple(self._head(task)(block) for task, block in zip(tasks, blocks))
-
-    def _head(self, task: str) -> Linear:
-        if task == "diagnosis":
-            return self.diagnosis
-        if task == "change":
-            return self.change
-        raise ContractError(f"unknown task {task!r}")
+        diagnosis, change = task_blocks(self.norm(tokens.mean(axis=1)))
+        return self.diagnosis(diagnosis), self.change(change)
 
 
 def _masked_l1_rows(pred: Tensor, target: np.ndarray, masks: np.ndarray,

@@ -10,9 +10,9 @@ phases; only the routing and which heads are read differ:
   specialization term stacks class-only rows under the label-guided
   ones, so one pass serves both.
 * fine-tuning: one pass over the diagnosis rows stacked on a copy for
-  the change task, each block routed by its task's gate in every
+  the change task, each half routed by its task's gate in every
   mixture-of-experts layer, priors fused in, per-task head on the pooled
-  final tokens of its block.
+  final tokens of its half.
 
 Either way :meth:`M3ADNet.encode` takes each scan once. The copies are
 identical up to the first MMoE layer, so the patch embedding, the mask
@@ -30,7 +30,7 @@ from .backbone import ATTENTION_STAGES, M3ADBlock, PatchEmbed, PatchMerge, Windo
 from .config import ModelConfig
 from .errors import ShapeError
 from .heads_losses import ReconDecoder, TaskHeads, apply_mask
-from .moe import TASKS, MMoELayer, Routing, fixed_routing, label_guided_weights, task_routing
+from .moe import MMoELayer, Routing, label_guided_weights
 from .numerics import Module, Tensor, parameter
 from .priors import Fusion, PriorEncoder, c_fusion_dim
 from .tokmlp import TokMLPBlock
@@ -131,7 +131,7 @@ class M3ADNet(Module):
         ``masks`` (B, H/unit, W/unit), one row per row of the fixed expert
         ``weights`` (rows, E): a whole number of copies of the batch, each
         copy with its own weight rows."""
-        grid = self.encode(images, fixed_routing(weights), masks=masks)
+        grid = self.encode(images, Routing(weights=weights), masks=masks)
         return self.decoder(grid)
 
     # -- fine-tuning forwards ------------------------------------------
@@ -144,8 +144,6 @@ class M3ADNet(Module):
         second by the change gates and head. ``priors=None`` runs without
         fusion; ``sink`` collects each MMoE layer's (2B, E) gate weights,
         in layer order."""
-        routing = task_routing(*TASKS)
-        routing.sink = sink
-        grid = self.encode(images, routing, priors=priors)
+        grid = self.encode(images, Routing(sink=sink), priors=priors)
         b, h, w, c = grid.shape
-        return self.heads(nm.reshape(grid, (b, h * w, c)), *TASKS)
+        return self.heads(nm.reshape(grid, (b, h * w, c)))

@@ -11,11 +11,11 @@ combined under one of two routing modes:
   pass may stack rows of both). Each expert runs only on the rows that
   give it weight, and an expert no row uses stays out of the graph, so
   it receives no gradient at all.
-* task gates — learned per-task softmax gates ("diagnosis" and "change")
-  over a feature-level attention summary of the tokens, used during
-  fine-tuning. One pass may stack the rows of several tasks, one equal,
-  contiguous block per task. Gate parameters are independent between
-  tasks.
+* task gates — one learned softmax gate per task over a feature-level
+  attention summary of the tokens, used during fine-tuning. The rows are
+  a diagnosis copy stacked on a change copy of the batch; the diagnosis
+  gate routes the first half, the change gate the second. Gate
+  parameters are independent between the two tasks.
 
 Either way the experts run inside one graph node, :func:`expert_mix`.
 """
@@ -68,24 +68,25 @@ def label_guided_weights(labels: np.ndarray, num_experts: int, num_shared: int,
 class Routing:
     """How an MMoE layer combines its experts for the current pass.
 
-    In task mode the rows split into one equal, contiguous block per
-    entry of ``tasks``, each routed by that task's gate; ``sink`` is an
-    optional list to which every layer appends its (rows, E) gate
+    ``weights`` (rows, E), rows on the simplex, fix the routing. Without
+    them the rows are a diagnosis copy stacked on a change copy of the
+    batch, each half routed by its own task's gate; ``sink`` is an
+    optional list to which every layer then appends its (rows, E) gate
     weights, in encounter order, for inspection.
     """
 
-    kind: str  # "task" or "fixed"
-    tasks: tuple[str, ...] = ()
-    weights: np.ndarray | None = None  # (rows, E), rows on the simplex
+    weights: np.ndarray | None = None
     sink: list | None = None
+
+    @property
+    def kind(self) -> str:
+        return "task" if self.weights is None else "fixed"
 
     def copies(self, batch: int) -> int:
         """How many stacked copies of a ``batch`` of scans the rows cover:
         one per task, or the weight rows over the batch."""
-        if self.kind == "task":
-            return len(self.tasks)
-        if self.kind != "fixed":
-            raise ContractError(f"unknown routing kind {self.kind!r}")
+        if self.weights is None:
+            return len(TASKS)
         rows = len(self.weights)
         if not batch or not rows or rows % batch:
             raise ShapeError(f"{rows} routing rows are no whole number of copies "
@@ -93,25 +94,13 @@ class Routing:
         return rows // batch
 
 
-def task_routing(*tasks: str) -> Routing:
-    if not tasks or any(task not in TASKS for task in tasks):
-        raise ContractError(f"tasks must be drawn from {TASKS}, got {tasks!r}")
-    return Routing(kind="task", tasks=tasks)
-
-
-def fixed_routing(weights: np.ndarray) -> Routing:
-    return Routing(kind="fixed", weights=np.asarray(weights))
-
-
-def task_blocks(x: Tensor, tasks: Sequence[str]) -> list[Tensor]:
-    """The rows of ``x`` split into one equal, contiguous block per task."""
-    rows, parts = x.shape[0], len(tasks)
-    if not parts or rows % parts:
-        raise ShapeError(f"{rows} rows do not split into {parts} task blocks")
-    if parts == 1:
-        return [x]
-    n = rows // parts
-    return [x[i * n:(i + 1) * n] for i in range(parts)]
+def task_blocks(x: Tensor) -> tuple[Tensor, Tensor]:
+    """The (diagnosis, change) halves of the rows of ``x``."""
+    rows = x.shape[0]
+    if rows % len(TASKS):
+        raise ShapeError(f"{rows} rows do not split into {len(TASKS)} task halves")
+    n = rows // len(TASKS)
+    return x[:n], x[n:]
 
 
 class ExpertMLP(Module):
@@ -128,13 +117,15 @@ def expert_mix(x: Tensor, w, experts: Sequence[ExpertMLP]) -> Tensor:
     ``x`` is (rows, ..., dim) and ``w`` a (rows, len(experts)) Tensor or
     array. Each expert computes fc2(gelu(fc1(x))) with the same numpy and
     BLAS calls as its layers would. Constant weights dispatch: an expert
-    runs only on the rows that give it non-zero weight, and its term is
-    scatter-added into the output. Weights that are a graph node keep
-    every row, since their gradient needs each expert's output on each
-    row. Terms are summed in list order and the per-expert work runs on
-    the engine's pool when it is large enough, so the value is the same
-    whatever the thread count. The vjp returns gradients for ``x``,
-    ``w`` and the listed experts' parameters.
+    no row gives weight stays out of the node's parents, so it receives
+    no gradient at all (all-zero weights raise ContractError), and each
+    other expert runs only on the rows that give it non-zero weight, its
+    term scatter-added into the output. Weights that are a graph node
+    keep every expert and row, since their gradient needs each expert's
+    output on each row. Terms are summed in list order and the
+    per-expert work runs on the engine's pool when it is large enough,
+    so the value is the same whatever the thread count. The vjp returns
+    gradients for ``x``, ``w`` and the parameters of the experts it ran.
     """
     if not experts:
         raise ContractError("expert_mix() needs at least one expert")
@@ -144,6 +135,12 @@ def expert_mix(x: Tensor, w, experts: Sequence[ExpertMLP]) -> Tensor:
                          f"and {len(experts)} experts")
     if wt.dtype != x.dtype:
         raise ShapeError(f"operand dtypes differ: {x.dtype} vs {wt.dtype}")
+    if not wt._is_node():
+        used = np.flatnonzero(np.any(wt.data, axis=0))
+        if used.size == 0:
+            raise ContractError("expert weights are all zero; no expert selected")
+        experts = [experts[k] for k in used]
+        wt = Tensor(wt.data[:, used])
     parents = (x, wt) + tuple(p for e in experts
                               for p in (e.fc1.weight, e.fc1.bias, e.fc2.weight, e.fc2.bias))
     record = nm._records(parents)
@@ -209,47 +206,27 @@ class MMoELayer(Module):
         self.feature_attn = Linear(rng, dim, dim, dtype)
         self.gate_diagnosis = Linear(rng, dim, num_experts, dtype, bias=False)
         self.gate_change = Linear(rng, dim, num_experts, dtype, bias=False)
-        self.num_experts = num_experts
         self.gate_temp = float(gate_temp)
-
-    def _gate_linear(self, task: str) -> Linear:
-        if task == "diagnosis":
-            return self.gate_diagnosis
-        if task == "change":
-            return self.gate_change
-        raise ContractError(f"task must be one of {TASKS}, got {task!r}")
 
     def feature_summary(self, x: Tensor) -> Tensor:
         """sigmoid(W_a x_bar + b_a) ⊙ x_bar for token mean x_bar."""
         xbar = x.mean(axis=1)
         return nm.mul(nm.sigmoid(self.feature_attn(xbar)), xbar)
 
-    def gate_weights(self, x: Tensor, *tasks: str) -> Tensor:
+    def gate_weights(self, x: Tensor) -> Tensor:
         """(rows, E) gate weights: the feature summary of every row, then
-        each task's gate over that task's block of rows."""
-        blocks = task_blocks(self.feature_summary(x), tasks)
-        logits = [self._gate_linear(task)(block) for task, block in zip(tasks, blocks)]
-        logits = logits[0] if len(logits) == 1 else nm.concat(logits)
+        the diagnosis gate over the first half of the rows and the change
+        gate over the second."""
+        diagnosis, change = task_blocks(self.feature_summary(x))
+        logits = nm.concat([self.gate_diagnosis(diagnosis), self.gate_change(change)])
         return nm.softmax(nm.div(logits, self.gate_temp), axis=-1)
 
     def __call__(self, x: Tensor, routing: Routing) -> Tensor:
         if x.ndim != 3:
             raise ShapeError(f"MMoE expects (batch, tokens, channels), got {x.shape}")
-        batch = x.shape[0]
-        if routing.kind == "task":
-            w = self.gate_weights(x, *routing.tasks)
+        w = routing.weights
+        if w is None:
+            w = self.gate_weights(x)
             if routing.sink is not None:
                 routing.sink.append(w.data.copy())
-            return expert_mix(x, w, self.experts)
-        if routing.kind != "fixed":
-            raise ContractError(f"unknown routing kind {routing.kind!r}")
-        weights = np.asarray(routing.weights, dtype=x.dtype)
-        if weights.shape != (batch, self.num_experts):
-            raise ShapeError(
-                f"routing weights shape {weights.shape} does not match "
-                f"(batch={batch}, experts={self.num_experts})")
-        used = np.flatnonzero(np.any(weights, axis=0))
-        if used.size == 0:
-            raise ContractError("routing weights are all zero; no expert selected")
-        # experts no row uses stay out of the graph entirely
-        return expert_mix(x, weights[:, used], [self.experts[e] for e in used])
+        return expert_mix(x, w, self.experts)

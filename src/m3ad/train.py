@@ -137,7 +137,7 @@ class EarlyStopper:
     epochs; improvement is strict. ``best_epoch`` equals the epoch just
     passed to ``update`` exactly when that epoch improved."""
 
-    def __init__(self, patience: int, mode: str = "min"):
+    def __init__(self, patience: int, mode: str):
         if mode not in ("min", "max"):
             raise ContractError(f"mode must be min or max, got {mode!r}")
         self.patience = int(patience)

@@ -9,14 +9,14 @@ from m3ad.backbone import (M3ADBlock, PatchEmbed, PatchMerge, WindowAttention,
                            window_partition, window_reverse)
 from m3ad.errors import ShapeError
 from m3ad.model import M3ADNet
-from m3ad.moe import MMoELayer, task_routing
+from m3ad.moe import MMoELayer, Routing
 from m3ad.numerics import Tensor
 
 from conftest import stage_trace, tiny_model_config
 
 
 def _stage_trace(model, hw):
-    return stage_trace(model, np.zeros((1, *hw)), task_routing("diagnosis"))
+    return stage_trace(model, np.zeros((1, *hw)), Routing())
 
 
 def test_stage_plan_schedule_64_and_128():
@@ -170,7 +170,7 @@ def _block(rng, shifted):
 def test_block_preserves_grid_shape(rng):
     block = _block(rng, shifted=True)
     x = Tensor(rng.standard_normal((2, 8, 8, 8)))
-    out = block(x, task_routing("diagnosis"))
+    out = block(x, Routing())
     assert out.shape == (2, 8, 8, 8)
 
 
@@ -181,8 +181,8 @@ def test_shift_disabled_when_map_equals_window(rng):
     for (_, a), (_, b) in zip(shifted.named_parameters().items(),
                               plain.named_parameters().items()):
         b.data = a.data.copy()
-    x = Tensor(rng.standard_normal((1, 4, 4, 8)))
-    routing = task_routing("change")
+    x = Tensor(rng.standard_normal((2, 4, 4, 8)))
+    routing = Routing()
     np.testing.assert_array_equal(shifted(x, routing).data, plain(x, routing).data)
 
 
@@ -192,8 +192,8 @@ def test_shifted_block_differs_on_larger_maps(rng):
     for (_, a), (_, b) in zip(shifted.named_parameters().items(),
                               plain.named_parameters().items()):
         b.data = a.data.copy()
-    x = Tensor(rng.standard_normal((1, 8, 8, 8)))
-    routing = task_routing("change")
+    x = Tensor(rng.standard_normal((2, 8, 8, 8)))
+    routing = Routing()
     assert np.abs(shifted(x, routing).data - plain(x, routing).data).max() > 1e-8
 
 
@@ -318,7 +318,7 @@ def test_shifted_block_matches_composite_attention(monkeypatch):
 
     def run():
         block.zero_grad()
-        out = block(x, task_routing("diagnosis"))
+        out = block(x, Routing())
         out.backward(seed)
         return out.data, {name: p.grad for name, p in block.named_parameters().items()}
 

@@ -12,7 +12,7 @@ import pytest
 from conftest import m3t_header, m3t_with_header
 from m3ad.cli import main
 from m3ad.data import load_manifest, load_split
-from m3ad.moe import TASKS, task_routing
+from m3ad.moe import TASKS, Routing
 from m3ad.numerics import load_m3t, no_grad, save_m3t
 from m3ad.priors import normalize_priors
 from m3ad.train import load_checkpoint, model_from_checkpoint
@@ -134,7 +134,9 @@ def test_eval_warns_once_per_task(pipeline, tmp_path):
 @pytest.mark.parametrize("damage", ["version 1", "version 2", "CRC mismatch",
                                     "the header describes",
                                     "prior_stats field 'age_std' is nan",
-                                    "tensor 'patch_embed.proj.weight' holds non-finite values"])
+                                    "tensor 'patch_embed.proj.weight' holds non-finite values",
+                                    "model config keys missing from checkpoint: "
+                                    "['dtype', 'gate_temp']"])
 def test_eval_exits_1_on_bad_checkpoint(pipeline, tmp_path, capsys, damage):
     good = pipeline["out"] / "finetune.m3ck"
     blob = good.read_bytes()
@@ -146,6 +148,10 @@ def test_eval_exits_1_on_bad_checkpoint(pipeline, tmp_path, capsys, damage):
     elif damage == "the header describes":
         header = m3t_header(blob)
         header["tensors"][0]["shape"] = [3]
+        bad.write_bytes(m3t_with_header(blob, header))
+    elif damage.startswith("model config keys missing"):
+        header = m3t_header(blob)
+        del header["model_config"]["gate_temp"], header["model_config"]["dtype"]
         bad.write_bytes(m3t_with_header(blob, header))
     else:  # a well-formed file whose values are not finite
         header, arrays = load_m3t(good)
@@ -213,7 +219,8 @@ def test_inspect_gates_csv(pipeline, tmp_path):
 
 def test_inspect_gates_match_sink_loop(pipeline, tmp_path):
     """gates.csv holds the means of a loop over batches of 16 that reads
-    each layer's gate weights through Routing.sink."""
+    each layer's gate weights through Routing.sink: the diagnosis half of
+    the rows, then the change half."""
     rc = main(["inspect-gates", "--checkpoint", str(pipeline["out"] / "finetune.m3ck"),
                "--data", str(pipeline["manifest"]), "--out", str(tmp_path), "--split", "train"])
     assert rc == 0
@@ -228,12 +235,12 @@ def test_inspect_gates_match_sink_loop(pipeline, tmp_path):
             sl = slice(start, start + 16)
             priors = normalize_priors(ds.age[sl], ds.gender[sl], ds.etiv[sl],
                                       ckpt.prior_stats, dtype=model.np_dtype)
-            for task in TASKS:
-                routing = task_routing(task)
-                routing.sink = []
-                model.encode(ds.images[sl], routing, priors=priors)
-                for layer, w in enumerate(routing.sink):
-                    sums[task][layer] += w.sum(axis=0)
+            routing = Routing(sink=[])
+            model.encode(ds.images[sl], routing, priors=priors)
+            for layer, w in enumerate(routing.sink):
+                diagnosis, change = np.split(w, 2)
+                sums["diagnosis"][layer] += diagnosis.sum(axis=0)
+                sums["change"][layer] += change.sum(axis=0)
     assert len(rows) == 2 * len(model.blocks)
     for row in rows:
         want = sums[row[1]][int(row[0])] / len(ds)
@@ -326,10 +333,13 @@ def test_mask_settings_that_cannot_mask_exit_1(pipeline, tmp_path, capsys, overr
     (["--set", "gate_temp=inf"], "gate_temp"),
     (["--set", "fractions=0.5,nan,0.5"], "fractions"),
     (["--config", "seed.cfg"], "seed"),
+    (["--set", "embed_dim=-8", "--set", "num_heads=1,1,1,1"], "embed_dim must be positive"),
+    (["--set", "expert_hidden_ratio=0"], "expert_hidden_ratio must be positive"),
 ])
 def test_out_of_range_config_values_exit_1(tmp_path, capsys, flags, key):
-    """A negative seed or a non-finite float, tuple elements included, is
-    a config error naming its key, not a crash or a silent run."""
+    """A negative seed, a non-finite float, tuple elements included, or a
+    width below 1 is a config error naming its key, not a crash or a
+    silent run."""
     (tmp_path / "seed.cfg").write_text("seed = -1\n")
     flags = [str(tmp_path / f) if f.endswith(".cfg") else f for f in flags]
     rc = main(["gen-data", "--out", str(tmp_path / "d")] + flags)

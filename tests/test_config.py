@@ -122,6 +122,9 @@ def test_every_config_field_is_read():
     dict(num_change_classes=5),
     dict(mask_ratio=1.0),
     dict(dtype="float16"),
+    dict(embed_dim=-8, num_heads=(1, 1, 1, 1)),
+    dict(embed_dim=0),
+    dict(expert_hidden_ratio=0),
 ])
 def test_model_validation_rejects(patch):
     with pytest.raises(ConfigError):
@@ -180,6 +183,10 @@ def test_model_config_dict_round_trip():
     assert isinstance(back.depths, tuple)
     with pytest.raises(ConfigError, match="unknown model config keys"):
         model_config_from_dict({**raw, "n_layers": 4})
+    # a missing key is no default: the checkpoint was saved with some value
+    del raw["gate_temp"], raw["dtype"]
+    with pytest.raises(ConfigError, match=r"missing from checkpoint: \['dtype', 'gate_temp'\]"):
+        model_config_from_dict(raw)
 
 
 def test_fusion_types_registry():

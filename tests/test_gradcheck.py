@@ -1,13 +1,11 @@
-"""Finite-difference audit of every primitive op.
-
-The composite battery (full blocks, fusion, total loss) runs in the
-acceptance suite where its runtime budget lives; here we keep the fast
-per-op half so a broken vjp is caught next to its unit tests.
-"""
+"""Finite-difference audit of every primitive op and of the composite
+battery (full blocks, fusion, the total fine-tuning loss), the same
+checks ``m3ad gradcheck`` runs, so a broken vjp is caught next to its
+unit tests."""
 
 import numpy as np
 
-from m3ad.gradcheck import PRIMITIVE_TOL, check_primitives
+from m3ad.gradcheck import COMPOSITE_TOL, PRIMITIVE_TOL, check_composites, check_primitives
 
 _EXPECTED_OPS = {
     "add", "mul", "div", "add_broadcast",
@@ -42,3 +40,13 @@ def test_primitive_errors_are_finite_and_small():
     values = np.array(list(errors.values()))
     assert np.all(np.isfinite(values))
     assert values.max() < PRIMITIVE_TOL
+
+
+def test_every_composite_passes_tolerance():
+    """About 9 s, most of it in ``finetune_loss_full``."""
+    errors = check_composites()
+    assert set(errors) == {"m3ad_block_attention", "tokmlp_block", "prior_encoder",
+                           "fusion_adaptive", "fusion_concat", "fusion_add", "fusion_hadamard",
+                           "finetune_loss_full"}
+    failures = {name: err for name, err in errors.items() if not err < COMPOSITE_TOL}
+    assert failures == {}

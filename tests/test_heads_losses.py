@@ -169,17 +169,15 @@ def test_recon_decoder_block_locality(rng):
 def test_task_heads_arities(rng):
     heads = TaskHeads(np.random.default_rng(4), 16, 7, np.float64)
     tokens = Tensor(rng.standard_normal((6, 10, 16)))
-    diag, change = heads(tokens, "diagnosis", "change")
+    diag, change = heads(tokens)
     assert diag.shape == (3, 3) and change.shape == (3, 7)
-    # each block gets its own task's head, as a pass of that block alone
-    np.testing.assert_array_equal(heads(tokens[:3], "diagnosis")[0].data, diag.data)
-    np.testing.assert_array_equal(heads(tokens[3:], "change")[0].data, change.data)
-    with pytest.raises(ContractError):
-        heads(tokens, "bogus")
+    # each half of the rows gets its own task's head, as a pass of that half alone
+    for half, head, got in ((tokens[:3], heads.diagnosis, diag), (tokens[3:], heads.change, change)):
+        np.testing.assert_array_equal(head(heads.norm(half.mean(axis=1))).data, got.data)
+    with pytest.raises(ShapeError):  # the rows must split into two halves
+        heads(tokens[:5])
     with pytest.raises(ShapeError):
-        heads(tokens, "diagnosis", "change", "change", "change")
-    with pytest.raises(ShapeError):
-        heads(Tensor(rng.standard_normal((3, 16))), "diagnosis")
+        heads(Tensor(rng.standard_normal((4, 16))))
 
 
 # -- losses ------------------------------------------------------------

@@ -8,12 +8,12 @@ from m3ad.backbone import WindowAttention
 from m3ad.heads_losses import apply_mask, sample_masks
 from m3ad.model import M3ADNet
 from m3ad import numerics as nm
-from m3ad.moe import fixed_routing, task_routing
+from m3ad.moe import MMoELayer, Routing, expert_mix
 from m3ad.numerics import Tensor, no_grad
 from m3ad.errors import ShapeError
 from m3ad.priors import compute_prior_stats, normalize_priors
 
-_ROUTE = task_routing("diagnosis")
+_ROUTE = Routing()  # a diagnosis copy stacked on a change copy
 
 
 def _priors(n, rng):
@@ -31,7 +31,7 @@ def test_encode_shapes_and_trace(rng):
     for size in (32, 64):
         images = rng.standard_normal((2, size, size))
         out = model.encode(images, _ROUTE)
-        assert out.shape == (2, size // 32, size // 32, cfg.stage_dim(3))
+        assert out.shape == (2 * 2, size // 32, size // 32, cfg.stage_dim(3))
         trace = stage_trace(model, images, _ROUTE)
         assert [t[0] for t in trace] == [0, 1, 2, 3]
         for stage, hw, channels in trace:
@@ -42,7 +42,7 @@ def test_encode_shapes_and_trace(rng):
 def test_encode_rectangular_input(rng):
     model = M3ADNet(tiny_model_config(), seed=1)
     out = model.encode(rng.standard_normal((1, 32, 64)), _ROUTE)
-    assert out.shape == (1, 1, 2, 64)
+    assert out.shape == (2, 1, 2, 64)
 
 
 def test_encode_rejects_bad_shapes(rng):
@@ -105,11 +105,32 @@ def test_task_passes_differ(rng):
     assert np.abs(diag.data - change.data).max() > 1e-6
 
 
+class _OneTask:
+    """Routing of a single-task pass: one copy of the batch, every row
+    routed by ``task``'s gate in :func:`_one_task_moe`."""
+
+    def __init__(self, task):
+        self.task = task
+
+    def copies(self, batch):
+        return 1
+
+
+def _one_task_moe(layer, x, routing):
+    gate = getattr(layer, "gate_" + routing.task)
+    w = nm.softmax(nm.div(gate(layer.feature_summary(x)), layer.gate_temp), axis=-1)
+    return expert_mix(x, w, layer.experts)
+
+
 def _single_task_logits(model, images, priors, task):
-    """The pass the stacked one replaces: all rows routed by one task."""
-    grid = model.encode(images, task_routing(task), priors=priors)
+    """The pass the stacked one replaces: all rows routed by one task's
+    gates and read by its head, built here from the model's parts."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MMoELayer, "__call__", _one_task_moe)
+        grid = model.encode(images, _OneTask(task), priors=priors)
     b, h, w, c = grid.shape
-    return model.heads(nm.reshape(grid, (b, h * w, c)), task)[0].data
+    pooled = model.heads.norm(nm.reshape(grid, (b, h * w, c)).mean(axis=1))
+    return getattr(model.heads, task)(pooled).data
 
 
 def test_dual_pass_matches_single_task_passes(rng):
@@ -217,16 +238,14 @@ def _stacked_grid(model, images, routing, copies, priors=None, masks=None):
 
 
 def _stacked_dual_logits(model, images, priors, sink=None):
-    routing = task_routing("diagnosis", "change")
-    routing.sink = sink
-    grid = _stacked_grid(model, images, routing, 2, priors=priors)
+    grid = _stacked_grid(model, images, Routing(sink=sink), 2, priors=priors)
     b, h, w, c = grid.shape
-    return model.heads(nm.reshape(grid, (b, h * w, c)), "diagnosis", "change")
+    return model.heads(nm.reshape(grid, (b, h * w, c)))
 
 
 def _stacked_reconstruct(model, images, weights, masks):
     copies = len(weights) // len(images)
-    return model.decoder(_stacked_grid(model, images, fixed_routing(weights), copies,
+    return model.decoder(_stacked_grid(model, images, Routing(weights=weights), copies,
                                        masks=masks))
 
 

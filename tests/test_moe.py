@@ -13,8 +13,7 @@ import m3ad
 from m3ad import numerics as nm
 from m3ad.entry import _BLAS_VARS
 from m3ad.errors import ContractError, ShapeError
-from m3ad.moe import (MMoELayer, Routing, expert_groups, expert_mix, fixed_routing,
-                      label_guided_weights, task_routing)
+from m3ad.moe import MMoELayer, Routing, expert_groups, expert_mix, label_guided_weights
 from m3ad.numerics import Tensor
 
 
@@ -55,15 +54,14 @@ def test_class_only_weight_table():
 
 
 def test_routing_constructors():
-    r = task_routing("diagnosis")
-    assert r.kind == "task" and r.tasks == ("diagnosis",)
-    assert task_routing("diagnosis", "change").tasks == ("diagnosis", "change")
-    with pytest.raises(ContractError):
-        task_routing("segmentation")
-    with pytest.raises(ContractError):
-        task_routing()
-    f = fixed_routing(np.ones((2, 8)) / 8)
-    assert f.kind == "fixed" and f.weights.shape == (2, 8)
+    r = Routing()
+    assert r.kind == "task" and r.copies(3) == 2
+    f = Routing(weights=np.ones((6, 8)) / 8)
+    assert f.kind == "fixed" and f.copies(3) == 2
+    with pytest.raises(AttributeError):  # read-only: the weights decide it
+        f.kind = "task"
+    with pytest.raises(ShapeError):
+        f.copies(4)
 
 
 def _layer(seed=5, dim=8):
@@ -73,72 +71,85 @@ def _layer(seed=5, dim=8):
 def test_gate_weights_on_simplex(rng):
     layer = _layer()
     for _ in range(100):
-        x = Tensor(rng.standard_normal((3, 6, 8)) * 3.0)
-        for task in ("diagnosis", "change"):
-            w = layer.gate_weights(x, task).data
-            assert (w >= 0).all()
-            np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-6)
+        x = Tensor(rng.standard_normal((6, 6, 8)) * 3.0)
+        w = layer.gate_weights(x).data
+        assert w.shape == (6, 8) and (w >= 0).all()
+        np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-6)
 
 
 def test_gate_temperature_scales_logits(rng):
     hot = MMoELayer(np.random.default_rng(5), 8, 8, 2, 2.0, np.float64)
     ref = _layer(5)
-    x = Tensor(rng.standard_normal((2, 4, 8)))
-    w_hot = hot.gate_weights(x, "diagnosis").data
+    x = Tensor(rng.standard_normal((4, 4, 8)))
+    w_hot = hot.gate_weights(x).data
     fla = ref.feature_summary(x)
-    logits = ref.gate_diagnosis(fla).data
+    logits = np.concatenate([ref.gate_diagnosis(fla[:2]).data, ref.gate_change(fla[2:]).data])
     manual = np.exp(logits / 2.0)
     manual /= manual.sum(axis=1, keepdims=True)
     np.testing.assert_allclose(w_hot, manual, atol=1e-10)
 
 
+_HALVES = (slice(0, 2), slice(2, 4))  # diagnosis rows, change rows of a 4-row pass
+
+
 def test_task_gates_are_independent(rng):
-    layer = _layer()
-    x = Tensor(rng.standard_normal((2, 4, 8)))
-    before = layer(x, task_routing("change")).data.copy()
-    before_diag = layer(x, task_routing("diagnosis")).data.copy()
-    # one expert's column: a shift of every logit would cancel in the softmax
-    layer.gate_diagnosis.weight.data[:, 3] += 0.5
-    np.testing.assert_array_equal(layer(x, task_routing("change")).data, before)
-    assert np.abs(layer(x, task_routing("diagnosis")).data - before_diag).max() > 1e-9
+    """A change to one task's gate moves its own half of the rows and
+    leaves the other half bit-unchanged."""
+    x = Tensor(rng.standard_normal((4, 4, 8)))
+    for gate, own in (("gate_diagnosis", 0), ("gate_change", 1)):
+        layer = _layer()
+        before = layer(x, Routing()).data.copy()
+        # one expert's column: a shift of every logit would cancel in the softmax
+        getattr(layer, gate).weight.data[:, 3] += 0.5
+        after = layer(x, Routing()).data
+        other = _HALVES[1 - own]
+        np.testing.assert_array_equal(after[other], before[other])
+        assert np.abs(after[_HALVES[own]] - before[_HALVES[own]]).max() > 1e-9
 
 
 def test_shared_feature_attention_affects_both_tasks(rng):
     layer = _layer()
-    x = Tensor(rng.standard_normal((2, 4, 8)))
-    before = {t: layer(x, task_routing(t)).data.copy() for t in ("diagnosis", "change")}
+    x = Tensor(rng.standard_normal((4, 4, 8)))
+    before = layer(x, Routing()).data.copy()
     layer.feature_attn.weight.data += 0.5
-    for task in ("diagnosis", "change"):
-        assert np.abs(layer(x, task_routing(task)).data - before[task]).max() > 1e-9
+    after = layer(x, Routing()).data
+    for half in _HALVES:
+        assert np.abs(after[half] - before[half]).max() > 1e-9
 
 
 def test_task_routing_records_to_sink(rng):
     layer = _layer()
     sink = []
-    routing = Routing(kind="task", tasks=("diagnosis",), sink=sink)
-    layer(Tensor(rng.standard_normal((3, 4, 8))), routing)
-    assert len(sink) == 1 and sink[0].shape == (3, 8)
+    layer(Tensor(rng.standard_normal((6, 4, 8))), Routing(sink=sink))
+    assert len(sink) == 1 and sink[0].shape == (6, 8)
     np.testing.assert_allclose(sink[0].sum(axis=1), 1.0, atol=1e-6)
 
 
+def _single_task_pass(layer, x, gate):
+    """One task's pass over ``x`` built from nm ops: that task's gate
+    over the feature summary, then the gate-weighted sum of the experts."""
+    w = nm.softmax(nm.div(gate(layer.feature_summary(x)), layer.gate_temp), axis=-1)
+    out = None
+    for e, expert in enumerate(layer.experts):
+        term = nm.mul(_reference_expert(expert, x), nm.reshape(w[:, e], (x.shape[0], 1, 1)))
+        out = term if out is None else nm.add(out, term)
+    return w.data, out.data
+
+
 def test_stacked_task_blocks_match_single_task_passes(rng):
-    """One pass over a diagnosis block stacked on a change block gives
-    each block what that task's own pass gives, and sinks (2B, E)."""
+    """One pass routes the first half of the rows by the diagnosis gate
+    and the second half by the change gate: each half, and its sunk gate
+    weights, match that task's own pass over the half."""
     layer = _layer()
-    x = rng.standard_normal((3, 4, 8))
+    x = rng.standard_normal((6, 4, 8))
     sink = []
-    routing = task_routing("diagnosis", "change")
-    routing.sink = sink
-    both = layer(Tensor(np.concatenate([x, x])), routing).data
-    assert len(sink) == 1 and sink[0].shape == (6, 8)
-    for i, task in enumerate(("diagnosis", "change")):
-        block = slice(3 * i, 3 * (i + 1))
-        np.testing.assert_allclose(sink[0][block], layer.gate_weights(Tensor(x), task).data,
-                                   rtol=1e-12)
-        np.testing.assert_allclose(both[block], layer(Tensor(x), task_routing(task)).data,
-                                   rtol=1e-12, atol=1e-15)
-    with pytest.raises(ShapeError):
-        layer(Tensor(rng.standard_normal((3, 4, 8))), routing)
+    both = layer(Tensor(x), Routing(sink=sink)).data
+    for half, gate in ((slice(0, 3), layer.gate_diagnosis), (slice(3, 6), layer.gate_change)):
+        w, out = _single_task_pass(layer, Tensor(x[half]), gate)
+        np.testing.assert_allclose(sink[0][half], w, rtol=1e-12)
+        np.testing.assert_allclose(both[half], out, rtol=1e-12, atol=1e-15)
+    with pytest.raises(ShapeError):  # the rows must split into two halves
+        layer(Tensor(rng.standard_normal((3, 4, 8))), Routing())
 
 
 def test_fixed_one_hot_selects_single_expert(rng):
@@ -146,7 +157,7 @@ def test_fixed_one_hot_selects_single_expert(rng):
     x = Tensor(rng.standard_normal((2, 4, 8)))
     w = np.zeros((2, 8))
     w[:, 3] = 1.0
-    out = layer(x, fixed_routing(w))
+    out = layer(x, Routing(weights=w))
     np.testing.assert_allclose(out.data, _reference_expert(layer.experts[3], x).data, atol=1e-12)
 
 
@@ -154,7 +165,7 @@ def test_fixed_routing_zero_columns_get_no_gradient(rng):
     layer = _layer()
     x = Tensor(rng.standard_normal((2, 4, 8)))
     w = label_guided_weights(np.array([0, 0]), 8, 2, 0.3, np.float64)
-    out = layer(x, fixed_routing(w))
+    out = layer(x, Routing(weights=w))
     out.sum().backward()
     for e in (0, 1, 2, 3):  # shared pair + class-0 pair carry weight
         assert layer.experts[e].fc1.weight.grad is not None
@@ -169,18 +180,16 @@ def test_fixed_routing_zero_columns_get_no_gradient(rng):
 def test_fixed_routing_weight_contracts(rng):
     layer = _layer()
     x = Tensor(rng.standard_normal((2, 4, 8)))
-    out = layer(x, fixed_routing(np.ones((2, 8)) / 8))
+    out = layer(x, Routing(weights=np.ones((2, 8)) / 8))
     assert out.shape == (2, 4, 8)
     with pytest.raises(ShapeError):  # weights take one row per sample
-        layer(x, fixed_routing(np.ones(8) / 8))
+        layer(x, Routing(weights=np.ones(8) / 8))
     with pytest.raises(ShapeError):
-        layer(x, fixed_routing(np.ones((3, 8)) / 8))
+        layer(x, Routing(weights=np.ones((3, 8)) / 8))
     with pytest.raises(ContractError):
-        layer(x, fixed_routing(np.zeros((2, 8))))
-    with pytest.raises(ContractError):
-        layer(x, Routing(kind="mystery"))
+        layer(x, Routing(weights=np.zeros((2, 8))))
     with pytest.raises(ShapeError):
-        layer(Tensor(rng.standard_normal((2, 8))), fixed_routing(np.ones((2, 8)) / 8))
+        layer(Tensor(rng.standard_normal((2, 8))), Routing(weights=np.ones((2, 8)) / 8))
 
 
 def test_fixed_routing_matches_explicit_sum(rng):
@@ -188,7 +197,7 @@ def test_fixed_routing_matches_explicit_sum(rng):
     x = Tensor(rng.standard_normal((2, 4, 8)))
     w = np.array([[0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
                   [0.0, 0.25, 0.75, 0.0, 0.0, 0.0, 0.0, 0.0]])
-    out = layer(x, fixed_routing(w)).data
+    out = layer(x, Routing(weights=w)).data
     expected = np.zeros_like(out)
     for e in range(8):
         expert_out = _reference_expert(layer.experts[e], x).data
@@ -227,14 +236,14 @@ def _reference_expert(expert, x):
 def _reference_layer(layer, x, routing):
     """The per-expert graph: sum, in expert order, of w[:, e] * expert(x)
     over the experts with any weight, built from nm ops."""
-    b = x.shape[0]
+    b, n = x.shape[0], len(layer.experts)
     if routing.kind == "task":
-        w = layer.gate_weights(x, *routing.tasks)
-        cols = [nm.reshape(w[:, e], (b, 1, 1)) for e in range(layer.num_experts)]
+        w = layer.gate_weights(x)
+        cols = [nm.reshape(w[:, e], (b, 1, 1)) for e in range(n)]
     else:
         weights = np.asarray(routing.weights, dtype=x.dtype)
         cols = [weights[:, e].reshape(b, 1, 1) if np.any(weights[:, e]) else None
-                for e in range(layer.num_experts)]
+                for e in range(n)]
     out = None
     for expert, col in zip(layer.experts, cols):
         if col is not None:
@@ -253,10 +262,10 @@ def _forward_backward(layer, x, fn, seed):
 
 
 _ROUTINGS = {
-    "task": lambda dt: task_routing("change"),
-    "label_guided": lambda dt: fixed_routing(
-        label_guided_weights(np.array([0, 2, 1, 0]), 8, 2, 0.15, dt)),
-    "class_only": lambda dt: fixed_routing(label_guided_weights(np.ones(4, int), 8, 2, 0.0, dt)),
+    "task": lambda dt: Routing(),
+    "label_guided": lambda dt: Routing(
+        weights=label_guided_weights(np.array([0, 2, 1, 0]), 8, 2, 0.15, dt)),
+    "class_only": lambda dt: Routing(weights=label_guided_weights(np.ones(4, int), 8, 2, 0.0, dt)),
 }
 
 
@@ -278,7 +287,7 @@ def test_expert_mix_is_bit_identical_to_per_expert_graph(mode, dtype, pool_mode)
         x = Tensor(np.random.default_rng(9).standard_normal((16, 256, 16)).astype(dtype),
                    requires_grad=True)
         labels = np.random.default_rng(10).integers(0, 3, 16)
-        routing = fixed_routing(label_guided_weights(labels, 8, 2, 0.15, dtype))
+        routing = Routing(weights=label_guided_weights(labels, 8, 2, 0.15, dtype))
         fused = _forward_backward(layer, x, lambda: layer(x, routing), 1)
         ref = _forward_backward(layer, x, lambda: _reference_layer(layer, x, routing), 1)
         assert np.array_equal(fused[0], ref[0])
@@ -323,6 +332,21 @@ def test_expert_mix_contracts(rng):
         expert_mix(x, np.ones((3, 2)), layer.experts[:2])
     with pytest.raises(ShapeError):
         expert_mix(x, Tensor(np.ones((2, 2), dtype=np.float32)), layer.experts[:2])
+    with pytest.raises(ContractError):  # constant weights must select an expert
+        expert_mix(x, np.zeros((2, 3)), layer.experts[:3])
+
+
+def test_expert_mix_leaves_unweighted_experts_out(rng):
+    """Constant weights: an expert whose column is all zero is no parent
+    of the node and gets no gradient; the others get one."""
+    layer = _layer()
+    x = Tensor(rng.standard_normal((2, 4, 8)), requires_grad=True)
+    w = np.array([[0.5, 0.0, 0.5], [1.0, 0.0, 0.0]])
+    expert_mix(x, w, layer.experts[:3]).sum().backward()
+    assert x.grad is not None
+    for e, used in ((0, True), (1, False), (2, True)):
+        for p in layer.experts[e].parameters():
+            assert (p.grad is not None) == used, (e, used)
 
 
 _DETERMINISM_SCRIPT = """
@@ -332,7 +356,7 @@ sys.path.insert(0, src)
 from m3ad import entry
 entry.cap_threads()
 import numpy as np
-from m3ad.moe import MMoELayer, fixed_routing, label_guided_weights, task_routing
+from m3ad.moe import MMoELayer, Routing, label_guided_weights
 from m3ad import numerics as nm
 from m3ad.numerics import Tensor
 rng = np.random.default_rng(0)
@@ -340,8 +364,8 @@ layer = MMoELayer(rng, 16, 8, 4, 1.0, np.float32)
 x = Tensor(rng.standard_normal((8, 256, 16)).astype(np.float32), requires_grad=True)
 labels = np.array([0, 1, 2, 0, 1, 2, 0, 1])
 res = {}
-for name, routing in (("task", task_routing("diagnosis")),
-                      ("fixed", fixed_routing(label_guided_weights(labels, 8, 2, 0.15, np.float32)))):
+for name, routing in (("task", Routing()),
+                      ("fixed", Routing(weights=label_guided_weights(labels, 8, 2, 0.15, np.float32)))):
     layer.zero_grad()
     x.grad = None
     out = layer(x, routing)

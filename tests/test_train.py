@@ -294,10 +294,10 @@ def test_checkpoint_restores_forward_bit_exactly(tmp_path, rng):
     path = tmp_path / "state.m3ck"
     save_checkpoint(path, ckpt)
     clone = model_from_checkpoint(load_checkpoint(path))
-    from m3ad.moe import task_routing
+    from m3ad.moe import Routing
     images = rng.standard_normal((2, 32, 32))
-    a = model.encode(images, task_routing("diagnosis")).data
-    b = clone.encode(images, task_routing("diagnosis")).data
+    a = model.encode(images, Routing()).data
+    b = clone.encode(images, Routing()).data
     assert (a == b).all()
 
 
