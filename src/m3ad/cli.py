@@ -225,6 +225,10 @@ def main(argv=None) -> int:
     except (M3adError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print(f"error: {args.command}: out of memory; try a smaller model, batch or image size",
+              file=sys.stderr)
+        return 1
     except Exception as err:  # noqa: BLE001 - CLI boundary
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2

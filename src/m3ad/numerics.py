@@ -3,7 +3,9 @@
 All model math runs through :class:`Tensor` and the op functions below.
 Forward values are plain numpy arrays; each differentiable op records a
 vector-Jacobian closure so :meth:`Tensor.backward` can fill gradients of
-the leaves it reached. The engine is deliberately small: only the ops the
+the leaves it reached. A graph is single-use: backward frees each node's
+saved arrays as it goes, so a step's memory is released by its own
+backward pass. The engine is deliberately small: only the ops the
 model needs exist, and each one is written so its gradient can be checked
 against central finite differences (see :func:`grad_check`).
 
@@ -89,7 +91,8 @@ class Tensor:
         ops as raw numpy arrays instead.
     requires_grad : bool
         Leaves with ``requires_grad=True`` receive ``.grad`` after a
-        ``backward`` call that reaches them. Repeated backward calls
+        ``backward`` call that reaches them. A graph serves one backward
+        call, but a leaf outlives it: backward calls on fresh graphs
         accumulate into ``.grad`` until it is reset to ``None``, as
         :meth:`Module.zero_grad` does.
     """
@@ -138,8 +141,11 @@ class Tensor:
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor to every reachable leaf.
 
-        Without an explicit ``grad`` the tensor must be scalar. Leaf
-        gradients accumulate across calls; intermediate gradients are
+        Without an explicit ``grad`` the tensor must be scalar. The pass
+        consumes the graph: each node drops its parents and what its
+        vjp saved once processed, so a second backward through any of
+        its nodes raises ContractError. Leaf gradients accumulate across
+        the backward passes of fresh graphs; intermediate gradients are
         discarded once consumed.
         """
         if grad is None:
@@ -169,24 +175,26 @@ class Tensor:
                 if id(parent) not in seen and parent._is_node():
                     stack.append((parent, False))
 
+        # a processed node leaves topo and gives up its vjp, and with it
+        # what the vjp saved, so the graph is freed as it is walked
         grads: dict[int, np.ndarray] = {id(self): grad}
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             g = grads.pop(id(node), None)
-            if g is None:
-                continue
             if node._vjp is None:
-                if node.requires_grad:
+                if node.requires_grad and g is not None:
                     if node.grad is None:
                         node.grad = g.copy()
                     else:
                         node.grad = node.grad + g
                 continue
-            parent_grads = node._vjp(g)
-            for parent, pg in zip(node._parents, parent_grads):
-                if pg is None or not parent._is_node():
-                    continue
-                acc = grads.get(id(parent))
-                grads[id(parent)] = pg if acc is None else acc + pg
+            if g is not None:
+                for parent, pg in zip(node._parents, node._vjp(g)):
+                    if pg is None or not parent._is_node():
+                        continue
+                    acc = grads.get(id(parent))
+                    grads[id(parent)] = pg if acc is None else acc + pg
+            node._parents, node._vjp = (), _consumed_vjp
 
     # -- indexing and reductions ---------------------------------------
 
@@ -203,6 +211,11 @@ class Tensor:
 def _records(parents: Sequence[Tensor]) -> bool:
     """Whether an op over ``parents`` is recorded in the graph."""
     return _GRAD_ENABLED and any(p._is_node() for p in parents)
+
+
+def _consumed_vjp(g: np.ndarray):
+    """The vjp of a node whose graph a backward pass has already freed."""
+    raise ContractError("graph already consumed by backward; rebuild it with a new forward")
 
 
 def _wrap(node_data: np.ndarray, parents: tuple[Tensor, ...],

@@ -291,18 +291,19 @@ def _fit(model: M3ADNet, cfg: TrainConfig, n: int, stage: str, mode: str, batch_
         sums: dict[str, float] = {}
         for index, batch in enumerate(_batches(order, cfg.batch_size)):
             terms = batch_loss(rng, batch)
-            total, *_ = terms.values()
-            values = [term.item() for term in terms.values()]
+            names, values = list(terms), [term.item() for term in terms.values()]
             if not np.isfinite(values[0]):
                 raise ContractError(
                     f"non-finite training loss {values[0]} at epoch {epoch}, batch {index}")
             model.zero_grad()
+            total = terms[names[0]]
             total.backward()
+            del terms, total  # nothing of this step's graph outlives its backward
             if on_batch is not None:
                 on_batch(model, epoch, batch)
             clip_gradients(opt.params, cfg.clip_norm)
             opt.step()
-            for name, value in zip(terms, values):
+            for name, value in zip(names, values):
                 sums[name] = sums.get(name, 0.0) + value * batch.size
 
         scores = validate()

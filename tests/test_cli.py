@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import m3t_header, m3t_with_header
+from m3ad import cli
 from m3ad.cli import main
 from m3ad.data import load_manifest, load_split
 from m3ad.moe import TASKS, Routing
@@ -346,6 +347,18 @@ def test_out_of_range_config_values_exit_1(tmp_path, capsys, flags, key):
     assert rc == 1
     err = capsys.readouterr().err.replace(str(tmp_path), "")
     assert err.startswith("error: ") and key in err
+
+
+def test_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
+    """A config too large for the host, e.g. a huge expert_hidden_ratio,
+    is the user's error naming the command, not an internal crash."""
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "pretrain", exhausted)
+    rc = main(["pretrain", "--data", str(tmp_path / "manifest.csv"), "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: pretrain: out of memory")
 
 
 def test_finetune_init_of_another_model_config_exits_1(pipeline, tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Mixture-of-experts routing: weight tables, gates, gradient sparsity,
 and the fused expert op against the per-expert graph it replaces."""
 
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -347,6 +349,22 @@ def test_expert_mix_leaves_unweighted_experts_out(rng):
     for e, used in ((0, True), (1, False), (2, True)):
         for p in layer.experts[e].parameters():
             assert (p.grad is not None) == used, (e, used)
+
+
+def test_backward_frees_what_expert_mix_saved(rng):
+    """The GELU outputs an expert_mix vjp saves are collectable once
+    backward returns, though the node itself is still referenced."""
+    layer = _layer()
+    x = Tensor(rng.standard_normal((2, 4, 8)), requires_grad=True)
+    out = expert_mix(x, np.array([[0.5, 0.5], [1.0, 0.0]]), layer.experts[:2])
+    cells = dict(zip(out._vjp.__code__.co_freevars, out._vjp.__closure__))
+    saved_z = [weakref.ref(kept[2]) for kept in cells["saved"].cell_contents]
+    del cells
+    assert all(ref() is not None for ref in saved_z)
+    out.sum().backward()
+    gc.collect()
+    assert all(ref() is None for ref in saved_z)
+    assert x.grad is not None
 
 
 _DETERMINISM_SCRIPT = """

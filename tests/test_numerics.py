@@ -258,6 +258,22 @@ def test_backward_accumulates_until_zero_grad(rng):
     np.testing.assert_array_equal(p.grad, first)
 
 
+def test_backward_consumes_its_graph(rng):
+    """A graph serves one backward: a second pass over the same root, a
+    second loss over a consumed subgraph and a new op on a consumed
+    intermediate all raise, and leave the leaf gradient as it was."""
+    p = t64(rng, 3)
+    shared = nm.mul(p, 2.0)
+    loss, other = nm.add(shared, 1.0).sum(), nm.mul(shared, 3.0).sum()
+    loss.backward()
+    np.testing.assert_array_equal(p.grad, np.full(3, 2.0))
+    again = [loss.backward, other.backward, lambda: nm.mul(shared, 5.0).sum().backward()]
+    for backward in again:
+        with pytest.raises(ContractError, match="consumed by backward"):
+            backward()
+    np.testing.assert_array_equal(p.grad, np.full(3, 2.0))
+
+
 def test_backward_requires_scalar_without_seed(rng):
     p = t64(rng, 3)
     with pytest.raises(ContractError):

@@ -6,6 +6,7 @@ import json
 import re
 import struct
 import sys
+import weakref
 import zlib
 
 import numpy as np
@@ -606,6 +607,30 @@ def test_pretrain_on_batch_hook(tiny_splits):
     assert all(is_model for is_model, _, _ in calls)
     assert {epoch for _, epoch, _ in calls} == {0}
     assert sum(size for _, _, size in calls) == len(train)
+
+
+@pytest.mark.parametrize("loop", [pretrain_loop, finetune_loop])
+def test_fit_frees_each_step_graph_before_the_next_forward(tiny_splits, monkeypatch, loop):
+    """When on_batch runs, right after backward, nothing holds the step's
+    total loss any more: its graph cannot live on into the next forward.
+    (A Tensor takes no weak reference; its 0-d array dies with it.)"""
+    train, val, _ = tiny_splits
+    fit, totals = train_module._fit, []
+
+    def watched_fit(model, cfg, n, stage, mode, batch_loss, validate, on_batch=None, **kw):
+        def recording_loss(rng, batch):
+            terms = batch_loss(rng, batch)
+            totals.append(weakref.ref(next(iter(terms.values())).data))
+            return terms
+
+        def check(model, epoch, batch):
+            assert totals[-1]() is None
+
+        return fit(model, cfg, n, stage, mode, recording_loss, validate, check, **kw)
+
+    monkeypatch.setattr(train_module, "_fit", watched_fit)
+    loop(M3ADNet(tiny_model_config(), seed=7), train, val, tiny_train_config(epochs=1))
+    assert len(totals) == 2  # 16 train samples, batches of 8
 
 
 def test_finetune_loop_rows_and_init(tiny_splits):
