@@ -111,6 +111,14 @@ class ExpertMLP(Module):
         self.fc2 = Linear(rng, hidden, dim, dtype)
 
 
+def _hidden(expert: ExpertMLP, x: np.ndarray) -> np.ndarray:
+    """fc1 of an expert over (rows, dim) rows: one BLAS call, then the
+    bias added in place."""
+    h = x @ expert.fc1.weight.data
+    h += expert.fc1.bias.data
+    return h
+
+
 def expert_mix(x: Tensor, w, experts: Sequence[ExpertMLP]) -> Tensor:
     """``sum_k w[:, k] * experts[k](x)`` as one graph node.
 
@@ -126,6 +134,14 @@ def expert_mix(x: Tensor, w, experts: Sequence[ExpertMLP]) -> Tensor:
     per-expert work runs on the engine's pool when it is large enough,
     so the value is the same whatever the thread count. The vjp returns
     gradients for ``x``, ``w`` and the parameters of the experts it ran.
+
+    A recorded node keeps, per expert, its rows of ``x`` (a view when it
+    runs on every row), its weight column, Phi of its hidden layer (the
+    costly part of the GELU) and, for graph weights only, its output.
+    The hidden GELU and its slope, each as large as Phi, are cheap to
+    rebuild: the vjp recomputes fc1 with the forward's BLAS call and
+    in-place bias add, then the GELU and slope from it and Phi by the
+    forward's element-wise ops, so every gradient keeps its bits.
     """
     if not experts:
         raise ContractError("expert_mix() needs at least one expert")
@@ -157,9 +173,10 @@ def expert_mix(x: Tensor, w, experts: Sequence[ExpertMLP]) -> Tensor:
     def forward(k):
         e, r = experts[k], rows[k]
         xk, wk = x.data[r], wt.data[r, k]
-        z, slope = nm._gelu(xk.reshape(-1, dim) @ e.fc1.weight.data + e.fc1.bias.data, record)
+        z = _hidden(e, xk.reshape(-1, dim))
+        z, phi = nm._gelu(z, record, out=z)
         y = (z @ e.fc2.weight.data + e.fc2.bias.data).reshape(xk.shape)
-        return y * wk.reshape(bcast), (xk.reshape(-1, dim), wk, z, slope, y if keep_y else None)
+        return y * wk.reshape(bcast), (xk.reshape(-1, dim), wk, phi, y if keep_y else None)
 
     results = nm._parallel_map(forward, range(len(experts)), work)
     out = np.zeros(x.shape, dtype=x.dtype)
@@ -170,10 +187,11 @@ def expert_mix(x: Tensor, w, experts: Sequence[ExpertMLP]) -> Tensor:
     def vjp(g):
         def backward(k):
             e, r = experts[k], rows[k]
-            xk, wk, z, slope, y = saved[k]
+            xk, wk, phi, y = saved[k]
             gy = (g[r] * wk.reshape(bcast)).reshape(-1, dim)
             gz = gy @ e.fc2.weight.data.T
-            gz *= slope
+            z = _hidden(e, xk)
+            gz *= nm._gelu_slope(z, phi, value=True)
             gx = (gz @ e.fc1.weight.data.T).reshape((-1,) + x.shape[1:]) if x._is_node() else None
             gw = None if y is None else (g * y).sum(axis=tuple(range(1, x.ndim)))
             return gx, gw, (xk.T @ gz, gz.sum(axis=0), z.T @ gy, gy.sum(axis=0))

@@ -7,7 +7,9 @@ the leaves it reached. A graph is single-use: backward frees each node's
 saved arrays as it goes, so a step's memory is released by its own
 backward pass. The engine is deliberately small: only the ops the
 model needs exist, and each one is written so its gradient can be checked
-against central finite differences (see :func:`grad_check`).
+against central finite differences (see :func:`grad_check`). What an op
+saves for its vjp is what is costly to compute; what is cheap to compute
+but large to store, the vjp rebuilds with the forward's own calls.
 
 Also hosted here because they sit at the same level of the stack:
 the :class:`Module` parameter container, the ``no_grad`` context, the
@@ -60,9 +62,10 @@ _ERF32_P = tuple(np.array(c, np.float32) for c in (
 _ERF32_Q = tuple(np.array(c, np.float32) for c in (
     -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
     -7.37332916720468e-03, -1.42647390514189e-02))
-_GELU32 = {name: np.array(c, np.float32) for name, c in (
-    ("inv_sqrt2", _INV_SQRT2), ("inv_sqrt_2pi", _INV_SQRT_2PI),
-    ("clamp", 4.0), ("-clamp", -4.0), ("one", 1.0), ("half", 0.5), ("-half", -0.5))}
+_GELU_CONSTANTS = (("inv_sqrt2", _INV_SQRT2), ("inv_sqrt_2pi", _INV_SQRT_2PI),
+                   ("clamp", 4.0), ("-clamp", -4.0), ("one", 1.0), ("half", 0.5),
+                   ("-half", -0.5))
+_GELU32 = {name: np.array(c, np.float32) for name, c in _GELU_CONSTANTS}
 # elements per block of the float32 GELU: its scratch rows stay in cache
 # (at two threads 8,192 was slower than scipy's erf, 32,768 even, 65,536 best)
 _GELU_BLOCK = 65_536
@@ -324,9 +327,13 @@ def softplus(a: Tensor) -> Tensor:
     return _wrap(data, (a,), lambda g: (g * sig,))
 
 
-def _gelu(x: np.ndarray, slope: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """GELU x * Phi(x) of an array and, if ``slope`` is set, its
-    derivative Phi(x) + x * pdf(x) from the same Phi; otherwise None.
+def _gelu(x: np.ndarray, keep_phi: bool,
+          out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """GELU x * Phi(x) of an array and, if ``keep_phi`` is set, Phi(x)
+    itself, the part of the derivative that is costly to compute;
+    otherwise None. :func:`_gelu_slope` rebuilds the rest from it. The
+    GELU goes to ``out`` if given, a C-ordered array of x's shape and
+    dtype that may be x itself.
 
     Phi = 0.5 * (1 + erf(x / sqrt(2))). float64 (and any dtype but
     float32) takes ``scipy.special.erf``. float32 takes the clamped odd
@@ -334,19 +341,19 @@ def _gelu(x: np.ndarray, slope: bool) -> tuple[np.ndarray, np.ndarray | None]:
     u = clip(x / sqrt(2), -4, 4): at most 5e-7 from the float64 erf, odd
     bit for bit, and saturating to exactly x or 0 for |x| >= 5.66. It
     runs in blocks of ``_GELU_BLOCK`` elements on scratch rows that stay
-    in cache; every step is element-wise, so the bits do not depend on
-    the blocking. The result is a new C-ordered array.
+    in cache, Phi copied out of its row when kept; every step is
+    element-wise, so the bits do not depend on the blocking. Phi and,
+    without ``out``, the GELU are new arrays.
     """
+    if out is not None and not out.flags.c_contiguous:
+        raise ContractError("_gelu writes the GELU only to a C-ordered array")
     if x.dtype != np.float32:
         phi = 0.5 * (1.0 + special.erf(x * np.asarray(_INV_SQRT2, dtype=x.dtype)))
-        if not slope:
-            return x * phi, None
-        pdf = np.asarray(_INV_SQRT_2PI, dtype=x.dtype) * np.exp(-0.5 * x * x)
-        return x * phi, phi + x * pdf
+        return np.multiply(x, phi, out=out), phi if keep_phi else None
     k = _GELU32
     flat = x.reshape(-1)
-    value = np.empty(flat.size, np.float32)
-    grad = np.empty(flat.size, np.float32) if slope else None
+    value = np.empty(flat.size, np.float32) if out is None else out.reshape(-1)
+    phi = np.empty(flat.size, np.float32) if keep_phi else None
     u, t, p, q = np.empty((4, min(flat.size, _GELU_BLOCK)), np.float32)
     for start in range(0, flat.size, _GELU_BLOCK):
         end = start + _GELU_BLOCK
@@ -367,22 +374,50 @@ def _gelu(x: np.ndarray, slope: bool) -> tuple[np.ndarray, np.ndarray | None]:
         np.add(pb, k["one"], out=pb)
         np.multiply(pb, k["half"], out=pb)  # Phi
         np.multiply(xb, pb, out=value[start:end])
-        if slope:
-            np.multiply(xb, k["-half"], out=tb)
-            np.multiply(tb, xb, out=tb)
-            np.exp(tb, out=tb)
-            np.multiply(tb, k["inv_sqrt_2pi"], out=tb)  # pdf
-            np.multiply(xb, tb, out=tb)
-            np.add(pb, tb, out=grad[start:end])
-    return value.reshape(x.shape), None if grad is None else grad.reshape(x.shape)
+        if keep_phi:
+            phi[start:end] = pb
+    return (value.reshape(x.shape) if out is None else out,
+            None if phi is None else phi.reshape(x.shape))
+
+
+def _gelu_slope(x: np.ndarray, phi: np.ndarray, value: bool = False) -> np.ndarray:
+    """The GELU derivative Phi(x) + x * pdf(x), built in place over
+    ``phi``, :func:`_gelu`'s Phi(x) of ``x``. With ``value`` set, ``x``
+    (C-ordered) is also turned in place into the GELU x * Phi(x).
+
+    The old contents are lost, which a vjp may allow since a graph
+    serves one backward. The pdf takes the same ufuncs in the same order
+    as the whole-array formula, in blocks of ``_GELU_BLOCK`` elements on
+    a scratch row, so each element gets the same bits.
+    """
+    if value and not x.flags.c_contiguous:
+        raise ContractError("_gelu_slope can rebuild the GELU only over a C-ordered array")
+    if x.dtype == np.float32:
+        k = _GELU32
+    else:
+        k = {name: np.asarray(c, x.dtype) for name, c in _GELU_CONSTANTS}
+    flat, slope = x.reshape(-1), phi.reshape(-1)
+    t = np.empty(min(flat.size, _GELU_BLOCK), x.dtype)
+    for start in range(0, flat.size, _GELU_BLOCK):
+        xb, sb = flat[start:start + _GELU_BLOCK], slope[start:start + _GELU_BLOCK]
+        tb = t[:xb.size]
+        np.multiply(xb, k["-half"], out=tb)
+        np.multiply(tb, xb, out=tb)
+        np.exp(tb, out=tb)
+        np.multiply(tb, k["inv_sqrt_2pi"], out=tb)  # pdf
+        np.multiply(xb, tb, out=tb)
+        if value:
+            np.multiply(xb, sb, out=xb)
+        np.add(sb, tb, out=sb)
+    return slope.reshape(phi.shape)
 
 
 def gelu(a: Tensor) -> Tensor:
     """Gaussian-CDF form x * Phi(x), never the tanh form: exact erf in
     float64, and in float32 a rational erf within 5e-7 of it (see
-    :func:`_gelu`)."""
-    data, slope = _gelu(a.data, _records((a,)))
-    return _wrap(data, (a,), lambda g: (g * slope,))
+    :func:`_gelu`). The node keeps Phi; its vjp rebuilds the slope."""
+    data, phi = _gelu(a.data, _records((a,)))
+    return _wrap(data, (a,), lambda g: (g * _gelu_slope(a.data, phi),))
 
 
 # -- reductions --------------------------------------------------------
@@ -555,10 +590,12 @@ def cosine_attention(qkv: Tensor, tau: Tensor, bias_table: Tensor, index: np.nda
     each (query, key) pair. The norms of q and k are clamped at 1e-12.
     Returns (windows, t, C), the heads side by side.
 
-    The vjp takes the softmax backward dS = P * (dP - rowsum(dP * P))
-    (FlashAttention, untiled) and the l2-normalize vjp. It writes the q,
-    k and v gradients into one buffer, reduces dtau once and scatters
-    dbias once into the table.
+    The node keeps the unit q and k, their norms and the attention P,
+    not cos(q, k): the vjp rebuilds cos with the forward's own matmul,
+    for dtau alone, so its bits are the same. The vjp takes the softmax
+    backward dS = P * (dP - rowsum(dP * P)) (FlashAttention, untiled)
+    and the l2-normalize vjp. It writes the q, k and v gradients into
+    one buffer, reduces dtau once and scatters dbias once into the table.
     """
     bw, t, c3 = qkv.shape
     c = c3 // 3
@@ -576,9 +613,9 @@ def cosine_attention(qkv: Tensor, tau: Tensor, bias_table: Tensor, index: np.nda
     # scores key by query, (bw, heads, t, t): numpy reduces the
     # second-to-last axis about 3x faster than the last
     rows = index.reshape(t, t).T
-    cos = kn @ qn.swapaxes(-1, -2)
     tau_b = tau.data.reshape(heads, 1, 1)
-    p = cos / tau_b
+    p = kn @ qn.swapaxes(-1, -2)  # cos, turned into the scores in place
+    p /= tau_b
     p += bias_table.data[rows].transpose(2, 0, 1)
     p -= p.max(axis=-2, keepdims=True)
     np.exp(p, out=p)
@@ -595,7 +632,9 @@ def cosine_attention(qkv: Tensor, tau: Tensor, bias_table: Tensor, index: np.nda
         ds *= p  # dS
         gbias = np.zeros_like(bias_table.data)
         np.add.at(gbias, rows.reshape(-1), ds.sum(axis=0).reshape(heads, t * t).T)
-        # one dot product of dS and cos per window and head
+        # one dot product of dS and cos per window and head, cos rebuilt
+        # by the forward's matmul
+        cos = kn @ qn.swapaxes(-1, -2)
         gtau = (ds.reshape(bw, heads, 1, t * t) @ cos.reshape(bw, heads, t * t, 1)).sum(axis=0)
         gtau = gtau.reshape(heads) / -(tau.data * tau.data)
         ds /= tau_b  # d cos

@@ -5,6 +5,7 @@ import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -265,6 +266,7 @@ def _forward_backward(layer, x, fn, seed):
 
 _ROUTINGS = {
     "task": lambda dt: Routing(),
+    "calib_task": lambda dt: Routing(),
     "label_guided": lambda dt: Routing(
         weights=label_guided_weights(np.array([0, 2, 1, 0]), 8, 2, 0.15, dt)),
     "class_only": lambda dt: Routing(weights=label_guided_weights(np.ones(4, int), 8, 2, 0.0, dt)),
@@ -282,12 +284,21 @@ _DISPATCH_GRAD_RTOL = {np.float32: 2e-6, np.float64: 1e-14}
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("mode", ["task", "label_guided", "class_only", "single_expert",
-                                  "calib_label_guided"])
+                                  "calib_label_guided", "calib_task"])
 def test_expert_mix_is_bit_identical_to_per_expert_graph(mode, dtype, pool_mode):
-    if mode == "calib_label_guided":
+    if mode.startswith("calib"):
+        # the calib stage-0 layer: under task routing each expert runs on
+        # 32 rows of 256 tokens, 8 GELU blocks of hidden units for its vjp
+        # to rebuild
         layer = MMoELayer(np.random.default_rng(8), 16, 8, 4, 1.0, dtype)
-        x = Tensor(np.random.default_rng(9).standard_normal((16, 256, 16)).astype(dtype),
+        rows = 32 if mode == "calib_task" else 16
+        x = Tensor(np.random.default_rng(9).standard_normal((rows, 256, 16)).astype(dtype),
                    requires_grad=True)
+    else:
+        layer = MMoELayer(np.random.default_rng(8), 8, 8, 2, 1.0, dtype)
+        x = Tensor(np.random.default_rng(9).standard_normal((4, 6, 8)).astype(dtype),
+                   requires_grad=True)
+    if mode == "calib_label_guided":
         labels = np.random.default_rng(10).integers(0, 3, 16)
         routing = Routing(weights=label_guided_weights(labels, 8, 2, 0.15, dtype))
         fused = _forward_backward(layer, x, lambda: layer(x, routing), 1)
@@ -302,9 +313,6 @@ def test_expert_mix_is_bit_identical_to_per_expert_graph(mode, dtype, pool_mode)
                 np.testing.assert_allclose(fused[2][name], grad, rtol=0, atol=tol,
                                            err_msg=name)
         return
-    layer = MMoELayer(np.random.default_rng(8), 8, 8, 2, 1.0, dtype)
-    x = Tensor(np.random.default_rng(9).standard_normal((4, 6, 8)).astype(dtype),
-               requires_grad=True)
     if mode == "single_expert":
         expert = layer.experts[5]
         ones = np.ones((x.shape[0], 1), dtype=dtype)
@@ -352,18 +360,50 @@ def test_expert_mix_leaves_unweighted_experts_out(rng):
 
 
 def test_backward_frees_what_expert_mix_saved(rng):
-    """The GELU outputs an expert_mix vjp saves are collectable once
+    """The GELU Phi arrays an expert_mix vjp saves are collectable once
     backward returns, though the node itself is still referenced."""
     layer = _layer()
     x = Tensor(rng.standard_normal((2, 4, 8)), requires_grad=True)
     out = expert_mix(x, np.array([[0.5, 0.5], [1.0, 0.0]]), layer.experts[:2])
     cells = dict(zip(out._vjp.__code__.co_freevars, out._vjp.__closure__))
-    saved_z = [weakref.ref(kept[2]) for kept in cells["saved"].cell_contents]
+    saved_phi = [weakref.ref(kept[2]) for kept in cells["saved"].cell_contents]
     del cells
-    assert all(ref() is not None for ref in saved_z)
+    assert all(ref() is not None for ref in saved_phi)
     out.sum().backward()
     gc.collect()
-    assert all(ref() is None for ref in saved_z)
+    assert all(ref() is None for ref in saved_phi)
+    assert x.grad is not None
+
+
+@pytest.mark.parametrize("weights", ["graph", "fixed"])
+def test_recorded_expert_mix_keeps_one_hidden_width_array_per_expert(weights, pool_mode):
+    """After its forward, a recorded calib stage-0 node holds, per expert,
+    one array as wide as the expert's hidden layer (the GELU's Phi), its
+    gathered rows of x, the expert outputs for graph weights, and its own
+    output: the hidden layer's GELU and slope are left to the vjp."""
+    dtype, tokens, dim, hidden = np.float32, 256, 16, 64
+    rng = np.random.default_rng(3)
+    layer = MMoELayer(rng, dim, 8, hidden // dim, 1.0, dtype)
+    x = Tensor(rng.standard_normal((16, tokens, dim)).astype(dtype), requires_grad=True)
+    if weights == "graph":
+        w = nm.softmax(Tensor(rng.standard_normal((16, 8)).astype(dtype), requires_grad=True))
+        rows = np.full(8, 16)
+    else:
+        w = label_guided_weights(rng.integers(0, 3, 16), 8, 2, 0.15, dtype)
+        rows = np.count_nonzero(w, axis=0)
+    row_bytes = tokens * np.dtype(dtype).itemsize
+    phi = int(rows.sum()) * row_bytes * hidden
+    gathered = int(rows[rows < 16].sum()) * row_bytes * dim
+    outputs = (int(rows.sum()) if weights == "graph" else 0) * row_bytes * dim + x.data.nbytes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = expert_mix(x, w, layer.experts)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert phi + gathered + outputs <= kept <= phi + gathered + outputs + (64 << 10)
+    out.sum().backward()
     assert x.grad is not None
 
 

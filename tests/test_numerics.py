@@ -156,22 +156,50 @@ def _gelu32_reference(x):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_gelu_slope_is_computed_only_when_recording(rng, dtype):
+def test_gelu_slope_is_computed_only_when_recording(rng, dtype, monkeypatch):
+    """A recorded GELU keeps Phi, from which the vjp's slope and, on
+    request, the GELU itself are rebuilt bit for bit; an unrecorded one
+    makes no Phi."""
     x = (rng.standard_normal(1000) * 3).astype(dtype)
     if dtype == np.float32:
-        _, expected_value, expected_slope = _gelu32_reference(x)
+        erf, expected_value, expected_slope = _gelu32_reference(x)
+        expected_phi = np.float32(0.5) * (np.float32(1) + erf)
     else:
-        phi = 0.5 * (1.0 + special.erf(x * np.asarray(0.7071067811865476, dtype=dtype)))
+        expected_phi = 0.5 * (1.0 + special.erf(x * np.asarray(0.7071067811865476, dtype=dtype)))
         pdf = np.asarray(0.3989422804014327, dtype=dtype) * np.exp(-0.5 * x * x)
-        expected_value, expected_slope = x * phi, phi + x * pdf
-    value, slope = nm._gelu(x, slope=True)
-    assert value.dtype == slope.dtype == dtype
+        expected_value, expected_slope = x * expected_phi, expected_phi + x * pdf
+    value, phi = nm._gelu(x, keep_phi=True)
+    assert value.dtype == phi.dtype == dtype
     assert np.array_equal(value, expected_value)
-    assert np.array_equal(slope, expected_slope)
-    value_only, none = nm._gelu(x, slope=False)
+    assert np.array_equal(phi, expected_phi)
+    assert np.array_equal(nm._gelu_slope(x, phi.copy()), expected_slope)
+    h = x.copy()
+    assert np.array_equal(nm._gelu_slope(h, phi, value=True), expected_slope)
+    assert np.array_equal(h, expected_value)
+    with pytest.raises(ContractError):  # the GELU is rebuilt only in place
+        nm._gelu_slope(x[::2], phi[::2], value=True)
+    value_only, none = nm._gelu(x, keep_phi=False)
     assert np.array_equal(value_only, value) and none is None
+    h = x.copy()
+    in_place, phi_again = nm._gelu(h, keep_phi=True, out=h)
+    assert in_place is h and np.array_equal(h, value)
+    assert np.array_equal(phi_again, expected_phi)
+    with pytest.raises(ContractError):
+        nm._gelu(x[::2], keep_phi=False, out=h[::2])
+
+    kept = []
+    real_gelu = nm._gelu
+    monkeypatch.setattr(nm, "_gelu", lambda a, keep_phi, out=None: kept.append(keep_phi) or
+                        real_gelu(a, keep_phi, out))
+    leaf = Tensor(x, requires_grad=True)
     with no_grad():
-        assert nm.gelu(Tensor(x, requires_grad=True))._vjp is None
+        assert nm.gelu(leaf)._vjp is None
+    assert nm.gelu(Tensor(x))._vjp is None
+    assert kept == [False, False]
+    out = nm.gelu(leaf)
+    assert kept[-1] is True
+    out.backward(np.ones_like(x))
+    assert np.array_equal(leaf.grad, expected_slope)
 
 
 def test_float32_gelu_tolerance_on_a_grid():
@@ -181,8 +209,9 @@ def test_float32_gelu_tolerance_on_a_grid():
     so the clamp starts just above 4*sqrt2 = 5.657)."""
     x = np.linspace(-10, 10, 2_000_001).astype(np.float32)
     erf, value, slope = _gelu32_reference(x)
-    got_value, got_slope = nm._gelu(x, slope=True)
-    assert np.array_equal(got_value, value) and np.array_equal(got_slope, slope)
+    got_value, got_phi = nm._gelu(x, keep_phi=True)
+    assert np.array_equal(got_value, value)
+    assert np.array_equal(nm._gelu_slope(x, got_phi), slope)
     x64 = x.astype(np.float64)
     erf64 = special.erf(x64 / np.sqrt(2.0))
     assert np.abs(erf - erf64).max() <= 5e-7
@@ -195,15 +224,19 @@ def test_float32_gelu_tolerance_on_a_grid():
 
 def test_float32_gelu_bits_do_not_depend_on_blocking(rng):
     """Across block edges, on contiguous and strided input, each element
-    gets the bits it gets when its small slice is evaluated alone."""
+    gets the value, Phi and slope it gets when its small slice is
+    evaluated alone; the blocked float64 slope too."""
     n = 2 * nm._GELU_BLOCK + 3
     base = (rng.standard_normal(2 * n) * 3).astype(np.float32)
-    for x in (base[:n], base[::2]):
-        value, slope = nm._gelu(x, slope=True)
+    for x in (base[:n], base[::2], base[:n].astype(np.float64)):
+        value, phi = nm._gelu(x, keep_phi=True)
+        slope = nm._gelu_slope(x, phi.copy())
         for start in range(0, n, 4093):
-            part_value, part_slope = nm._gelu(x[start:start + 4093], slope=True)
+            part = x[start:start + 4093]
+            part_value, part_phi = nm._gelu(part, keep_phi=True)
             assert np.array_equal(value[start:start + 4093], part_value)
-            assert np.array_equal(slope[start:start + 4093], part_slope)
+            assert np.array_equal(phi[start:start + 4093], part_phi)
+            assert np.array_equal(slope[start:start + 4093], nm._gelu_slope(part, part_phi))
 
 
 def test_importing_the_entry_module_loads_no_numpy():
