@@ -135,8 +135,9 @@ def expert_mix(x: Tensor, w, experts: Sequence[ExpertMLP]) -> Tensor:
     so the value is the same whatever the thread count. The vjp returns
     gradients for ``x``, ``w`` and the parameters of the experts it ran.
 
-    A recorded node keeps, per expert, its rows of ``x`` (a view when it
-    runs on every row), its weight column, Phi of its hidden layer (the
+    A recorded node keeps, per expert, its rows of ``x`` (a view of x's
+    array when it runs on every row, else a gathered copy; the node keeps
+    only x's shape), its weight column, Phi of its hidden layer (the
     costly part of the GELU) and, for graph weights only, its output.
     The hidden GELU and its slope, each as large as Phi, are cheap to
     rebuild: the vjp recomputes fc1 with the forward's BLAS call and
@@ -166,7 +167,8 @@ def expert_mix(x: Tensor, w, experts: Sequence[ExpertMLP]) -> Tensor:
     # a slice keeps every row as a view; an index array gathers the rows
     rows = [slice(None) if c == n else np.flatnonzero(wt.data[:, k])
             for k, c in enumerate(counts)]
-    dim = x.shape[-1]
+    shape, x_node = x.shape, x._is_node()  # what the vjp reads of x
+    dim = shape[-1]
     bcast = (-1,) + (1,) * (x.ndim - 1)
     work = int(counts.sum()) * math.prod(x.shape[1:-1]) * experts[0].fc1.weight.shape[1]
 
@@ -192,14 +194,14 @@ def expert_mix(x: Tensor, w, experts: Sequence[ExpertMLP]) -> Tensor:
             gz = gy @ e.fc2.weight.data.T
             z = _hidden(e, xk)
             gz *= nm._gelu_slope(z, phi, value=True)
-            gx = (gz @ e.fc1.weight.data.T).reshape((-1,) + x.shape[1:]) if x._is_node() else None
-            gw = None if y is None else (g * y).sum(axis=tuple(range(1, x.ndim)))
+            gx = (gz @ e.fc1.weight.data.T).reshape((-1,) + shape[1:]) if x_node else None
+            gw = None if y is None else (g * y).sum(axis=tuple(range(1, len(shape))))
             return gx, gw, (xk.T @ gz, gz.sum(axis=0), z.T @ gy, gy.sum(axis=0))
 
         parts = nm._parallel_map(backward, range(len(experts)), work)
         gx = None
-        if x._is_node():
-            gx = np.zeros(x.shape, dtype=x.dtype)
+        if x_node:
+            gx = np.zeros(shape, dtype=g.dtype)
             for part, r in zip(parts, rows):
                 gx[r] += part[0]
         gw = np.stack([part[1] for part in parts], axis=1) if keep_y else None

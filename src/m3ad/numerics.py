@@ -2,14 +2,17 @@
 
 All model math runs through :class:`Tensor` and the op functions below.
 Forward values are plain numpy arrays; each differentiable op records a
-vector-Jacobian closure so :meth:`Tensor.backward` can fill gradients of
-the leaves it reached. A graph is single-use: backward frees each node's
-saved arrays as it goes, so a step's memory is released by its own
-backward pass. The engine is deliberately small: only the ops the
-model needs exist, and each one is written so its gradient can be checked
-against central finite differences (see :func:`grad_check`). What an op
-saves for its vjp is what is costly to compute; what is cheap to compute
-but large to store, the vjp rebuilds with the forward's own calls.
+graph node so :meth:`Tensor.backward` can fill gradients of the leaves it
+reached. A node holds its vector-Jacobian closure and its parents' nodes,
+never a value: an op's output array lives while the caller holds its
+Tensor or a vjp reads it, and a vjp keeps only what it reads. A graph is
+single-use: backward frees each node's saved arrays as it goes, so a
+step's memory is released by its own backward pass. The engine is
+deliberately small: only the ops the model needs exist, and each one is
+written so its gradient can be checked against central finite
+differences (see :func:`grad_check`). What an op saves for its vjp is
+what is costly to compute; what is cheap to compute but large to store,
+the vjp rebuilds with the forward's own calls.
 
 Also hosted here because they sit at the same level of the stack:
 the :class:`Module` parameter container, the ``no_grad`` context, the
@@ -98,9 +101,13 @@ class Tensor:
         call, but a leaf outlives it: backward calls on fresh graphs
         accumulate into ``.grad`` until it is reset to ``None``, as
         :meth:`Module.zero_grad` does.
+
+    The output of a recorded op links to its graph node, which holds the
+    op's vjp and its parents' nodes, never a value. So the array of an op
+    output lives while the caller holds this Tensor or a vjp reads it.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -109,8 +116,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
+        self._node: _Node | None = None
 
     # -- introspection -------------------------------------------------
 
@@ -139,17 +145,30 @@ class Tensor:
     # -- graph plumbing ------------------------------------------------
 
     def _is_node(self) -> bool:
-        return self.requires_grad or self._vjp is not None
+        return self.requires_grad or self._node is not None
+
+    @property
+    def _vjp(self) -> Callable[[np.ndarray], Sequence[np.ndarray | None]] | None:
+        """The vjp of the op that made this tensor; None for a leaf."""
+        return None if self._node is None else self._node._vjp
+
+    @property
+    def _parents(self) -> tuple:
+        """The graph entries of the op's inputs: an op output's node, a
+        leaf or a constant itself. Empty for a leaf."""
+        return () if self._node is None else self._node._parents
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor to every reachable leaf.
 
         Without an explicit ``grad`` the tensor must be scalar. The pass
-        consumes the graph: each node drops its parents and what its
-        vjp saved once processed, so a second backward through any of
-        its nodes raises ContractError. Leaf gradients accumulate across
-        the backward passes of fresh graphs; intermediate gradients are
-        discarded once consumed.
+        walks the graph nodes from this tensor's; they hold vjps and
+        parent links but no values, so the arrays it touches are those
+        the vjps saved. It consumes the graph: each node drops its
+        parents and what its vjp saved once processed, so a second
+        backward through any of its nodes raises ContractError. Leaf
+        gradients accumulate across the backward passes of fresh graphs;
+        intermediate gradients are discarded once consumed.
         """
         if grad is None:
             if self.data.size != 1:
@@ -162,9 +181,10 @@ class Tensor:
                 raise ShapeError(
                     f"seed gradient shape {grad.shape} != tensor shape {self.shape}")
 
-        topo: list[Tensor] = []
+        root = self if self._node is None else self._node
+        topo: list[_Node | Tensor] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node | Tensor, bool]] = [(root, False)]
         while stack:
             node, done = stack.pop()
             if done:
@@ -180,11 +200,11 @@ class Tensor:
 
         # a processed node leaves topo and gives up its vjp, and with it
         # what the vjp saved, so the graph is freed as it is walked
-        grads: dict[int, np.ndarray] = {id(self): grad}
+        grads: dict[int, np.ndarray] = {id(root): grad}
         while topo:
             node = topo.pop()
             g = grads.pop(id(node), None)
-            if node._vjp is None:
+            if isinstance(node, Tensor):  # a leaf
                 if node.requires_grad and g is not None:
                     if node.grad is None:
                         node.grad = g.copy()
@@ -221,12 +241,26 @@ def _consumed_vjp(g: np.ndarray):
     raise ContractError("graph already consumed by backward; rebuild it with a new forward")
 
 
+class _Node:
+    """The graph record of one op: its vjp and, per input, the input's
+    node if it is an op output, else the leaf or constant Tensor itself
+    (whose value lives anyway). It holds no op output's value."""
+
+    __slots__ = ("_parents", "_vjp")
+
+    def __init__(self, parents: tuple, vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]]):
+        self._parents = parents
+        self._vjp = vjp
+
+    def _is_node(self) -> bool:
+        return True
+
+
 def _wrap(node_data: np.ndarray, parents: tuple[Tensor, ...],
           vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
     out = Tensor(node_data)
     if _records(parents):
-        out._parents = parents
-        out._vjp = vjp
+        out._node = _Node(tuple(p if p._node is None else p._node for p in parents), vjp)
     return out
 
 
@@ -257,9 +291,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a: Tensor, b) -> Tensor:
     b = _coerce(b, a)
     data = a.data + b.data
+    sa, sb = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _wrap(data, (a, b), vjp)
 
@@ -435,20 +470,20 @@ def _ones_shape(shape, axis, keepdims):
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
-    shape = a.shape
+    shape, dtype = a.shape, a.dtype
 
     def vjp(g):
         gshape = _ones_shape(shape, axis, keepdims)
         if gshape is not None:
             g = g.reshape(gshape)
-        return (np.broadcast_to(g, shape).astype(a.dtype, copy=False),)
+        return (np.broadcast_to(g, shape).astype(dtype, copy=False),)
 
     return _wrap(data, (a,), vjp)
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.mean(axis=axis, keepdims=keepdims)
-    shape = a.shape
+    shape, dtype = a.shape, a.dtype
     count = a.data.size if axis is None else int(np.prod(
         [shape[ax % len(shape)] for ax in ((axis,) if isinstance(axis, int) else axis)]))
 
@@ -456,7 +491,7 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         gshape = _ones_shape(shape, axis, keepdims)
         if gshape is not None:
             g = g.reshape(gshape)
-        return (np.broadcast_to(g, shape).astype(a.dtype, copy=False) / count,)
+        return (np.broadcast_to(g, shape).astype(dtype, copy=False) / count,)
 
     return _wrap(data, (a,), vjp)
 
@@ -525,9 +560,10 @@ def taps3x3(a: Tensor) -> Tensor:
     padded = np.zeros((b, h + 2, w + 2, c), dtype=a.dtype)
     padded[:, 1:-1, 1:-1] = a.data
     data = np.stack([padded[:, dy:dy + h, dx:dx + w] for dy in range(3) for dx in range(3)])
+    shape = padded.shape
 
     def vjp(g):
-        full = np.zeros_like(padded)
+        full = np.zeros(shape, dtype=g.dtype)
         for k in range(9):
             dy, dx = divmod(k, 3)
             full[:, dy:dy + h, dx:dx + w] += g[k]
@@ -590,12 +626,13 @@ def cosine_attention(qkv: Tensor, tau: Tensor, bias_table: Tensor, index: np.nda
     each (query, key) pair. The norms of q and k are clamped at 1e-12.
     Returns (windows, t, C), the heads side by side.
 
-    The node keeps the unit q and k, their norms and the attention P,
-    not cos(q, k): the vjp rebuilds cos with the forward's own matmul,
-    for dtau alone, so its bits are the same. The vjp takes the softmax
-    backward dS = P * (dP - rowsum(dP * P)) (FlashAttention, untiled)
-    and the l2-normalize vjp. It writes the q, k and v gradients into
-    one buffer, reduces dtau once and scatters dbias once into the table.
+    The node keeps the unit q and k, their norms, a copy of v and the
+    attention P, not the qkv buffer nor cos(q, k): the vjp rebuilds cos
+    with the forward's own matmul, for dtau alone, so its bits are the
+    same. The vjp takes the softmax backward
+    dS = P * (dP - rowsum(dP * P)) (FlashAttention, untiled) and the
+    l2-normalize vjp. It writes the q, k and v gradients into one
+    buffer, reduces dtau once and scatters dbias once into the table.
     """
     bw, t, c3 = qkv.shape
     c = c3 // 3
@@ -621,10 +658,12 @@ def cosine_attention(qkv: Tensor, tau: Tensor, bias_table: Tensor, index: np.nda
     np.exp(p, out=p)
     p /= p.sum(axis=-2, keepdims=True)
     out = (p.swapaxes(-1, -2) @ v).transpose(0, 2, 1, 3).reshape(bw, t, c)
+    if _records((qkv, tau, bias_table)):
+        v = v.copy()  # a view would keep the whole qkv buffer
 
     def vjp(g):
         go = g.reshape(bw, t, heads, hd).transpose(0, 2, 1, 3)
-        grad = np.empty((bw, t, 3, heads, hd), dtype=qkv.dtype)
+        grad = np.empty((bw, t, 3, heads, hd), dtype=g.dtype)
         gq, gk, gv = grad.transpose(2, 0, 3, 1, 4)
         np.matmul(p, go, out=gv)
         ds = v @ go.swapaxes(-1, -2)  # dP

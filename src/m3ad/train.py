@@ -277,8 +277,11 @@ def _fit(model: M3ADNet, cfg: TrainConfig, n: int, stage: str, mode: str, batch_
     of the ``n`` training rows, total first; the row reports their means.
     ``validate()`` returns the named validation values, the monitored one
     last. A non-finite total stops training before its backward pass.
+    Each step's gradients are dropped once AdamW has applied them, so
+    none is alive through the next forward.
     """
     opt = AdamW(model.named_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    model.zero_grad()
     stopper = EarlyStopper(cfg.patience, mode=mode)
     min_lr = cfg.min_lr_ratio * cfg.lr
 
@@ -295,7 +298,6 @@ def _fit(model: M3ADNet, cfg: TrainConfig, n: int, stage: str, mode: str, batch_
             if not np.isfinite(values[0]):
                 raise ContractError(
                     f"non-finite training loss {values[0]} at epoch {epoch}, batch {index}")
-            model.zero_grad()
             total = terms[names[0]]
             total.backward()
             del terms, total  # nothing of this step's graph outlives its backward
@@ -303,6 +305,7 @@ def _fit(model: M3ADNet, cfg: TrainConfig, n: int, stage: str, mode: str, batch_
                 on_batch(model, epoch, batch)
             clip_gradients(opt.params, cfg.clip_norm)
             opt.step()
+            model.zero_grad()  # no gradient is alive through the next forward
             for name, value in zip(names, values):
                 sums[name] = sums.get(name, 0.0) + value * batch.size
 

@@ -1,5 +1,7 @@
 """Assembled network: shapes, fusion placement, routing plumbing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -325,6 +327,29 @@ def test_training_gradients_match_the_stacked_pass(tiny_splits):
                 continue
             err = np.abs(got[name] - grad).max()
             assert err <= 1e-12 * np.abs(grad).max(), name
+
+
+def test_recorded_pretrain_forward_keeps_only_what_its_backward_reads():
+    """What a recorded tiny-model pretrain forward (8 scans) leaves alive
+    until its backward, in units of the batch's image bytes. Measured:
+    105 while graph nodes held their parents' Tensors, and so every op
+    output (Linear's pre-bias product, the operands of add, the input of
+    each sum, attention's qkv buffer); 54 since a node holds only its
+    vjp and its parents' nodes. The bound sits between the two."""
+    from m3ad.heads_losses import pretrain_loss
+    rng = np.random.default_rng(4)
+    model = M3ADNet(tiny_model_config(), seed=19)
+    images = rng.standard_normal((8, 32, 32)).astype(np.float32)
+    masks = sample_masks(rng, 8, (32, 32), 8, 0.5)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        total, _, _ = pretrain_loss(model, images, np.arange(8) % 3, masks, 1.0)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 75 * images.nbytes
+    total.backward()
 
 
 def test_pretrain_without_specialization_runs_one_copy(monkeypatch):

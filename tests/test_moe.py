@@ -375,6 +375,30 @@ def test_backward_frees_what_expert_mix_saved(rng):
     assert x.grad is not None
 
 
+def test_fixed_routing_node_keeps_gathered_rows_not_x(rng):
+    """Where every expert gathers its rows, the node keeps the gathered
+    copies and x's shape: x's array is freed once the caller drops x,
+    and the gradients are those of a graph whose caller keeps it."""
+    layer = _layer()
+    leaf = Tensor(rng.standard_normal((4, 3, 8)), requires_grad=True)
+    w = label_guided_weights(np.array([0, 1, 2, 0]), 8, 2, 0.15, np.float64)
+    w[1, :2] = 0.0  # the shared experts skip a row too
+    grads = []
+    for keep_x in (False, True):
+        for p in [leaf] + layer.parameters():
+            p.grad = None
+        x = nm.mul(leaf, 2.0)
+        out = expert_mix(x, w, layer.experts)
+        if not keep_x:
+            ref = weakref.ref(x.data)
+            del x
+            assert ref() is None
+        nm.mul(out, out).sum().backward()
+        grads.append([p.grad for p in [leaf] + layer.parameters()])
+    for dropped, kept in zip(*grads):
+        assert (dropped is None and kept is None) or np.array_equal(dropped, kept)
+
+
 @pytest.mark.parametrize("weights", ["graph", "fixed"])
 def test_recorded_expert_mix_keeps_one_hidden_width_array_per_expert(weights, pool_mode):
     """After its forward, a recorded calib stage-0 node holds, per expert,

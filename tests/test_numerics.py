@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -344,6 +345,106 @@ def test_diamond_graph_accumulates_through_shared_node(rng):
     out = nm.add(shared, nm.mul(shared, 3.0)).sum()  # d/dp = 2 + 6
     out.backward()
     np.testing.assert_allclose(p.grad, np.full(3, 8.0), atol=1e-12)
+
+
+# Graphs whose nodes must not keep an array that no vjp reads. Each
+# builder takes its leaves, a list ``keep`` that gets those arrays, and a
+# monkeypatch context for spying on arrays made inside an op; it returns
+# a scalar loss.
+
+
+def _spy(patch, owner, name, keep):
+    """Wrap ``owner.name`` so every array it makes also goes to ``keep``."""
+    fn = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        keep.append(out.data if isinstance(out, Tensor) else out)
+        return out
+
+    patch.setattr(owner, name, spy)
+
+
+def _linear_product(leaves, keep, patch):
+    """Linear's matmul output before the bias is added."""
+    x, weight, bias = leaves
+    lin = Linear(np.random.default_rng(0), 4, 3, np.float64)
+    lin.weight, lin.bias = weight, bias
+    _spy(patch, nm, "matmul", keep)
+    y = lin(x)
+    return nm.mul(y, y).sum()
+
+
+def _add_operands(leaves, keep, patch):
+    a, b = leaves
+    left, right = nm.mul(a, 2.0), nm.mul(b, b)
+    keep += [left.data, right.data]
+    return nm.mul(nm.add(left, right), a).sum()
+
+
+def _reduced_inputs(leaves, keep, patch):
+    """The inputs of tsum and tmean."""
+    a, b = leaves
+    summed, averaged = nm.mul(a, b), nm.mul(a, 3.0)
+    keep += [summed.data, averaged.data]
+    s, m = nm.tsum(summed, axis=1), nm.tmean(averaged, axis=0, keepdims=True)
+    return nm.add(nm.mul(s, s).sum(), nm.mul(m, m).sum())
+
+
+def _taps_padding(leaves, keep, patch):
+    """taps3x3's zero-padded copy of its input, and the input itself."""
+    (a,) = leaves
+    x = nm.mul(a, 2.0)
+    keep.append(x.data)
+    _spy(patch, np, "zeros", keep)
+    taps = nm.taps3x3(x)
+    return nm.mul(taps, taps).sum()
+
+
+def _attention_qkv(leaves, keep, patch):
+    """The qkv buffer cosine_attention reads v from."""
+    a, tau, table = leaves
+    qkv = nm.mul(a, 1.5)
+    keep.append(qkv.data)
+    out = nm.cosine_attention(qkv, tau, table, np.arange(16) % 7, heads=2)
+    return nm.mul(out, out).sum()
+
+
+_GRAPH_CASES = [  # builder, leaf shapes
+    (_linear_product, [(5, 4), (4, 3), (3,)]),
+    (_add_operands, [(3, 4), (1, 4)]),
+    (_reduced_inputs, [(3, 4), (3, 4)]),
+    (_taps_padding, [(2, 3, 4, 5)]),
+    (_attention_qkv, [(3, 4, 12), (2,), (7, 2)]),
+]
+
+
+@pytest.mark.parametrize("build, shapes", _GRAPH_CASES,
+                         ids=[build.__name__[1:] for build, _ in _GRAPH_CASES])
+def test_graph_keeps_no_array_that_no_vjp_reads(build, shapes, monkeypatch):
+    """Once the caller drops its tensors, an array no vjp reads is freed
+    at once, before backward and without a garbage collection; the
+    gradients equal those of a graph whose caller keeps every array."""
+    rng = np.random.default_rng(8)
+    leaves = [Tensor(rng.standard_normal(shape), requires_grad=True) for shape in shapes]
+    keep = []
+    with monkeypatch.context() as patch:
+        loss = build(leaves, keep, patch)
+    refs = [weakref.ref(arr) for arr in keep]
+    assert refs
+    del keep
+    assert [ref() is None for ref in refs] == [True] * len(refs)
+    loss.backward()
+    dropped = [p.grad for p in leaves]
+
+    for p in leaves:
+        p.grad = None
+    keep = []
+    with monkeypatch.context() as patch:
+        loss = build(leaves, keep, patch)
+    loss.backward()
+    for p, grad in zip(leaves, dropped):
+        assert np.array_equal(p.grad, grad)
 
 
 def test_dtype_mismatch_rejected(rng):

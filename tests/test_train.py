@@ -633,6 +633,28 @@ def test_fit_frees_each_step_graph_before_the_next_forward(tiny_splits, monkeypa
     assert len(totals) == 2  # 16 train samples, batches of 8
 
 
+@pytest.mark.parametrize("loop", [pretrain_loop, finetune_loop])
+def test_fit_drops_each_step_gradients_once_applied(tiny_splits, monkeypatch, loop):
+    """Every step's forward starts with no gradient alive, while on_batch,
+    right after backward, still sees the step's gradients."""
+    train, val, _ = tiny_splits
+    fit, seen = train_module._fit, []
+
+    def watched_fit(model, cfg, n, stage, mode, batch_loss, validate, on_batch=None, **kw):
+        def checked_loss(rng, batch):
+            assert all(p.grad is None for p in model.parameters())
+            return batch_loss(rng, batch)
+
+        def check(model, epoch, batch):
+            seen.append(sum(p.grad is not None for p in model.parameters()))
+
+        return fit(model, cfg, n, stage, mode, checked_loss, validate, check, **kw)
+
+    monkeypatch.setattr(train_module, "_fit", watched_fit)
+    loop(M3ADNet(tiny_model_config(), seed=7), train, val, tiny_train_config(epochs=2))
+    assert len(seen) == 4 and min(seen) > 0  # 16 train samples, batches of 8
+
+
 def test_finetune_loop_rows_and_init(tiny_splits):
     train, val, _ = tiny_splits
     cfg = tiny_train_config()
