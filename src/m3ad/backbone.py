@@ -10,11 +10,13 @@ feed-forward:
     z1 = Mixer(LN(z)) + z
     z2 = MMoE(LN(z1)) + z1
 
-The attention of a window stack is one engine op,
-:func:`m3ad.numerics.cosine_attention`, between the block's qkv and
-output linears. A block may stack copies of its rows right after its
-mixer: the model runs its first block's mixer once per scan and splits
-the task copies there, ahead of the first MMoE layer (see
+Both mixers take and return the (B, H, W, C) grid, so a block calls
+either the same way. :class:`WindowAttention` owns its window, its shift
+and the partition into windows and back; the attention of the window
+stack is one engine op, :func:`m3ad.numerics.cosine_attention`, between
+its qkv and output linears. A block may stack copies of its rows right
+after its mixer: the model runs its first block's mixer once per scan
+and splits the task copies there, ahead of the first MMoE layer (see
 :meth:`m3ad.model.M3ADNet.encode`).
 
 Attention windows adapt to the map: the effective window is
@@ -22,11 +24,13 @@ gcd(H, W, window), which always tiles the grid, collapses to the whole
 map when the map is small, and keeps lookups inside the one relative
 position bias table sized for the configured window. Shift alternates
 between 0 and half the effective window on consecutive blocks and is
-implemented as a cyclic roll (no attention masking).
+one cyclic :func:`m3ad.numerics.roll` node each way (no attention
+masking).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -77,6 +81,15 @@ def relative_position_index(m: int, table_window: int) -> np.ndarray:
     return rel[0] * (2 * table_window - 1) + rel[1]
 
 
+@functools.lru_cache(maxsize=None)
+def _flat_index(m: int, table_window: int) -> np.ndarray:
+    """:func:`relative_position_index` flattened, made once per (m,
+    table_window) and read-only, since every module shares it."""
+    index = relative_position_index(m, table_window).reshape(-1)
+    index.flags.writeable = False
+    return index
+
+
 class PatchEmbed(Module):
     """Non-overlapping patch projection plus layer norm."""
 
@@ -106,22 +119,28 @@ class PatchMerge(Module):
         h, w = x.shape[1], x.shape[2]
         if h % 2 or w % 2:
             raise ShapeError(f"grid {h}x{w} not divisible by 2 for merging")
-        quads = [x[:, 0::2, 0::2, :], x[:, 1::2, 0::2, :],
-                 x[:, 0::2, 1::2, :], x[:, 1::2, 1::2, :]]
-        return self.reduce(nm.concat(quads, axis=-1))
+        b, c = x.shape[0], x.shape[3]
+        # (b, h/2, dy, w/2, dx, c) -> (b, h/2, w/2, dx, dy, c): quads in
+        # the channel order (dy, dx) = (0, 0), (1, 0), (0, 1), (1, 1)
+        x = nm.transpose(nm.reshape(x, (b, h // 2, 2, w // 2, 2, c)), (0, 1, 3, 4, 2, 5))
+        return self.reduce(nm.reshape(x, (b, h // 2, w // 2, 4 * c)))
 
 
 class WindowAttention(Module):
-    """Scaled cosine attention inside windows.
+    """Scaled cosine attention inside (shifted) windows of a grid.
 
-    Scores are cos(q, k) / tau + B with a learnable per-head temperature
-    tau = 0.01 + softplus(raw), floored strictly above 0.01, and a
-    relative position bias B looked up from a zero-initialized table.
-    The softmax-weighted values of all windows and heads come from one
-    :func:`m3ad.numerics.cosine_attention` node.
+    Takes and returns the (B, H, W, C) grid. The module owns the
+    effective window, the shift (half that window when ``shifted`` and
+    the window does not cover the whole map), the partition and its
+    reverse. Scores are cos(q, k) / tau + B with a learnable per-head
+    temperature tau = 0.01 + softplus(raw), floored strictly above 0.01,
+    and a relative position bias B looked up from a zero-initialized
+    table. The softmax-weighted values of all windows and heads come from
+    one :func:`m3ad.numerics.cosine_attention` node.
     """
 
-    def __init__(self, rng: np.random.Generator, dim: int, heads: int, window: int, dtype):
+    def __init__(self, rng: np.random.Generator, dim: int, heads: int, window: int, dtype,
+                 shifted: bool):
         if dim % heads:
             raise ShapeError(f"dim {dim} not divisible by {heads} heads")
         self.qkv = Linear(rng, dim, 3 * dim, dtype)
@@ -130,7 +149,7 @@ class WindowAttention(Module):
         self.bias_table = nm.zeros_param(((2 * window - 1) ** 2, heads), dtype)
         self.heads = heads
         self.window = window
-        self._index_cache: dict[int, np.ndarray] = {}
+        self.shifted = shifted
 
     def _temperature(self) -> Tensor:
         """0.01 + softplus(raw), clamped at the next float above 0.01: the
@@ -139,52 +158,34 @@ class WindowAttention(Module):
         floor = np.nextafter(np.asarray(0.01, dtype=self.tau_raw.dtype), np.inf)
         return nm.clamp_min(nm.add(nm.softplus(self.tau_raw), 0.01), floor)
 
-    def _rel_index(self, m: int) -> np.ndarray:
-        cached = self._index_cache.get(m)
-        if cached is None:
-            cached = relative_position_index(m, self.window).reshape(-1)
-            self._index_cache[m] = cached
-        return cached
-
-    def __call__(self, windows: Tensor, m: int) -> Tensor:
-        t = windows.shape[1]
-        if t != m * m:
-            raise ShapeError(f"{t} tokens do not fill a {m}x{m} window")
-        out = nm.cosine_attention(self.qkv(windows), self._temperature(), self.bias_table,
-                                  self._rel_index(m), self.heads)
-        return self.proj(out)
-
-
-class M3ADBlock(Module):
-    """Pre-norm residual block: token mixer then mixture-of-experts."""
-
-    def __init__(self, mixer: Module, moe: Module, dim: int, dtype,
-                 shifted: bool, window: int):
-        self.norm1 = LayerNorm(dim, dtype)
-        self.mixer = mixer
-        self.norm2 = LayerNorm(dim, dtype)
-        self.moe = moe
-        self.shifted = shifted
-        self.window = window
-
-    def _mix(self, x: Tensor) -> Tensor:
-        if not isinstance(self.mixer, WindowAttention):
-            return self.mixer(x)
+    def __call__(self, x: Tensor) -> Tensor:
         b, h, w, _ = x.shape
         m = effective_window(h, w, self.window)
         shift = m // 2 if self.shifted and (h > m or w > m) else 0
         if shift:
-            x = nm.roll(x, (-shift, -shift), axis=(1, 2))
-        out = window_reverse(self.mixer(window_partition(x, m), m), m, b, h, w)
-        if shift:
-            out = nm.roll(out, (shift, shift), axis=(1, 2))
-        return out
+            x = nm.roll(x, (-shift,), (1, 2))
+        out = nm.cosine_attention(self.qkv(window_partition(x, m)), self._temperature(),
+                                  self.bias_table, _flat_index(m, self.window), self.heads)
+        out = window_reverse(self.proj(out), m, b, h, w)
+        return nm.roll(out, (shift,), (1, 2)) if shift else out
+
+
+class M3ADBlock(Module):
+    """Pre-norm residual block: token mixer then mixture-of-experts. The
+    mixer, attention or tokenized MLP, maps the (B, H, W, C) grid to a
+    grid of the same shape."""
+
+    def __init__(self, mixer: Module, moe: Module, dim: int, dtype):
+        self.norm1 = LayerNorm(dim, dtype)
+        self.mixer = mixer
+        self.norm2 = LayerNorm(dim, dtype)
+        self.moe = moe
 
     def __call__(self, x: Tensor, routing, copies: int = 1) -> Tensor:
         """``copies`` > 1 stacks that many copies of the mixer's output
         (plus residual) on the batch axis before the MMoE layer, whose
         routing covers the stacked rows."""
-        x = nm.add(self._mix(self.norm1(x)), x)
+        x = nm.add(self.mixer(self.norm1(x)), x)
         if copies > 1:
             x = nm.concat([x] * copies)
         b, h, w, c = x.shape

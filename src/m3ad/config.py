@@ -192,50 +192,30 @@ class RunConfig:
 # -- parsing -----------------------------------------------------------
 
 
-def _parse_int_tuple(text: str) -> tuple[int, ...]:
+def _parse_value(name: str, kind, text: str):
+    """The value of config field ``name`` of type ``kind`` from its text:
+    an int, a float, a str, or a tuple of ints or floats written
+    comma-separated."""
+    item = typing.get_args(kind)[0] if typing.get_origin(kind) is tuple else None
     try:
-        return tuple(int(part) for part in text.split(","))
+        return kind(text) if item is None else tuple(item(part) for part in text.split(","))
     except ValueError as err:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from err
+        expected = "" if item is None else (
+            f" (comma-separated {'integers' if item is int else 'numbers'})")
+        raise ConfigError(f"bad value for {name}{expected}: {text!r}") from err
 
 
-def _parse_float_tuple(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError as err:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from err
-
-
-def _typed(section: str, name: str, kind):
-    def setter(cfg: RunConfig, text: str):
-        try:
-            value = kind(text)
-        except ValueError as err:
-            raise ConfigError(f"bad value for {name}: {text!r}") from err
-        setattr(getattr(cfg, section), name, value)
-    return setter
-
-
-def _parser(kind):
-    """Value parser for a config field of type ``kind``."""
-    if kind in (int, float, str):
-        return kind
-    if typing.get_origin(kind) is tuple:
-        return {int: _parse_int_tuple, float: _parse_float_tuple}[typing.get_args(kind)[0]]
-    raise TypeError(f"no config parser for fields of type {kind}")
-
-
-# every field of every RunConfig section, in declaration order
-_KEYS = {f.name: _typed(section, f.name, _parser(typing.get_type_hints(klass)[f.name]))
+# (section, type) of every field of every RunConfig section, in declaration order
+_KEYS = {f.name: (section, typing.get_type_hints(klass)[f.name])
          for section, klass in typing.get_type_hints(RunConfig).items()
          for f in dataclasses.fields(klass)}
 
 
 def apply_assignment(cfg: RunConfig, key: str, value: str) -> None:
-    setter = _KEYS.get(key)
-    if setter is None:
+    if key not in _KEYS:
         raise ConfigError(f"unknown config key {key!r}")
-    setter(cfg, value)
+    section, kind = _KEYS[key]
+    setattr(getattr(cfg, section), key, _parse_value(key, kind, value))
 
 
 def parse_config_text(text: str, cfg: RunConfig | None = None,

@@ -38,9 +38,9 @@ def _weight(rng, shape):
     return np.asarray(rng.standard_normal(shape), dtype=np.float64)
 
 
-def check_primitives(rng: np.random.Generator | None = None) -> dict[str, float]:
+def check_primitives() -> dict[str, float]:
     """Max relative gradient error per primitive op."""
-    rng = rng or np.random.default_rng(7)
+    rng = np.random.default_rng(7)
     out: dict[str, float] = {}
 
     def run(name, f, params):
@@ -84,7 +84,8 @@ def check_primitives(rng: np.random.Generator | None = None) -> dict[str, float]
     run("concat", lambda: nm.mul(nm.concat([a, b], axis=1), wc).sum(), [a, b])
     g4 = _t(rng, 2, 4, 4, 3)
     w4 = _weight(rng, (2, 4, 4, 3))
-    run("roll", lambda: nm.mul(nm.roll(g4, (1, -2), axis=(1, 2)), w4).sum(), [g4])
+    # 3 channels in groups of 2 and 1, the second left in place
+    run("roll", lambda: nm.mul(nm.roll(g4, (-1, 0), (1, 2)), w4).sum(), [g4])
     w9 = _weight(rng, (9, 2, 4, 4, 3))
     run("taps3x3", lambda: nm.mul(nm.taps3x3(g4), w9).sum(), [g4])
     run("broadcast_to", lambda: nm.mul(nm.broadcast_to(row, (3, 4)), w).sum(), [row])
@@ -141,10 +142,10 @@ def _toy_cfg(**overrides) -> ModelConfig:
     return ModelConfig(**base).validate()
 
 
-def check_composites(rng: np.random.Generator | None = None) -> dict[str, float]:
+def check_composites() -> dict[str, float]:
     """Max relative gradient error per composite component, double
     precision, on toy extents (embed dim 8, 2-sample batches)."""
-    rng = rng or np.random.default_rng(11)
+    rng = np.random.default_rng(11)
     out: dict[str, float] = {}
     dt = np.float64
 
@@ -155,9 +156,9 @@ def check_composites(rng: np.random.Generator | None = None) -> dict[str, float]
     # attention-mixer block, shifted, with gate routing: one diagnosis
     # row, one change row
     mrng = np.random.default_rng(3)
-    attn = WindowAttention(mrng, 8, 2, 4, dt)
+    attn = WindowAttention(mrng, 8, 2, 4, dt, shifted=True)
     moe = MMoELayer(mrng, 8, 8, 2, 1.0, dt)
-    block = M3ADBlock(attn, moe, 8, dt, shifted=True, window=4)
+    block = M3ADBlock(attn, moe, 8, dt)
     # a unit-scale gate path from its own generator: at the 0.02 initial
     # scale some of its gradients are near 1e-8, below what finite
     # differences resolve

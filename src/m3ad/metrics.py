@@ -41,15 +41,10 @@ class MetricsReport:
     specificity: np.ndarray
     f1: np.ndarray
     macro_f1: float
-    n: int
-    undefined: list[str]     # e.g. "precision[2]"
 
 
-def _ratio(num: float, den: float, tag: str, undefined: list[str]) -> float:
-    if den == 0:
-        undefined.append(tag)
-        return float("nan")
-    return num / den
+def _ratio(num: float, den: float) -> float:
+    return float("nan") if den == 0 else num / den
 
 
 def report(cm: np.ndarray) -> MetricsReport:
@@ -60,7 +55,6 @@ def report(cm: np.ndarray) -> MetricsReport:
     if n == 0:
         raise ContractError("empty confusion matrix")
     c = cm.shape[0]
-    undefined: list[str] = []
     precision = np.empty(c)
     recall = np.empty(c)
     specificity = np.empty(c)
@@ -70,11 +64,10 @@ def report(cm: np.ndarray) -> MetricsReport:
         fn = float(cm[i].sum() - tp)
         fp = float(cm[:, i].sum() - tp)
         tn = float(n - tp - fn - fp)
-        precision[i] = _ratio(tp, tp + fp, f"precision[{i}]", undefined)
-        recall[i] = _ratio(tp, tp + fn, f"recall[{i}]", undefined)
-        specificity[i] = _ratio(tn, tn + fp, f"specificity[{i}]", undefined)
+        precision[i] = _ratio(tp, tp + fp)
+        recall[i] = _ratio(tp, tp + fn)
+        specificity[i] = _ratio(tn, tn + fp)
         if np.isnan(precision[i]) or np.isnan(recall[i]):
-            undefined.append(f"f1[{i}]")
             f1[i] = float("nan")
         elif precision[i] + recall[i] == 0.0:
             f1[i] = 0.0
@@ -88,8 +81,7 @@ def report(cm: np.ndarray) -> MetricsReport:
     macro = float(defined_f1.mean()) if defined_f1.size else float("nan")
     accuracy = float(np.trace(cm) / n)
     return MetricsReport(accuracy=accuracy, precision=precision, recall=recall,
-                         specificity=specificity, f1=f1, macro_f1=macro, n=n,
-                         undefined=undefined)
+                         specificity=specificity, f1=f1, macro_f1=macro)
 
 
 def _fmt(value: float) -> str:

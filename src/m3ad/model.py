@@ -54,13 +54,13 @@ class M3ADNet(Module):
             dim = cfg.stage_dim(stage)
             for depth in range(cfg.depths[stage]):
                 if stage in ATTENTION_STAGES:
-                    mixer = WindowAttention(rng, dim, cfg.num_heads[stage], cfg.window, dt)
+                    mixer = WindowAttention(rng, dim, cfg.num_heads[stage], cfg.window, dt,
+                                            shifted=bool(depth % 2))
                 else:
                     mixer = TokMLPBlock(rng, dim, dt)
                 moe = MMoELayer(rng, dim, cfg.num_experts, cfg.expert_hidden_ratio,
                                 cfg.gate_temp, dt)
-                self.blocks.append(M3ADBlock(mixer, moe, dim, dt,
-                                             shifted=bool(depth % 2), window=cfg.window))
+                self.blocks.append(M3ADBlock(mixer, moe, dim, dt))
         self.merges = [PatchMerge(rng, cfg.stage_dim(s), dt) for s in range(3)]
 
         fdim = c_fusion_dim(cfg.embed_dim, cfg.fusion_stage)

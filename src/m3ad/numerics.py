@@ -544,10 +544,26 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _wrap(data, tuple(tensors), vjp)
 
 
-def roll(a: Tensor, shift, axis) -> Tensor:
-    data = np.roll(a.data, shift, axis=axis)
-    neg_shift = tuple(-s for s in shift) if isinstance(shift, tuple) else -shift
-    return _wrap(data, (a,), lambda g: (np.roll(g, neg_shift, axis=axis),))
+def _roll_groups(x: np.ndarray, offsets: tuple[int, ...], axes: tuple[int, ...],
+                 sign: int) -> np.ndarray:
+    out = np.empty(x.shape, dtype=x.dtype)
+    for src, dst, off in zip(np.array_split(x, len(offsets), axis=-1),
+                             np.array_split(out, len(offsets), axis=-1), offsets):
+        dst[...] = np.roll(src, sign * off, axis=axes) if off else src
+    return out
+
+
+def roll(a: Tensor, offsets, axes) -> Tensor:
+    """Cyclic shift of channel groups, one graph node.
+
+    The last axis splits into ``len(offsets)`` contiguous groups, as
+    ``np.array_split`` splits it (leading groups one larger when the
+    split is uneven), and group i rolls by ``offsets[i]`` along every
+    axis in ``axes``. One offset rolls the whole tensor. The vjp rolls
+    the gradient back; it keeps no array."""
+    offsets, axes = tuple(offsets), tuple(axes)
+    return _wrap(_roll_groups(a.data, offsets, axes, 1), (a,),
+                 lambda g: (_roll_groups(g, offsets, axes, -1),))
 
 
 def taps3x3(a: Tensor) -> Tensor:

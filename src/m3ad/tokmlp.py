@@ -10,8 +10,9 @@ convolution. Width and height passes share a single tokenizer:
     Z   = f(LN(T_W + MLP(f(T_H))))        with f = GELU
 
 Channels split into one group per shift offset; the offsets (-2..2)
-give five groups, split as evenly as the channel count allows.
-Shifts are cyclic rolls, so no positions are lost at the borders.
+give five groups, split as evenly as the channel count allows. Each
+shift is one :func:`m3ad.numerics.roll` node, a cyclic roll per group,
+so no positions are lost at the borders.
 """
 
 from __future__ import annotations
@@ -19,32 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import numerics as nm
-from .errors import ShapeError
 from .numerics import LayerNorm, Linear, Module, Tensor, parameter, zeros_param
 
 SHIFT_OFFSETS = (-2, -1, 0, 1, 2)
-
-
-def axis_shift(x: Tensor, axis: int, offsets: tuple[int, ...]) -> Tensor:
-    """Roll channel groups of a (B, H, W, C) grid along one spatial axis.
-
-    Channels are split into ``len(offsets)`` contiguous groups (as evenly
-    as possible, leading groups larger) and group i rolls by offsets[i].
-    """
-    if x.ndim != 4:
-        raise ShapeError(f"axis_shift expects (B, H, W, C), got {x.shape}")
-    if axis not in (1, 2):
-        raise ShapeError(f"axis must be a spatial axis (1 or 2), got {axis}")
-    c = x.shape[-1]
-    bounds = np.cumsum([0] + [len(part) for part in np.array_split(np.arange(c), len(offsets))])
-    pieces = []
-    for i, off in enumerate(offsets):
-        lo, hi = int(bounds[i]), int(bounds[i + 1])
-        if lo == hi:
-            continue
-        piece = x[..., lo:hi]
-        pieces.append(nm.roll(piece, (off,), axis=(axis,)) if off else piece)
-    return nm.concat(pieces, axis=-1)
 
 
 def conv3x3(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -83,7 +61,7 @@ class TokMLPBlock(Module):
         return conv3x3(x, self.tok_weight, self.tok_bias)
 
     def __call__(self, x: Tensor) -> Tensor:
-        tw = self.tokenize(axis_shift(x, axis=2, offsets=SHIFT_OFFSETS))
+        tw = self.tokenize(nm.roll(x, SHIFT_OFFSETS, (2,)))
         y = nm.gelu(dwconv3x3(self.mlp_w(tw), self.dw_weight, self.dw_bias))
-        th = self.tokenize(axis_shift(y, axis=1, offsets=SHIFT_OFFSETS))
+        th = self.tokenize(nm.roll(y, SHIFT_OFFSETS, (1,)))
         return nm.gelu(self.norm(nm.add(tw, self.mlp_h(nm.gelu(th)))))

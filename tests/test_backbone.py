@@ -104,20 +104,24 @@ def test_patch_embed_locality(rng):
 
 def test_patch_merge_quad_order(rng):
     merge = PatchMerge(rng, 1, np.float64)
-    # selection matrix: output channel j picks quad j in order 00, 10, 01, 11
+    # selection matrices: output channel j picks quad j in order 00, 10, 01, 11
     merge.reduce.weight.data = np.eye(4, 2)
     x = rng.standard_normal((1, 4, 4, 1))
     out = merge(Tensor(x)).data
     np.testing.assert_array_equal(out[0, :, :, 0], x[0, 0::2, 0::2, 0])
     np.testing.assert_array_equal(out[0, :, :, 1], x[0, 1::2, 0::2, 0])
+    merge.reduce.weight.data = np.eye(4)[:, 2:]
+    out = merge(Tensor(x)).data
+    np.testing.assert_array_equal(out[0, :, :, 0], x[0, 0::2, 1::2, 0])
+    np.testing.assert_array_equal(out[0, :, :, 1], x[0, 1::2, 1::2, 0])
     with pytest.raises(ShapeError):
         merge(Tensor(rng.standard_normal((1, 3, 4, 1))))
 
 
 def test_attention_single_token_window_is_projected_value(rng):
-    attn = WindowAttention(rng, 6, 2, 4, np.float64)
+    attn = WindowAttention(rng, 6, 2, 4, np.float64, shifted=True)
     x = rng.standard_normal((3, 1, 6))
-    out = attn(Tensor(x), 1).data
+    out = attn(Tensor(x.reshape(3, 1, 1, 6))).data.reshape(3, 1, 6)  # 1x1 maps
     qkv = x @ attn.qkv.weight.data + attn.qkv.bias.data
     v = qkv[:, :, 12:]
     expected = v @ attn.proj.weight.data + attn.proj.bias.data
@@ -125,13 +129,13 @@ def test_attention_single_token_window_is_projected_value(rng):
 
 
 def test_attention_identical_keys_average_values(rng):
-    attn = WindowAttention(rng, 4, 1, 2, np.float64)
+    attn = WindowAttention(rng, 4, 1, 2, np.float64, shifted=False)
     # zero the k columns of the qkv map and give them a constant bias so
     # every key is identical: attention must become uniform
     attn.qkv.weight.data[:, 4:8] = 0.0
     attn.qkv.bias.data[4:8] = 1.0
     x = rng.standard_normal((2, 4, 4))
-    out = attn(Tensor(x), 2).data
+    out = attn(Tensor(x.reshape(2, 2, 2, 4))).data.reshape(2, 4, 4)  # one window per map
     qkv = x @ attn.qkv.weight.data + attn.qkv.bias.data
     v = qkv[:, :, 8:]
     expected = np.repeat(v.mean(axis=1, keepdims=True), 4, axis=1)
@@ -141,7 +145,7 @@ def test_attention_identical_keys_average_values(rng):
 
 def test_attention_temperature_floor():
     rng = np.random.default_rng(0)
-    attn = WindowAttention(rng, 4, 2, 4, np.float64)
+    attn = WindowAttention(rng, 4, 2, 4, np.float64, shifted=False)
 
     def tau():
         return attn._temperature().data
@@ -153,18 +157,15 @@ def test_attention_temperature_floor():
     np.testing.assert_allclose(tau(), 100.01, atol=1e-6)
 
 
-def test_attention_token_count_contract(rng):
-    attn = WindowAttention(rng, 4, 1, 4, np.float64)
+def test_attention_heads_must_divide_channels(rng):
     with pytest.raises(ShapeError):
-        attn(Tensor(rng.standard_normal((1, 3, 4))), 2)
-    with pytest.raises(ShapeError):
-        WindowAttention(rng, 6, 4, 4, np.float64)  # 6 % 4 != 0
+        WindowAttention(rng, 6, 4, 4, np.float64, shifted=False)  # 6 % 4 != 0
 
 
 def _block(rng, shifted):
-    mixer = WindowAttention(rng, 8, 2, 4, np.float64)
+    mixer = WindowAttention(rng, 8, 2, 4, np.float64, shifted=shifted)
     moe = MMoELayer(rng, 8, 8, 2, 1.0, np.float64)
-    return M3ADBlock(mixer, moe, 8, np.float64, shifted=shifted, window=4)
+    return M3ADBlock(mixer, moe, 8, np.float64)
 
 
 def test_block_preserves_grid_shape(rng):
@@ -323,17 +324,10 @@ def test_shifted_block_matches_composite_attention(monkeypatch):
         return out.data, {name: p.grad for name, p in block.named_parameters().items()}
 
     fused, fused_grads = run()
-    mixer = block.mixer
-
-    def composite_call(self, windows, m):
-        out = _composite_attention(self.qkv(windows), self._temperature(), self.bias_table,
-                                   self._rel_index(m), self.heads)
-        return self.proj(out)
-
-    monkeypatch.setattr(WindowAttention, "__call__", composite_call)
+    monkeypatch.setattr(nm, "cosine_attention", _composite_attention)
     oracle, oracle_grads = run()
     assert _rel_err(fused, oracle) <= 1e-12
-    assert mixer.bias_table.grad is not None
+    assert block.mixer.bias_table.grad is not None
     for name, grad in oracle_grads.items():
         if grad is None:  # the change gate
             assert fused_grads[name] is None
@@ -355,9 +349,24 @@ def _op_nodes(out):
 
 
 def test_window_attention_is_one_node(rng):
-    attn = WindowAttention(rng, 8, 2, 4, np.float32)
-    windows = Tensor(rng.standard_normal((3, 16, 8)).astype(np.float32), requires_grad=True)
-    ops = _op_nodes(attn(windows, 4))
+    attn = WindowAttention(rng, 8, 2, 4, np.float32, shifted=False)
+    grid = Tensor(rng.standard_normal((3, 4, 4, 8)).astype(np.float32), requires_grad=True)
+    ops = _op_nodes(attn(grid))
     assert ops.count("cosine_attention") == 1
-    assert not {"softmax", "div", "_take", "getitem"} & set(ops)
-    assert len(ops) == 12  # 4 per linear, 3 for tau, the op
+    assert not {"softmax", "div", "_take", "getitem", "roll"} & set(ops)
+    assert len(ops) == 18  # 4 per linear, 3 for tau, the op, 3 each to partition and reverse
+
+
+def test_shifted_window_attention_rolls_once_each_way(rng):
+    attn = WindowAttention(rng, 8, 2, 4, np.float32, shifted=True)
+    grid = Tensor(rng.standard_normal((2, 8, 8, 8)).astype(np.float32), requires_grad=True)
+    ops = _op_nodes(attn(grid))
+    assert ops.count("roll") == 2
+    assert len(ops) == 20
+
+
+def test_patch_merge_slices_nothing(rng):
+    merge = PatchMerge(rng, 4, np.float32)
+    grid = Tensor(rng.standard_normal((2, 4, 4, 4)).astype(np.float32), requires_grad=True)
+    ops = _op_nodes(merge(grid))
+    assert not {"getitem", "concat"} & set(ops)

@@ -497,12 +497,15 @@ def test_concat_contracts(rng):
 
 
 def test_roll_round_trips_gradient(rng):
-    p = t64(rng, 2, 4, 4)
-    out = nm.roll(p, (1, -2), axis=(1, 2))
-    np.testing.assert_array_equal(out.data, np.roll(p.data, (1, -2), axis=(1, 2)))
-    seed = rng.standard_normal((2, 4, 4))
+    # 5 channels in groups of 3 and 2, each rolled along both axes
+    p = t64(rng, 2, 4, 4, 5)
+    out = nm.roll(p, (1, -2), (1, 2))
+    np.testing.assert_array_equal(out.data[..., :3], np.roll(p.data[..., :3], 1, axis=(1, 2)))
+    np.testing.assert_array_equal(out.data[..., 3:], np.roll(p.data[..., 3:], -2, axis=(1, 2)))
+    seed = rng.standard_normal((2, 4, 4, 5))
     out.backward(seed)
-    np.testing.assert_array_equal(p.grad, np.roll(seed, (-1, 2), axis=(1, 2)))
+    np.testing.assert_array_equal(p.grad[..., :3], np.roll(seed[..., :3], -1, axis=(1, 2)))
+    np.testing.assert_array_equal(p.grad[..., 3:], np.roll(seed[..., 3:], 2, axis=(1, 2)))
 
 
 def test_taps3x3_zero_padded_neighbours_and_gradient(rng):

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from m3ad import tokmlp
-from m3ad.errors import ShapeError
 from m3ad.heads_losses import finetune_loss, pretrain_loss, sample_masks
 from m3ad.model import M3ADNet
 from m3ad.numerics import Tensor, no_grad
-from m3ad.tokmlp import (SHIFT_OFFSETS, TokMLPBlock, axis_shift, conv3x3,
-                         dwconv3x3)
+from m3ad.tokmlp import SHIFT_OFFSETS, TokMLPBlock, conv3x3, dwconv3x3
 from m3ad import numerics as nm
 
 from conftest import tiny_model_config
+from test_backbone import _op_nodes
 
 
 def _conv_oracle(x, w, b):
@@ -59,34 +58,34 @@ def test_dwconv3x3_matches_loop_oracle(rng):
     np.testing.assert_allclose(out.data, _dwconv_oracle(x, w, b), atol=1e-12)
 
 
+# the block's axis shifts: one nm.roll over SHIFT_OFFSETS channel groups
+
+
 def test_axis_shift_one_channel_per_offset(rng):
     x = rng.standard_normal((1, 6, 6, 5))
-    out = axis_shift(Tensor(x), axis=2, offsets=SHIFT_OFFSETS).data
+    out = nm.roll(Tensor(x), SHIFT_OFFSETS, (2,)).data
     for ch, off in enumerate(SHIFT_OFFSETS):
         np.testing.assert_array_equal(out[..., ch], np.roll(x[..., ch], off, axis=2))
 
 
 def test_axis_shift_uneven_groups(rng):
-    # 7 channels over 5 offsets split 2,2,1,1,1 (leading groups larger)
-    x = rng.standard_normal((1, 4, 4, 7))
-    out = axis_shift(Tensor(x), axis=1, offsets=SHIFT_OFFSETS).data
-    groups = [(0, 1), (2, 3), (4,), (5,), (6,)]
-    for off, chans in zip(SHIFT_OFFSETS, groups):
-        for ch in chans:
-            np.testing.assert_array_equal(out[..., ch], np.roll(x[..., ch], off, axis=1))
+    # 7 channels over 5 offsets split 2,2,1,1,1 (leading groups larger);
+    # 3 channels over 5 offsets leave the last two groups empty
+    for c, groups in ((7, [(0, 1), (2, 3), (4,), (5,), (6,)]), (3, [(0,), (1,), (2,), (), ()])):
+        x = rng.standard_normal((1, 4, 4, c))
+        out = nm.roll(Tensor(x), SHIFT_OFFSETS, (1,)).data
+        for off, chans in zip(SHIFT_OFFSETS, groups):
+            for ch in chans:
+                np.testing.assert_array_equal(out[..., ch], np.roll(x[..., ch], off, axis=1))
 
 
 def test_axis_shift_zero_offset_passthrough(rng):
-    x = rng.standard_normal((1, 3, 3, 4))
-    out = axis_shift(Tensor(x), axis=1, offsets=(0,)).data
-    np.testing.assert_array_equal(out, x)
-
-
-def test_axis_shift_contracts(rng):
-    with pytest.raises(ShapeError):
-        axis_shift(Tensor(rng.standard_normal((3, 3, 4))), axis=1, offsets=(0,))
-    with pytest.raises(ShapeError):
-        axis_shift(Tensor(rng.standard_normal((1, 3, 3, 4))), axis=3, offsets=(0,))
+    x = Tensor(rng.standard_normal((1, 3, 3, 4)), requires_grad=True)
+    out = nm.roll(x, (0,), (1,))
+    np.testing.assert_array_equal(out.data, x.data)
+    seed = rng.standard_normal((1, 3, 3, 4))
+    out.backward(seed)
+    np.testing.assert_array_equal(x.grad, seed)
 
 
 def test_tokmlp_block_shape_and_determinism(rng):
@@ -103,9 +102,17 @@ def test_tokmlp_height_path_zeroed_reduces_to_width_tokens(rng):
     block.mlp_h.weight.data[:] = 0.0
     block.mlp_h.bias.data[:] = 0.0
     x = Tensor(rng.standard_normal((1, 4, 4, 8)))
-    width_tokens = block.tokenize(axis_shift(x, axis=2, offsets=SHIFT_OFFSETS))
+    width_tokens = block.tokenize(nm.roll(x, SHIFT_OFFSETS, (2,)))
     expected = nm.gelu(block.norm(width_tokens))
     np.testing.assert_array_equal(block(x).data, expected.data)
+
+
+def test_block_shifts_are_two_roll_nodes(rng):
+    block = TokMLPBlock(np.random.default_rng(5), 10, np.float32)
+    x = Tensor(rng.standard_normal((2, 4, 4, 10)).astype(np.float32), requires_grad=True)
+    ops = _op_nodes(block(x))
+    assert ops.count("roll") == 2
+    assert not {"getitem", "concat"} & set(ops)
 
 
 def test_width_and_height_shifts_differ(rng):
