@@ -21,7 +21,7 @@ def thread_count() -> int:
     n = os.environ.get("M3AD_THREADS")
     if not n:
         return len(os.sched_getaffinity(0))
-    if not n.isdigit() or int(n) < 1:
+    if not (n.isascii() and n.isdigit()) or int(n) < 1:
         raise ValueError(f"M3AD_THREADS must be a positive integer, got {n!r}")
     return int(n)
 

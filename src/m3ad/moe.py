@@ -111,28 +111,20 @@ class ExpertMLP(Module):
         self.fc2 = Linear(rng, hidden, dim, dtype)
 
 
-def _hidden(expert: ExpertMLP, x: np.ndarray) -> np.ndarray:
-    """fc1 of an expert over (rows, dim) rows: one BLAS call, then the
-    bias added in place."""
-    h = x @ expert.fc1.weight.data
-    h += expert.fc1.bias.data
-    return h
-
-
 def expert_mix(x: Tensor, w, experts: Sequence[ExpertMLP]) -> Tensor:
     """``sum_k w[:, k] * experts[k](x)`` as one graph node.
 
     ``x`` is (rows, ..., dim) and ``w`` a (rows, len(experts)) Tensor or
-    array. Each expert computes fc2(gelu(fc1(x))) with the same numpy and
-    BLAS calls as its layers would. Constant weights dispatch: an expert
-    no row gives weight stays out of the node's parents, so it receives
-    no gradient at all (all-zero weights raise ContractError), and each
-    other expert runs only on the rows that give it non-zero weight, its
-    term scatter-added into the output. Weights that are a graph node
-    keep every expert and row, since their gradient needs each expert's
-    output on each row. Terms are summed in list order and the
-    per-expert work runs on the engine's pool when it is large enough,
-    so the value is the same whatever the thread count. The vjp returns
+    array. Each expert computes fc2(gelu(fc1(x))) by the one affine kernel,
+    ``numerics._affine``, as its Linear layers would. Constant weights
+    dispatch: an expert no row gives weight stays out of the node's parents,
+    so it receives no gradient at all (all-zero weights raise
+    ContractError), and each other expert runs only on the rows that give it
+    non-zero weight, its term scatter-added into the output. Weights that
+    are a graph node keep every expert and row, since their gradient needs
+    each expert's output on each row. Terms are summed in list order and the
+    per-expert work runs on the engine's pool when it is large enough, so
+    the value is the same whatever the thread count. The vjp returns
     gradients for ``x``, ``w`` and the parameters of the experts it ran.
 
     A recorded node keeps, per expert, its rows of ``x`` (a view of x's
@@ -140,9 +132,9 @@ def expert_mix(x: Tensor, w, experts: Sequence[ExpertMLP]) -> Tensor:
     only x's shape), its weight column, Phi of its hidden layer (the
     costly part of the GELU) and, for graph weights only, its output.
     The hidden GELU and its slope, each as large as Phi, are cheap to
-    rebuild: the vjp recomputes fc1 with the forward's BLAS call and
-    in-place bias add, then the GELU and slope from it and Phi by the
-    forward's element-wise ops, so every gradient keeps its bits.
+    rebuild: the vjp recomputes fc1 with the forward's ``_affine`` call,
+    then the GELU and slope from it and Phi by the forward's element-wise
+    ops, so every gradient keeps its bits.
     """
     if not experts:
         raise ContractError("expert_mix() needs at least one expert")
@@ -175,9 +167,9 @@ def expert_mix(x: Tensor, w, experts: Sequence[ExpertMLP]) -> Tensor:
     def forward(k):
         e, r = experts[k], rows[k]
         xk, wk = x.data[r], wt.data[r, k]
-        z = _hidden(e, xk.reshape(-1, dim))
+        z = nm._affine(xk.reshape(-1, dim), e.fc1.weight.data, e.fc1.bias.data)
         z, phi = nm._gelu(z, record, out=z)
-        y = (z @ e.fc2.weight.data + e.fc2.bias.data).reshape(xk.shape)
+        y = nm._affine(z, e.fc2.weight.data, e.fc2.bias.data).reshape(xk.shape)
         return y * wk.reshape(bcast), (xk.reshape(-1, dim), wk, phi, y if keep_y else None)
 
     results = nm._parallel_map(forward, range(len(experts)), work)
@@ -192,7 +184,7 @@ def expert_mix(x: Tensor, w, experts: Sequence[ExpertMLP]) -> Tensor:
             xk, wk, phi, y = saved[k]
             gy = (g[r] * wk.reshape(bcast)).reshape(-1, dim)
             gz = gy @ e.fc2.weight.data.T
-            z = _hidden(e, xk)
+            z = nm._affine(xk, e.fc1.weight.data, e.fc1.bias.data)
             gz *= nm._gelu_slope(z, phi, value=True)
             gx = (gz @ e.fc1.weight.data.T).reshape((-1,) + shape[1:]) if x_node else None
             gw = None if y is None else (g * y).sum(axis=tuple(range(1, len(shape))))

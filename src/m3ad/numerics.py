@@ -12,7 +12,8 @@ deliberately small: only the ops the model needs exist, and each one is
 written so its gradient can be checked against central finite
 differences (see :func:`grad_check`). What an op saves for its vjp is
 what is costly to compute; what is cheap to compute but large to store,
-the vjp rebuilds with the forward's own calls.
+the vjp rebuilds with the forward's own calls. Linear layers and the
+expert bank share one affine kernel, :func:`_affine`.
 
 Also hosted here because they sit at the same level of the stack:
 the :class:`Module` parameter container, the ``no_grad`` context, the
@@ -338,6 +339,34 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
 
     return _wrap(data, (a, b), vjp)
+
+
+def _affine(rows: np.ndarray, weight: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
+    """rows @ weight + bias: one BLAS call, then the bias added in place."""
+    out = rows @ weight
+    if bias is not None:
+        out += bias
+    return out
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
+    """``x @ weight + bias`` on the last axis of any-rank ``x``, one graph
+    node (``bias`` may be None), computed by the one affine kernel
+    :func:`_affine` on x's rows. The node keeps the rows and the weight."""
+    operands = (x, weight) if bias is None else (x, weight, bias)
+    if (weight.ndim != 2 or x.shape[-1:] != weight.shape[:1]
+            or (bias is not None and bias.shape != weight.shape[1:])
+            or any(t.dtype != x.dtype for t in operands)):
+        raise ShapeError(f"linear: {[(t.shape, str(t.dtype)) for t in operands]} do not fit")
+    shape, w, b = x.shape, weight.data, None if bias is None else bias.data
+    rows = x.data.reshape(-1, shape[-1])
+
+    def vjp(g):
+        g = g.reshape(-1, w.shape[1])
+        grads = (g @ w.T).reshape(shape), rows.T @ g
+        return grads if b is None else grads + (g.sum(axis=0),)
+
+    return _wrap(_affine(rows, w, b).reshape(shape[:-1] + w.shape[1:]), operands, vjp)
 
 
 # -- elementwise nonlinearities ---------------------------------------
@@ -867,7 +896,7 @@ def full_param(shape, value: float, dtype) -> Tensor:
 
 
 class Linear(Module):
-    """Affine map on the last axis: y = x @ W + b with W of shape (in, out)."""
+    """Affine map y = x @ W + b on the last axis, W (in, out): one :func:`linear` node."""
 
     def __init__(self, rng: np.random.Generator, in_dim: int, out_dim: int,
                  dtype, bias: bool = True):
@@ -875,14 +904,7 @@ class Linear(Module):
         self.bias = zeros_param((out_dim,), dtype) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        lead = x.shape[:-1]
-        flat = reshape(x, (-1, x.shape[-1])) if x.ndim != 2 else x
-        y = matmul(flat, self.weight)
-        if self.bias is not None:
-            y = add(y, self.bias)
-        if x.ndim != 2:
-            y = reshape(y, lead + (self.weight.shape[1],))
-        return y
+        return linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):

@@ -1,6 +1,7 @@
 """Shared fixtures: tiny model configs, a small generated dataset, and
 the acceptance-criteria summary hook."""
 
+import inspect
 import json
 import logging
 import struct
@@ -13,6 +14,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from m3ad import numerics as nm
 from m3ad.backbone import M3ADBlock
 from m3ad.config import ModelConfig, TrainConfig
 from m3ad.data import gen_synthetic, load_split
@@ -29,6 +31,19 @@ set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 # claim the root logger before any CLI test lets basicConfig bind it to a
 # per-test capture buffer that dies with its test
 logging.basicConfig(level=logging.WARNING)
+
+# the functions of the engine that are not ops, as bench/tracing.py lists them
+_NOT_OPS = frozenset({"no_grad", "grad_enabled", "parameter", "zeros_param", "full_param",
+                      "grad_check", "save_m3t", "load_m3t"})
+
+
+def engine_ops() -> dict:
+    """The public op functions of ``m3ad.numerics`` by name, found as the
+    tracer of bench/tracing.py finds them."""
+    return {name: fn for name, fn in vars(nm).items()
+            if inspect.isfunction(fn) and fn.__module__ == nm.__name__
+            and not name.startswith("_") and name not in _NOT_OPS}
+
 
 # one line per acceptance criterion, printed in the terminal summary
 ACCEPTANCE_LINES: dict[int, str] = {}

@@ -354,7 +354,7 @@ def test_window_attention_is_one_node(rng):
     ops = _op_nodes(attn(grid))
     assert ops.count("cosine_attention") == 1
     assert not {"softmax", "div", "_take", "getitem", "roll"} & set(ops)
-    assert len(ops) == 18  # 4 per linear, 3 for tau, the op, 3 each to partition and reverse
+    assert len(ops) == 12  # 1 per linear, 3 for tau, the op, 3 each to partition and reverse
 
 
 def test_shifted_window_attention_rolls_once_each_way(rng):
@@ -362,7 +362,7 @@ def test_shifted_window_attention_rolls_once_each_way(rng):
     grid = Tensor(rng.standard_normal((2, 8, 8, 8)).astype(np.float32), requires_grad=True)
     ops = _op_nodes(attn(grid))
     assert ops.count("roll") == 2
-    assert len(ops) == 20
+    assert len(ops) == 14
 
 
 def test_patch_merge_slices_nothing(rng):

@@ -3,13 +3,17 @@ battery (full blocks, fusion, the total fine-tuning loss), the same
 checks ``m3ad gradcheck`` runs, so a broken vjp is caught next to its
 unit tests."""
 
+import sys
+
 import numpy as np
 
+from conftest import engine_ops
+from m3ad import numerics as nm
 from m3ad.gradcheck import COMPOSITE_TOL, PRIMITIVE_TOL, check_composites, check_primitives
 
 _EXPECTED_OPS = {
     "add", "mul", "div", "add_broadcast",
-    "matmul", "matmul_batched",
+    "linear", "matmul_batched",
     "clamp_min",
     "sigmoid", "softplus", "gelu",
     "sum_axis", "mean_axis", "mean_all",
@@ -50,3 +54,20 @@ def test_every_composite_passes_tolerance():
                            "finetune_loss_full"}
     failures = {name: err for name, err in errors.items() if not err < COMPOSITE_TOL}
     assert failures == {}
+
+
+def test_battery_covers_every_public_op(monkeypatch):
+    """Every public op of ``numerics`` records a graph node somewhere in
+    the primitive battery, so no op escapes the finite-difference check."""
+    ops = set(engine_ops())
+    assert {"add", "linear", "matmul", "cosine_attention", "masked_l1"} <= ops
+    recorded = set()
+    wrap = nm._wrap
+
+    def spy(*args):
+        recorded.add(sys._getframe(1).f_code.co_name)
+        return wrap(*args)
+
+    monkeypatch.setattr(nm, "_wrap", spy)
+    check_primitives()
+    assert sorted(ops - recorded) == []

@@ -270,7 +270,7 @@ def test_thread_count_comes_from_m3ad_threads(monkeypatch):
     monkeypatch.setenv("M3AD_THREADS", "3")
     assert entry.thread_count() == 3
     monkeypatch.setattr(nm, "_POOL", None)
-    for bad in ("0", "two", "-1"):
+    for bad in ("0", "two", "-1", "²"):
         monkeypatch.setenv("M3AD_THREADS", bad)
         with pytest.raises(ValueError, match="M3AD_THREADS"):
             entry.thread_count()
@@ -365,14 +365,17 @@ def _spy(patch, owner, name, keep):
     patch.setattr(owner, name, spy)
 
 
-def _linear_product(leaves, keep, patch):
-    """Linear's matmul output before the bias is added."""
+def _linear_output(leaves, keep, patch):
+    """Linear's output, which neither its node nor the sigmoid after it
+    reads; the node keeps x's rows and the weight instead (see
+    ``test_linear_node_keeps_rows_and_weight``)."""
     x, weight, bias = leaves
     lin = Linear(np.random.default_rng(0), 4, 3, np.float64)
     lin.weight, lin.bias = weight, bias
-    _spy(patch, nm, "matmul", keep)
-    y = lin(x)
-    return nm.mul(y, y).sum()
+    y = lin(nm.mul(x, 2.0))
+    keep.append(y.data.base)  # y.data is a view of the (10, 3) product
+    s = nm.sigmoid(y)
+    return nm.mul(s, s).sum()
 
 
 def _add_operands(leaves, keep, patch):
@@ -411,7 +414,7 @@ def _attention_qkv(leaves, keep, patch):
 
 
 _GRAPH_CASES = [  # builder, leaf shapes
-    (_linear_product, [(5, 4), (4, 3), (3,)]),
+    (_linear_output, [(2, 5, 4), (4, 3), (3,)]),
     (_add_operands, [(3, 4), (1, 4)]),
     (_reduced_inputs, [(3, 4), (3, 4)]),
     (_taps_padding, [(2, 3, 4, 5)]),
@@ -581,6 +584,69 @@ def test_linear_matches_affine_formula(rng):
     nobias = Linear(rng, 4, 3, np.float64, bias=False)
     assert nobias.bias is None
     assert len(nobias.parameters()) == 1
+
+
+def _linear_chain(x, weight, bias):
+    """Linear as reshape -> matmul -> add -> reshape, four graph nodes."""
+    flat = nm.reshape(x, (-1, x.shape[-1])) if x.ndim != 2 else x
+    y = nm.matmul(flat, weight)
+    if bias is not None:
+        y = nm.add(y, bias)
+    return nm.reshape(y, x.shape[:-1] + (weight.shape[1],)) if x.ndim != 2 else y
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("shape", [(6, 4), (2, 3, 4), (2, 2, 3, 4)])
+def test_linear_is_one_node_with_the_chains_bits(shape, bias, dtype):
+    """A Linear call is one ``linear`` node straight over its input and
+    parameters; its value and every gradient are those of the four-node
+    chain, bit for bit."""
+    rng = np.random.default_rng(12)
+    lin = Linear(rng, 4, 3, dtype, bias=bias)
+    for p in lin.parameters():
+        p.data[...] = rng.standard_normal(p.shape)
+    x = Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+    w = rng.standard_normal(shape[:-1] + (3,)).astype(dtype)
+    leaves = [x] + lin.parameters()
+    out = lin(x)
+    assert out._vjp.__qualname__.split(".")[0] == "linear"
+    assert out._parents == tuple(leaves)
+    chain = _linear_chain(x, lin.weight, lin.bias)
+    assert np.array_equal(out.data, chain.data) and out.dtype == dtype
+    grads = []
+    for y in (out, chain):
+        for p in leaves:
+            p.grad = None
+        nm.mul(y, w).sum().backward()
+        grads.append([p.grad for p in leaves])
+    for got, want in zip(*grads):
+        assert got.dtype == dtype and np.array_equal(got, want)
+
+
+def test_linear_node_keeps_rows_and_weight(rng):
+    """With x and the weight op outputs whose Tensors the caller drops,
+    the node still holds their arrays, which its vjp reads, but not its
+    own output."""
+    x, weight = nm.mul(t64(rng, 2, 5, 4), 2.0), nm.mul(t64(rng, 4, 3), 0.5)
+    y = nm.linear(x, weight, t64(rng, 3))
+    refs = [weakref.ref(a) for a in (x.data, weight.data, y.data.base)]
+    loss = nm.sigmoid(y).sum()
+    del x, weight, y
+    assert [ref() is None for ref in refs] == [False, False, True]
+    loss.backward()
+
+
+def test_linear_rejects_misfit_operands(rng):
+    with pytest.raises(ShapeError, match="do not fit"):
+        nm.linear(t64(rng, 2, 4), t64(rng, 3, 2), None)
+    with pytest.raises(ShapeError, match="do not fit"):
+        nm.linear(t64(rng, 2, 4), t64(rng, 4, 2), t64(rng, 3))
+    x32 = Tensor(np.zeros((2, 4), dtype=np.float32))
+    with pytest.raises(ShapeError, match="float32.*float64"):
+        nm.linear(x32, t64(rng, 4, 2), None)
+    with pytest.raises(ShapeError, match="float32.*float32.*float64"):
+        nm.linear(x32, Tensor(np.zeros((4, 2), dtype=np.float32)), t64(rng, 2))
 
 
 def test_named_parameters_walks_nesting(rng):

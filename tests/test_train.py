@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (cut_and_flip, m3t_header, m3t_with_header, tiny_model_config,
-                      tiny_train_config)
+from conftest import (cut_and_flip, engine_ops, m3t_header, m3t_with_header,
+                      tiny_model_config, tiny_train_config)
 from m3ad import numerics as nm
 from m3ad import train as train_module
 from m3ad.config import TrainConfig
@@ -757,19 +757,12 @@ def test_tiny_train_config_is_valid():
     tiny_train_config().validate()
 
 
-# the functions of the engine that are not ops, as bench/tracing.py lists them
-_NOT_OPS = frozenset({"no_grad", "grad_enabled", "parameter", "zeros_param", "full_param",
-                      "grad_check", "save_m3t", "load_m3t"})
-
-
 def test_training_and_scoring_reach_every_engine_op(tiny_splits, monkeypatch):
     """One pretrain step, one fine-tune step and one batch-1 scoring pass
     together call every public engine op: no op exists only for its
     gradient check."""
     train, val, _ = tiny_splits
-    ops = {fn: name for name, fn in vars(nm).items()
-           if inspect.isfunction(fn) and fn.__module__ == nm.__name__
-           and not name.startswith("_") and name not in _NOT_OPS}
+    ops = {fn: name for name, fn in engine_ops().items()}
     reached = set()
 
     def recording(fn, name):
