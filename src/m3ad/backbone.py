@@ -10,13 +10,13 @@ feed-forward:
     z1 = Mixer(LN(z)) + z
     z2 = MMoE(LN(z1)) + z1
 
-Both mixers take and return the (B, H, W, C) grid, so a block calls
-either the same way. :class:`WindowAttention` owns its window, its shift
-and the partition into windows and back; the attention of the window
-stack is one engine op, :func:`m3ad.numerics.cosine_attention`, between
-its qkv and output linears. A block may stack copies of its rows right
-after its mixer: the model runs its first block's mixer once per scan
-and splits the task copies there, ahead of the first MMoE layer (see
+The (B, H, W, C) grid is the one activation layout between layers: the
+mixers, norms and MMoE layer all take it. :class:`WindowAttention` owns
+its window and shift; its attention is one engine op,
+:func:`m3ad.numerics.cosine_attention`, on the qkv grid, and windows
+exist only inside it. A block may stack copies of its rows right after
+its mixer: the model runs its first block's mixer once per scan and
+splits the task copies there, ahead of the first MMoE layer (see
 :meth:`m3ad.model.M3ADNet.encode`).
 
 Attention windows adapt to the map: the effective window is
@@ -48,24 +48,6 @@ _TAU_RAW_INIT = math.log(math.expm1(0.99))
 def effective_window(h: int, w: int, window: int) -> int:
     """Largest window that tiles an h x w grid without exceeding ``window``."""
     return math.gcd(math.gcd(h, w), window)
-
-
-def window_partition(x: Tensor, m: int) -> Tensor:
-    """(B, H, W, C) -> (B*nH*nW, m*m, C). H and W must be multiples of m."""
-    b, h, w, c = x.shape
-    if h % m or w % m:
-        raise ShapeError(f"grid {h}x{w} is not tiled by window {m}")
-    x = nm.reshape(x, (b, h // m, m, w // m, m, c))
-    x = nm.transpose(x, (0, 1, 3, 2, 4, 5))
-    return nm.reshape(x, (b * (h // m) * (w // m), m * m, c))
-
-
-def window_reverse(windows: Tensor, m: int, b: int, h: int, w: int) -> Tensor:
-    """Inverse of :func:`window_partition`."""
-    c = windows.shape[-1]
-    x = nm.reshape(windows, (b, h // m, w // m, m, m, c))
-    x = nm.transpose(x, (0, 1, 3, 2, 4, 5))
-    return nm.reshape(x, (b, h, w, c))
 
 
 def relative_position_index(m: int, table_window: int) -> np.ndarray:
@@ -129,10 +111,10 @@ class PatchMerge(Module):
 class WindowAttention(Module):
     """Scaled cosine attention inside (shifted) windows of a grid.
 
-    Takes and returns the (B, H, W, C) grid. The module owns the
-    effective window, the shift (half that window when ``shifted`` and
-    the window does not cover the whole map), the partition and its
-    reverse. Scores are cos(q, k) / tau + B with a learnable per-head
+    Takes and returns the (B, H, W, C) grid: roll, qkv, attention, proj,
+    roll back. The module owns the effective window and the shift (half
+    that window when ``shifted`` and the window does not cover the whole
+    map). Scores are cos(q, k) / tau + B with a learnable per-head
     temperature tau = 0.01 + softplus(raw), floored strictly above 0.01,
     and a relative position bias B looked up from a zero-initialized
     table. The softmax-weighted values of all windows and heads come from
@@ -159,14 +141,13 @@ class WindowAttention(Module):
         return nm.clamp_min(nm.add(nm.softplus(self.tau_raw), 0.01), floor)
 
     def __call__(self, x: Tensor) -> Tensor:
-        b, h, w, _ = x.shape
+        h, w = x.shape[1:3]
         m = effective_window(h, w, self.window)
         shift = m // 2 if self.shifted and (h > m or w > m) else 0
         if shift:
             x = nm.roll(x, (-shift,), (1, 2))
-        out = nm.cosine_attention(self.qkv(window_partition(x, m)), self._temperature(),
-                                  self.bias_table, _flat_index(m, self.window), self.heads)
-        out = window_reverse(self.proj(out), m, b, h, w)
+        out = self.proj(nm.cosine_attention(self.qkv(x), self._temperature(), self.bias_table,
+                                            _flat_index(m, self.window), self.heads, m))
         return nm.roll(out, (shift,), (1, 2)) if shift else out
 
 
@@ -188,7 +169,4 @@ class M3ADBlock(Module):
         x = nm.add(self.mixer(self.norm1(x)), x)
         if copies > 1:
             x = nm.concat([x] * copies)
-        b, h, w, c = x.shape
-        tokens = nm.reshape(self.norm2(x), (b, h * w, c))
-        moe_out = nm.reshape(self.moe(tokens, routing), (b, h, w, c))
-        return nm.add(moe_out, x)
+        return nm.add(self.moe(self.norm2(x), routing), x)

@@ -100,13 +100,13 @@ def check_primitives() -> dict[str, float]:
     run("masked_l1", lambda: nm.mul(nm.masked_l1(xz, target, wl), wrow).sum(), [xz])
 
     run("softmax", lambda: nm.mul(nm.softmax(x, axis=-1), wx).sum(), [x])
-    # 3 windows of 2x2 tokens, 2 heads of 2 channels; normal q and k rows
-    # stay far from the norm clamp, and the tau keep the scores moderate
-    qkv, tau, bias = _t(rng, 3, 4, 12), _t(rng, 2, positive=True), _t(rng, 9, 2)
+    # a 4x6 grid of 2x3 windows of 2x2 tokens, 2 heads of 2 channels; normal
+    # q and k rows stay far from the norm clamp; the tau keep scores moderate
+    qkv, tau, bias = _t(rng, 1, 4, 6, 12), _t(rng, 2, positive=True), _t(rng, 9, 2)
     rel = relative_position_index(2, 2).reshape(-1)
-    wa = _weight(rng, (3, 4, 4))
-    run("cosine_attention",
-        lambda: nm.mul(nm.cosine_attention(qkv, tau, bias, rel, 2), wa).sum(), [qkv, tau, bias])
+    wa = _weight(rng, (1, 4, 6, 4))
+    run("cosine_attention", lambda: nm.mul(nm.cosine_attention(qkv, tau, bias, rel, 2, 2),
+                                           wa).sum(), [qkv, tau, bias])
     gamma, beta = _t(rng, 5), _t(rng, 5)
     run("layer_norm", lambda: nm.mul(nm.layer_norm(x, gamma, beta), wx).sum(), [x, gamma, beta])
     logits = _t(rng, 4, 3)

@@ -17,7 +17,8 @@ shares.
 
 Fine-tuning is dual-gate: one pass over a diagnosis copy of the batch
 stacked on a change copy, a pooling head per task on its half of the
-rows, and a weighted sum of the two cross-entropies.
+rows of the final (rows, h, w, C) grid, and a weighted sum of the two
+cross-entropies.
 """
 
 from __future__ import annotations
@@ -105,13 +106,13 @@ class TaskHeads(Module):
         self.diagnosis = Linear(rng, dim, 3, dtype)
         self.change = Linear(rng, dim, num_change, dtype)
 
-    def __call__(self, tokens: Tensor) -> tuple[Tensor, Tensor]:
-        """(diagnosis, change) logits: pool every row of the (rows, L, C)
-        tokens, then apply the diagnosis head to the first half of the
-        rows and the change head to the second."""
-        if tokens.ndim != 3:
-            raise ShapeError(f"heads expect (B, L, C) tokens, got {tokens.shape}")
-        diagnosis, change = task_blocks(self.norm(tokens.mean(axis=1)))
+    def __call__(self, x: Tensor) -> tuple[Tensor, Tensor]:
+        """(diagnosis, change) logits: pool each row of the (rows, ..., C)
+        features over all its positions, then apply the diagnosis head to
+        the first half of the rows and the change head to the second."""
+        if x.ndim < 3:
+            raise ShapeError(f"heads expect (rows, ..., C) features, got {x.shape}")
+        diagnosis, change = task_blocks(self.norm(x.mean(axis=tuple(range(1, x.ndim - 1)))))
         return self.diagnosis(diagnosis), self.change(change)
 
 

@@ -12,20 +12,22 @@ phases; only the routing and which heads are read differ:
 * fine-tuning: one pass over the diagnosis rows stacked on a copy for
   the change task, each half routed by its task's gate in every
   mixture-of-experts layer, priors fused in, per-task head on the pooled
-  final tokens of its half.
+  final grid of its half.
 
 Either way :meth:`M3ADNet.encode` takes each scan once. The copies are
 identical up to the first MMoE layer, so the patch embedding, the mask
 and the first block's mixer run on the B scans, and the copies split
 just before that layer's norm: from there on the routing's rows, a
 whole number of copies of the batch, run stacked.
+
+From the patch embedding to the heads and the decoder, every layer
+takes the (rows, H, W, C) grid as it is: the network never flattens it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import numerics as nm
 from .backbone import ATTENTION_STAGES, M3ADBlock, PatchEmbed, PatchMerge, WindowAttention
 from .config import ModelConfig
 from .errors import ShapeError
@@ -108,9 +110,7 @@ class M3ADNet(Module):
             if stage < 3:
                 x = self.merges[stage](x)
             if stage == self.cfg.fusion_stage and clinical is not None:
-                b, h, w, c = x.shape
-                tokens = nm.reshape(x, (b, h * w, c))
-                x = nm.reshape(self.fusion(tokens, clinical), (b, h, w, c))
+                x = self.fusion(x, clinical)
         return x
 
     # -- pretraining forwards ------------------------------------------
@@ -144,6 +144,4 @@ class M3ADNet(Module):
         second by the change gates and head. ``priors=None`` runs without
         fusion; ``sink`` collects each MMoE layer's (2B, E) gate weights,
         in layer order."""
-        grid = self.encode(images, Routing(sink=sink), priors=priors)
-        b, h, w, c = grid.shape
-        return self.heads(nm.reshape(grid, (b, h * w, c)))
+        return self.heads(self.encode(images, Routing(sink=sink), priors=priors))

@@ -1,4 +1,5 @@
-"""Multi-gate mixture of experts over token features.
+"""Multi-gate mixture of experts over (rows, ..., C) features, in the
+network the (rows, H, W, C) grid. Experts act on the last axis.
 
 Each layer owns a bank of expert MLPs with fixed roles: the first
 ``num_shared`` experts serve every sample, the rest split evenly into
@@ -12,7 +13,7 @@ combined under one of two routing modes:
   give it weight, and an expert no row uses stays out of the graph, so
   it receives no gradient at all.
 * task gates — one learned softmax gate per task over a feature-level
-  attention summary of the tokens, used during fine-tuning. The rows are
+  attention summary of each row, used during fine-tuning. The rows are
   a diagnosis copy stacked on a change copy of the batch; the diagnosis
   gate routes the first half, the change gate the second. Gate
   parameters are independent between the two tasks.
@@ -205,7 +206,7 @@ def expert_mix(x: Tensor, w, experts: Sequence[ExpertMLP]) -> Tensor:
 class MMoELayer(Module):
     """Expert bank plus the dual task gates.
 
-    Gate path: tokens are mean-pooled, reweighted by a sigmoid
+    Gate path: each row's features are mean-pooled, reweighted by a sigmoid
     feature-level attention (shared between tasks), then each task's
     bias-free linear map produces expert logits that are divided by the
     gate temperature before the softmax.
@@ -221,8 +222,9 @@ class MMoELayer(Module):
         self.gate_temp = float(gate_temp)
 
     def feature_summary(self, x: Tensor) -> Tensor:
-        """sigmoid(W_a x_bar + b_a) ⊙ x_bar for token mean x_bar."""
-        xbar = x.mean(axis=1)
+        """sigmoid(W_a x_bar + b_a) ⊙ x_bar, x_bar being each row's mean
+        over all its positions (every axis between the first and the last)."""
+        xbar = x.mean(axis=tuple(range(1, x.ndim - 1)))
         return nm.mul(nm.sigmoid(self.feature_attn(xbar)), xbar)
 
     def gate_weights(self, x: Tensor) -> Tensor:
@@ -234,8 +236,8 @@ class MMoELayer(Module):
         return nm.softmax(nm.div(logits, self.gate_temp), axis=-1)
 
     def __call__(self, x: Tensor, routing: Routing) -> Tensor:
-        if x.ndim != 3:
-            raise ShapeError(f"MMoE expects (batch, tokens, channels), got {x.shape}")
+        if x.ndim < 3:
+            raise ShapeError(f"MMoE expects (rows, ..., channels), got {x.shape}")
         w = routing.weights
         if w is None:
             w = self.gate_weights(x)

@@ -643,10 +643,10 @@ _NORM_FLOOR = 1e-12
 
 
 def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x / max(||x||, 1e-12) along the last axis, and that divisor."""
+    """x / max(||x||, 1e-12) along the last axis, as a new C-ordered array, and that divisor."""
     den = np.sqrt((x * x).sum(axis=-1, keepdims=True))
     np.maximum(den, _NORM_FLOOR, out=den)
-    return x / den, den
+    return np.divide(x, den, out=np.empty(x.shape, dtype=x.dtype)), den
 
 
 def _unit_rows_vjp(g: np.ndarray, unit: np.ndarray, den: np.ndarray) -> None:
@@ -660,38 +660,53 @@ def _unit_rows_vjp(g: np.ndarray, unit: np.ndarray, den: np.ndarray) -> None:
 
 
 def cosine_attention(qkv: Tensor, tau: Tensor, bias_table: Tensor, index: np.ndarray,
-                     heads: int) -> Tensor:
-    """Swin V2 scaled cosine attention of a stack of windows, one graph node.
+                     heads: int, m: int) -> Tensor:
+    """Swin V2 scaled cosine attention in the m x m windows of a grid, one
+    graph node.
 
-    ``qkv`` is (windows, t, 3C), a qkv linear's output: each token's
-    query, key and value, each of ``heads`` heads of C / heads channels.
-    Per window and head the result is softmax(cos(q, k) / tau + B) @ v,
+    ``qkv`` is (B, H, W, 3C), a qkv linear's output: each token's query,
+    key and value, each of ``heads`` heads of C / heads channels. The op
+    partitions the grid into windows of m x m tokens (m must tile H and
+    W); per window and head the result is softmax(cos(q, k) / tau + B) @ v,
     with ``tau`` (heads,) and the relative position bias
-    B = bias_table[index], ``index`` being the (t * t,) flat table row of
-    each (query, key) pair. The norms of q and k are clamped at 1e-12.
-    Returns (windows, t, C), the heads side by side.
+    B = bias_table[index], ``index`` being the (m^4,) flat table row of
+    each (query, key) pair, both in raster order inside the window. The
+    norms of q and k are clamped at 1e-12. Returns the (B, H, W, C) grid,
+    the heads side by side: windows exist only inside the op, which
+    normalizes q and k straight from a strided view of the grid and
+    copies only v, the output and the gradients between the layouts.
 
-    The node keeps the unit q and k, their norms, a copy of v and the
-    attention P, not the qkv buffer nor cos(q, k): the vjp rebuilds cos
-    with the forward's own matmul, for dtau alone, so its bits are the
-    same. The vjp takes the softmax backward
-    dS = P * (dP - rowsum(dP * P)) (FlashAttention, untiled) and the
-    l2-normalize vjp. It writes the q, k and v gradients into one
-    buffer, reduces dtau once and scatters dbias once into the table.
+    The node keeps the unit q and k, their norms, v and the attention P,
+    not the qkv buffer nor cos(q, k): the vjp rebuilds cos with the
+    forward's own matmul, for dtau alone, so its bits are the same. The
+    vjp takes the softmax backward dS = P * (dP - rowsum(dP * P))
+    (FlashAttention, untiled) and the l2-normalize vjp. It writes the q,
+    k and v gradients into one buffer, reduces dtau once and scatters
+    dbias once into the table.
     """
-    bw, t, c3 = qkv.shape
-    c = c3 // 3
-    if (c3 % 3 or c % heads or tau.shape != (heads,) or bias_table.ndim != 2
-            or bias_table.shape[1] != heads or np.shape(index) != (t * t,)):
+    if qkv.ndim != 4:
+        raise ShapeError(f"cosine_attention: qkv {qkv.shape} is not a (B, H, W, 3C) grid")
+    b, h, w, c3 = qkv.shape
+    c, t = c3 // 3, m * m
+    if (m < 1 or h % m or w % m or c3 % 3 or c % heads or tau.shape != (heads,)
+            or bias_table.ndim != 2 or bias_table.shape[1] != heads
+            or np.shape(index) != (t * t,)):
         raise ShapeError(f"cosine_attention: qkv {qkv.shape}, tau {tau.shape}, bias table "
                          f"{bias_table.shape} and index {np.shape(index)} do not fit "
-                         f"{heads} heads")
+                         f"{heads} heads in {m}x{m} windows tiling the grid")
     if tau.dtype != qkv.dtype or bias_table.dtype != qkv.dtype:
         raise ShapeError(f"operand dtypes differ: {qkv.dtype}, {tau.dtype}, {bias_table.dtype}")
-    hd = c // heads
-    q, k, v = qkv.data.reshape(bw, t, 3, heads, hd).transpose(2, 0, 3, 1, 4)
-    qn, qden = _unit_rows(q)
-    kn, kden = _unit_rows(k)
+    bw, hd = b * (h // m) * (w // m), c // heads
+    win = (b, h // m, w // m, heads, m, m, hd)  # (bw, heads, t, hd) arrays reshape to this
+
+    def windows(grid, parts):  # (parts,) + win view of a (B, H, W, parts * C) grid
+        grid = grid.reshape(b, h // m, m, w // m, m, parts, heads, hd)
+        return grid.transpose(5, 0, 1, 3, 6, 2, 4, 7)
+
+    q, k, v = windows(qkv.data, 3)
+    qn, qden = (a.reshape(bw, heads, t, -1) for a in _unit_rows(q))
+    kn, kden = (a.reshape(bw, heads, t, -1) for a in _unit_rows(k))
+    v = v.copy().reshape(bw, heads, t, hd)  # a view would keep the whole qkv buffer
     # scores key by query, (bw, heads, t, t): numpy reduces the
     # second-to-last axis about 3x faster than the last
     rows = index.reshape(t, t).T
@@ -702,15 +717,14 @@ def cosine_attention(qkv: Tensor, tau: Tensor, bias_table: Tensor, index: np.nda
     p -= p.max(axis=-2, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-2, keepdims=True)
-    out = (p.swapaxes(-1, -2) @ v).transpose(0, 2, 1, 3).reshape(bw, t, c)
-    if _records((qkv, tau, bias_table)):
-        v = v.copy()  # a view would keep the whole qkv buffer
+    out = np.empty((b, h, w, c), dtype=qkv.dtype)
+    windows(out, 1)[0] = (p.swapaxes(-1, -2) @ v).reshape(win)
 
     def vjp(g):
-        go = g.reshape(bw, t, heads, hd).transpose(0, 2, 1, 3)
-        grad = np.empty((bw, t, 3, heads, hd), dtype=g.dtype)
-        gq, gk, gv = grad.transpose(2, 0, 3, 1, 4)
-        np.matmul(p, go, out=gv)
+        go = windows(g, 1).reshape(bw, heads, t, hd)
+        grad = np.empty((b, h, w, c3), dtype=g.dtype)
+        gq, gk, gv = windows(grad, 3)
+        gv[...] = (p @ go).reshape(win)
         ds = v @ go.swapaxes(-1, -2)  # dP
         ds -= np.einsum("bhji,bhji->bhi", ds, p)[:, :, None, :]
         ds *= p  # dS
@@ -722,11 +736,12 @@ def cosine_attention(qkv: Tensor, tau: Tensor, bias_table: Tensor, index: np.nda
         gtau = (ds.reshape(bw, heads, 1, t * t) @ cos.reshape(bw, heads, t * t, 1)).sum(axis=0)
         gtau = gtau.reshape(heads) / -(tau.data * tau.data)
         ds /= tau_b  # d cos
-        np.matmul(ds.swapaxes(-1, -2), kn, out=gq)
-        np.matmul(ds, qn, out=gk)
-        _unit_rows_vjp(gq, qn, qden)
-        _unit_rows_vjp(gk, kn, kden)
-        return grad.reshape(bw, t, c3), gtau, gbias
+        dqk = ds.swapaxes(-1, -2) @ kn  # dq, then dk in the same buffer
+        _unit_rows_vjp(dqk, qn, qden)
+        gq[...] = dqk.reshape(win)
+        _unit_rows_vjp(np.matmul(ds, qn, out=dqk), kn, kden)
+        gk[...] = dqk.reshape(win)
+        return grad, gtau, gbias
 
     return _wrap(out, (qkv, tau, bias_table), vjp)
 
@@ -1004,7 +1019,8 @@ def load_m3t(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a file written by :func:`save_m3t`: its header (without the
     tensor list) and its arrays by name. Raises CheckpointError naming
     the file for a bad magic or version, a CRC mismatch, a header that
-    does not describe the payloads, or a length other than it implies."""
+    does not describe the payloads or repeats a name, or a length other
+    than it implies."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _M3T_PREFIX + 4 or blob[:4] != _M3T_MAGIC:
@@ -1034,6 +1050,8 @@ def load_m3t(path) -> tuple[dict, dict[str, np.ndarray]]:
                               f"{len(blob)}")
     arrays = {}
     for e, dtype, count in zip(entries, dtypes, counts):
+        if e["name"] in arrays:
+            raise CheckpointError(f"{path}: tensor {e['name']!r} is listed twice")
         arrays[e["name"]] = np.frombuffer(blob, dtype, count, offset).reshape(e["shape"]).copy()
         offset += count * dtype.itemsize
     return header, arrays

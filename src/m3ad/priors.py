@@ -1,5 +1,5 @@
 """Clinical prior vector: normalization, encoding, and fusion into the
-backbone's token stream.
+backbone's feature grid.
 
 The prior is (age, gender, eTIV). Age and eTIV are z-scored with training
 split statistics; gender is already in {0, 1} and passes through. The
@@ -9,8 +9,8 @@ of the chosen fusion point:
     C_fusion = embed * 2^s        for s = 3 (after the last stage)
     C_fusion = embed * 2^(s+1)    for s < 3 (after stage s's merge)
 
-The encoded vector is broadcast across all token positions and combined
-with the image tokens by one of four fusion rules.
+The encoded vector is broadcast across every position of the (B, H, W,
+C) grid and combined with the image features by one of four fusion rules.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ class PriorEncoder(Module):
 
 
 class Fusion(Module):
-    """Combine image tokens (B, L, C) with an encoded prior (B, C).
+    """Combine image features (B, ..., C) with an encoded prior (B, C).
 
     adaptive : softmax-weighted sum of the two streams, then projection
     concat   : channel concat, then projection back to C
@@ -126,11 +126,10 @@ class Fusion(Module):
     def __call__(self, x: Tensor, clinical: Tensor) -> Tensor:
         xc = self._spread(x, clinical)
         if self.kind == "adaptive":
-            b = x.shape[0]
-            pooled = nm.concat([x, xc], axis=-1).mean(axis=1)  # (B, 2C)
-            w = nm.softmax(self.gate(pooled), axis=-1)
-            w0 = nm.reshape(w[:, 0], (b, 1, 1))
-            w1 = nm.reshape(w[:, 1], (b, 1, 1))
+            pooled = nm.concat([x, xc], axis=-1).mean(axis=tuple(range(1, x.ndim - 1)))
+            w = nm.softmax(self.gate(pooled), axis=-1)  # (B, 2)
+            column = (x.shape[0],) + (1,) * (x.ndim - 1)
+            w0, w1 = nm.reshape(w[:, 0], column), nm.reshape(w[:, 1], column)
             return self.proj(nm.add(nm.mul(w0, x), nm.mul(w1, xc)))
         if self.kind == "concat":
             return self.proj(nm.concat([x, xc], axis=-1))
@@ -140,11 +139,11 @@ class Fusion(Module):
 
     @staticmethod
     def _spread(x: Tensor, clinical: Tensor) -> Tensor:
-        """Broadcast the (B, C) prior over the L positions of (B, L, C) tokens."""
-        if x.ndim != 3:
-            raise ShapeError(f"fusion expects tokens (B, L, C), got {x.shape}")
-        b, l, c = x.shape
+        """Broadcast the (B, C) prior over every position of (B, ..., C) features."""
+        if x.ndim < 3:
+            raise ShapeError(f"fusion expects features (B, ..., C), got {x.shape}")
+        b, c = x.shape[0], x.shape[-1]
         if clinical.shape != (b, c):
             raise ShapeError(
-                f"encoded prior shape {clinical.shape} does not match tokens {x.shape}")
-        return nm.broadcast_to(nm.reshape(clinical, (b, 1, c)), (b, l, c))
+                f"encoded prior shape {clinical.shape} does not match features {x.shape}")
+        return nm.broadcast_to(nm.reshape(clinical, (b,) + (1,) * (x.ndim - 2) + (c,)), x.shape)

@@ -1,5 +1,5 @@
-"""Shared fixtures: tiny model configs, a small generated dataset, and
-the acceptance-criteria summary hook."""
+"""Shared fixtures: tiny model configs, a small generated dataset, one
+training step of each stage, and the acceptance-criteria summary hook."""
 
 import inspect
 import json
@@ -18,6 +18,7 @@ from m3ad import numerics as nm
 from m3ad.backbone import M3ADBlock
 from m3ad.config import ModelConfig, TrainConfig
 from m3ad.data import gen_synthetic, load_split
+from m3ad.heads_losses import finetune_loss, pretrain_loss, sample_masks
 
 # property tests draw the same examples on every run, keep no example
 # database and set no per-example deadline, so that a run is repeatable
@@ -111,6 +112,31 @@ def stage_trace(model, images, routing) -> list[tuple[int, tuple[int, int], int]
         model.encode(images, routing)
     ends = np.cumsum(model.cfg.depths) - 1
     return [(stage, shapes[end][1:3], shapes[end][3]) for stage, end in enumerate(ends)]
+
+
+def one_step_each(model, rng) -> dict[str, np.ndarray]:
+    """Loss and gradients of one pretrain and one fine-tune step on four
+    32x32 scans, plus batch-1 logits, by name."""
+    images = rng.standard_normal((4, 32, 32)).astype(np.float32)
+    diag, change = np.array([0, 1, 2, 1]), np.array([0, 1, 2, 0])
+    priors = rng.standard_normal((4, 3)).astype(np.float32)
+    masks = sample_masks(rng, 4, (32, 32), model.cfg.mask_unit, model.cfg.mask_ratio)
+    out = {}
+    for stage in ("pretrain", "finetune"):
+        if stage == "pretrain":
+            loss = pretrain_loss(model, images, diag, masks, 1.0)[0]
+        else:
+            loss = finetune_loss(*model.dual_task_logits(images, priors), diag, change)
+        model.zero_grad()
+        loss.backward()
+        out[f"{stage}.loss"] = loss.data
+        out.update({f"{stage}.{name}": p.grad for name, p in model.named_parameters().items()
+                    if p.grad is not None})
+    with nm.no_grad():
+        for task, logits in zip(("diagnosis", "change"),
+                                model.dual_task_logits(images[:1], priors[:1])):
+            out[f"batch1.{task}"] = logits.data
+    return out
 
 
 def tiny_train_config(**overrides) -> TrainConfig:

@@ -2,20 +2,21 @@
 
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cut_and_flip
+from conftest import cut_and_flip, m3t_header, m3t_with_header
 from m3ad.config import TRANSITION_PRIORS, TRANSITIONS
 from m3ad.data import (C3_NAMES, Dataset, SampleRecord, assign_splits,
                        class_region_mask, gen_synthetic,
                        load_manifest, load_split, robust_zscore, synth_image,
                        transition_change_label, transition_diag_label,
                        write_manifest, _marker_tile, _sample_rng)
-from m3ad.errors import ContractError, ManifestError
+from m3ad.errors import CheckpointError, ContractError, ManifestError
 from m3ad.numerics import load_m3t, save_m3t
 
 
@@ -313,6 +314,22 @@ def test_load_split_needs_one_float32_image(tmp_path, arrays):
     save_m3t(tmp_path / record.path, arrays)
     with pytest.raises(ManifestError, match=f"{manifest}: '{record.path}' does not hold "
                                             "exactly one float32 array named 'image'"):
+        load_split(manifest, "train")
+
+
+def test_load_split_rejects_a_repeated_tensor_name(tmp_path):
+    """A scan whose header lists 'image' twice, an empty array then the
+    whole image, is refused, not read as its last entry."""
+    manifest = gen_synthetic(tmp_path, seed=3, n=6, size=32, fractions=(1.0, 0.0, 0.0))
+    record = load_manifest(manifest)[2]
+    path = tmp_path / record.path
+    blob = path.read_bytes()
+    header = m3t_header(blob)
+    entry = header["tensors"][0]
+    header["tensors"] = [dict(entry, shape=[0, 32]), entry]
+    path.write_bytes(m3t_with_header(blob, header))
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"{record.path}: tensor 'image' is listed twice")):
         load_split(manifest, "train")
 
 

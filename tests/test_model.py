@@ -5,15 +5,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import stage_trace, tiny_model_config
+from conftest import engine_ops, stage_trace, tiny_model_config
 from m3ad.backbone import WindowAttention
-from m3ad.heads_losses import apply_mask, sample_masks
+from m3ad.config import ModelConfig
+from m3ad.heads_losses import apply_mask, finetune_loss, pretrain_loss, sample_masks
 from m3ad.model import M3ADNet
+from m3ad import moe
 from m3ad import numerics as nm
 from m3ad.moe import MMoELayer, Routing, expert_mix
 from m3ad.numerics import Tensor, no_grad
 from m3ad.errors import ShapeError
 from m3ad.priors import compute_prior_stats, normalize_priors
+from test_backbone import _op_nodes
 
 _ROUTE = Routing()  # a diagnosis copy stacked on a change copy
 
@@ -370,3 +373,32 @@ def test_pretrain_without_specialization_runs_one_copy(monkeypatch):
     assert rows == [4, 8]
     assert total is recon and expert.item() == 0.0 and expert_both.item() > 0.0
     assert recon.item() == recon_both.item()
+
+
+# Graph nodes of one calib step (embed 16, depths 2/2/2/2, 64x64 scans,
+# batch 16), counted from the loss, and op calls of one batch-1 scoring
+# pass of the same model, expert_mix included in both. A change that
+# grows or shrinks the graph updates these numbers and says so.
+_CALIB_CENSUS = {"pretrain": 209, "finetune": 314, "predict_ops": 312}
+
+
+def test_graph_census_of_a_calib_step(monkeypatch):
+    cfg = ModelConfig(embed_dim=16, depths=(2, 2, 2, 2), num_heads=(2, 4, 8, 16), window=8,
+                      expert_hidden_ratio=4, shared_expert_weight=0.15).validate()
+    model = M3ADNet(cfg, seed=1)
+    rng = np.random.default_rng(0)
+    images = rng.standard_normal((16, 64, 64)).astype(np.float32)
+    labels = np.arange(16) % 3
+    masks = sample_masks(rng, 16, (64, 64), cfg.mask_unit, cfg.mask_ratio)
+    priors = _priors(16, rng)
+    census = {"pretrain": len(_op_nodes(pretrain_loss(model, images, labels, masks, 0.5)[0])),
+              "finetune": len(_op_nodes(finetune_loss(*model.dual_task_logits(images, priors),
+                                                      labels, labels)))}
+    calls = []
+    for module, name, op in [(nm, name, op) for name, op in engine_ops().items()] + [
+            (moe, "expert_mix", expert_mix)]:
+        monkeypatch.setattr(module, name, lambda *a, op=op, **k: calls.append(op) or op(*a, **k))
+    with no_grad():
+        model.dual_task_logits(images[:1], priors[:1])
+    census["predict_ops"] = len(calls)
+    assert census == _CALIB_CENSUS

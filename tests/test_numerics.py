@@ -409,7 +409,7 @@ def _attention_qkv(leaves, keep, patch):
     a, tau, table = leaves
     qkv = nm.mul(a, 1.5)
     keep.append(qkv.data)
-    out = nm.cosine_attention(qkv, tau, table, np.arange(16) % 7, heads=2)
+    out = nm.cosine_attention(qkv, tau, table, np.arange(16) % 7, heads=2, m=2)
     return nm.mul(out, out).sum()
 
 
@@ -418,7 +418,7 @@ _GRAPH_CASES = [  # builder, leaf shapes
     (_add_operands, [(3, 4), (1, 4)]),
     (_reduced_inputs, [(3, 4), (3, 4)]),
     (_taps_padding, [(2, 3, 4, 5)]),
-    (_attention_qkv, [(3, 4, 12), (2,), (7, 2)]),
+    (_attention_qkv, [(1, 2, 6, 12), (2,), (7, 2)]),
 ]
 
 

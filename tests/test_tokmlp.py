@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from m3ad import tokmlp
-from m3ad.heads_losses import finetune_loss, pretrain_loss, sample_masks
 from m3ad.model import M3ADNet
-from m3ad.numerics import Tensor, no_grad
+from m3ad.numerics import Tensor
 from m3ad.tokmlp import SHIFT_OFFSETS, TokMLPBlock, conv3x3, dwconv3x3
 from m3ad import numerics as nm
 
-from conftest import tiny_model_config
+from conftest import one_step_each, tiny_model_config
 from test_backbone import _op_nodes
 
 
@@ -218,31 +217,6 @@ def test_tokmlp_block_bit_identical_to_nine_tap_reference(dtype, shape, monkeypa
     _assert_all_equal(got, _out_and_grads(lambda: block(x), leaves))
 
 
-def _one_step_each(model, rng):
-    """Loss and gradients of one pretrain and one fine-tune step, plus
-    batch-1 logits."""
-    images = rng.standard_normal((4, 32, 32)).astype(np.float32)
-    diag, change = np.array([0, 1, 2, 1]), np.array([0, 1, 2, 0])
-    priors = rng.standard_normal((4, 3)).astype(np.float32)
-    masks = sample_masks(rng, 4, (32, 32), model.cfg.mask_unit, model.cfg.mask_ratio)
-    out = {}
-    for stage in ("pretrain", "finetune"):
-        if stage == "pretrain":
-            loss = pretrain_loss(model, images, diag, masks, 1.0)[0]
-        else:
-            loss = finetune_loss(*model.dual_task_logits(images, priors), diag, change)
-        model.zero_grad()
-        loss.backward()
-        out[f"{stage}.loss"] = loss.data
-        out.update({f"{stage}.{name}": p.grad for name, p in model.named_parameters().items()
-                    if p.grad is not None})
-    with no_grad():
-        for task, logits in zip(("diagnosis", "change"),
-                                model.dual_task_logits(images[:1], priors[:1])):
-            out[f"batch1.{task}"] = logits.data
-    return out
-
-
 def test_model_steps_match_nine_tap_reference(monkeypatch):
     """One pretrain and one fine-tune step of a small float32 model give
     the reference's losses, logits and gradients bit for bit, except the
@@ -253,9 +227,9 @@ def test_model_steps_match_nine_tap_reference(monkeypatch):
     so the engine adds them in another order. That gradient must match to
     within 1e-6 of its largest entry."""
     model = M3ADNet(tiny_model_config(dtype="float32"), seed=1)
-    got = _one_step_each(model, np.random.default_rng(7))
+    got = one_step_each(model, np.random.default_rng(7))
     _use_reference_convs(monkeypatch)
-    want = _one_step_each(model, np.random.default_rng(7))
+    want = one_step_each(model, np.random.default_rng(7))
     assert got.keys() == want.keys()
     tok = [key for key in want if key.endswith("mixer.tok_weight")]
     assert len(tok) == 4  # two tokenized-MLP blocks, in each training stage

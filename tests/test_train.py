@@ -337,6 +337,20 @@ def test_checkpoint_corruption_detected(tmp_path):
         load_checkpoint(bad)
 
 
+def test_checkpoint_rejects_a_repeated_tensor_name(tmp_path):
+    """A header whose tensor list names one parameter twice is refused,
+    not read as the last of its payloads."""
+    blob = _valid_ckpt_bytes(tmp_path)
+    header = m3t_header(blob)
+    name = header["tensors"][2]["name"]
+    header["tensors"][3]["name"] = name
+    bad = tmp_path / "bad.m3ck"
+    bad.write_bytes(m3t_with_header(blob, header))
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"bad.m3ck: tensor {name!r} is listed twice")):
+        load_checkpoint(bad)
+
+
 @pytest.fixture(scope="module")
 def ckpt_blob(tmp_path_factory):
     return _valid_ckpt_bytes(tmp_path_factory.mktemp("ckpt"))
