@@ -22,7 +22,7 @@ import logging
 import os
 import sys
 
-from .config import RunConfig, apply_overrides, load_config
+from .config import TRANSITIONS, RunConfig, apply_overrides, load_config
 from .data import C3_NAMES, DIAG_NAMES, gen_synthetic, load_split
 from .errors import ContractError, M3adError
 from .metrics import confusion, report, write_confusion_csv, write_metrics_csv
@@ -98,7 +98,6 @@ def _write_rows_csv(path, rows: list[dict]) -> None:
 def _change_names(num_classes: int) -> list[str]:
     if num_classes == 3:
         return list(C3_NAMES)
-    from .config import TRANSITIONS
     return [f"{src}-{dst}" for src, dst in TRANSITIONS]
 
 

@@ -19,7 +19,7 @@ from .model import M3ADNet
 from .moe import ExpertMLP, MMoELayer, Routing, expert_mix
 from .numerics import Tensor, grad_check
 from .priors import Fusion, PriorEncoder
-from .tokmlp import TokMLPBlock, conv3x3, dwconv3x3
+from .tokmlp import TokMLPBlock
 
 PRIMITIVE_TOL = 1e-5
 COMPOSITE_TOL = 1e-3
@@ -61,9 +61,6 @@ def check_primitives() -> dict[str, float]:
     run("linear", lambda: nm.mul(nm.linear(m1, m2, None), wm).sum(), [m1, m2])
     x3, b2, w3 = _t(rng, 2, 3, 5), _t(rng, 2), _weight(rng, (2, 3, 2))
     run("linear", lambda: nm.mul(nm.linear(x3, m2, b2), w3).sum(), [x3, m2, b2])
-    mb1, mb2 = _t(rng, 2, 3, 4), _t(rng, 2, 4, 2)
-    wb = _weight(rng, (2, 3, 2))
-    run("matmul_batched", lambda: nm.mul(nm.matmul(mb1, mb2), wb).sum(), [mb1, mb2])
 
     x = _t(rng, 4, 5)
     wx = _weight(rng, (4, 5))
@@ -88,8 +85,6 @@ def check_primitives() -> dict[str, float]:
     w4 = _weight(rng, (2, 4, 4, 3))
     # 3 channels in groups of 2 and 1, the second left in place
     run("roll", lambda: nm.mul(nm.roll(g4, (-1, 0), (1, 2)), w4).sum(), [g4])
-    w9 = _weight(rng, (9, 2, 4, 4, 3))
-    run("taps3x3", lambda: nm.mul(nm.taps3x3(g4), w9).sum(), [g4])
     run("broadcast_to", lambda: nm.mul(nm.broadcast_to(row, (3, 4)), w).sum(), [row])
 
     # rows of unequal weight, a zero-weight row and zero-weight entries;
@@ -116,9 +111,9 @@ def check_primitives() -> dict[str, float]:
     img = _t(rng, 2, 4, 4, 3)
     cw, cb = _t(rng, 3, 3, 3, 2), _t(rng, 2)
     wconv = _weight(rng, (2, 4, 4, 2))
-    run("conv3x3", lambda: nm.mul(conv3x3(img, cw, cb), wconv).sum(), [img, cw, cb])
+    run("conv3x3", lambda: nm.mul(nm.conv3x3(img, cw, cb), wconv).sum(), [img, cw, cb])
     dw, db = _t(rng, 3, 3, 3), _t(rng, 3)
-    run("dwconv3x3", lambda: nm.mul(dwconv3x3(img, dw, db), w4).sum(), [img, dw, db])
+    run("dwconv3x3", lambda: nm.mul(nm.dwconv3x3(img, dw, db), w4).sum(), [img, dw, db])
 
     bank = [ExpertMLP(rng, 3, 4, np.float64) for _ in range(2)]
     bank_params = [p for expert in bank for p in expert.parameters()]
@@ -135,11 +130,9 @@ def check_primitives() -> dict[str, float]:
     return out
 
 
-def _toy_cfg(**overrides) -> ModelConfig:
-    base = dict(embed_dim=8, depths=(2, 1, 1, 1), num_heads=(1, 2, 4, 8),
-                window=4, dtype="float64")
-    base.update(overrides)
-    return ModelConfig(**base).validate()
+def _toy_cfg() -> ModelConfig:
+    return ModelConfig(embed_dim=8, depths=(2, 1, 1, 1), num_heads=(1, 2, 4, 8),
+                       window=4, dtype="float64").validate()
 
 
 def check_composites() -> dict[str, float]:

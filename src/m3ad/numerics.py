@@ -15,6 +15,13 @@ what is costly to compute; what is cheap to compute but large to store,
 the vjp rebuilds with the forward's own calls. Linear layers and the
 expert bank share one affine kernel, :func:`_affine`.
 
+Each layer is one graph node. The fused layers are :func:`linear`,
+:func:`softmax`, :func:`cosine_attention`, :func:`layer_norm`, the two
+3x3 convolutions :func:`conv3x3` and :func:`dwconv3x3`, and the losses
+:func:`cross_entropy` and :func:`masked_l1`. The convolutions share the
+(9, B, H, W, C) tap stack of :func:`_taps`, a layout private to this
+module.
+
 Also hosted here because they sit at the same level of the stack:
 the :class:`Module` parameter container, the ``no_grad`` context, the
 engine's worker pool, and the one on-disk tensor format
@@ -322,25 +329,6 @@ def div(a: Tensor, b) -> Tensor:
     return _wrap(data, (a, b), vjp)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product. 2-D operands or stacked operands whose leading
-    (batch) dimensions match exactly; no batch broadcasting."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    if a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"matmul batch dimensions differ: {a.shape} @ {b.shape}")
-    if a.dtype != b.dtype:
-        raise ShapeError(f"operand dtypes differ: {a.dtype} vs {b.dtype}")
-    data = a.data @ b.data
-
-    def vjp(g):
-        return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
-
-    return _wrap(data, (a, b), vjp)
-
-
 def _affine(rows: np.ndarray, weight: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
     """rows @ weight + bias: one BLAS call, then the bias added in place."""
     out = rows @ weight
@@ -595,28 +583,6 @@ def roll(a: Tensor, offsets, axes) -> Tensor:
                  lambda g: (_roll_groups(g, offsets, axes, -1),))
 
 
-def taps3x3(a: Tensor) -> Tensor:
-    """(9, B, H, W, C) zero-padded 3x3 neighbours of a (B, H, W, C) grid:
-    tap 3 * dy + dx holds the cell at offset (dy - 1, dx - 1). The
-    gradient adds the taps back in that order."""
-    if a.ndim != 4:
-        raise ShapeError(f"taps3x3 expects (B, H, W, C), got {a.shape}")
-    b, h, w, c = a.shape
-    padded = np.zeros((b, h + 2, w + 2, c), dtype=a.dtype)
-    padded[:, 1:-1, 1:-1] = a.data
-    data = np.stack([padded[:, dy:dy + h, dx:dx + w] for dy in range(3) for dx in range(3)])
-    shape = padded.shape
-
-    def vjp(g):
-        full = np.zeros(shape, dtype=g.dtype)
-        for k in range(9):
-            dy, dx = divmod(k, 3)
-            full[:, dy:dy + h, dx:dx + w] += g[k]
-        return (full[:, 1:-1, 1:-1],)
-
-    return _wrap(data, (a,), vjp)
-
-
 def broadcast_to(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     data = np.broadcast_to(a.data, shape).copy()
@@ -768,6 +734,86 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         return gx, ggamma, gbeta
 
     return _wrap(data, (x, gamma, beta), vjp)
+
+
+def _taps(x: np.ndarray) -> np.ndarray:
+    """(9, B, H, W, C) zero-padded 3x3 neighbours of a (B, H, W, C) grid:
+    tap 3 * dy + dx holds the cell at offset (dy - 1, dx - 1). The padded
+    copy dies on return; only the stack lives."""
+    b, h, w, c = x.shape
+    padded = np.zeros((b, h + 2, w + 2, c), dtype=x.dtype)
+    padded[:, 1:-1, 1:-1] = x
+    return np.stack([padded[:, dy:dy + h, dx:dx + w] for dy in range(3) for dx in range(3)])
+
+
+def _taps_vjp(g: np.ndarray) -> np.ndarray:
+    """The gradient of :func:`_taps`' input from that of its stack: the
+    taps added back into a padded grid in tap order."""
+    _, b, h, w, c = g.shape
+    full = np.zeros((b, h + 2, w + 2, c), dtype=g.dtype)
+    for k in range(9):
+        dy, dx = divmod(k, 3)
+        full[:, dy:dy + h, dx:dx + w] += g[k]
+    return full[:, 1:-1, 1:-1]
+
+
+def conv3x3(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """3x3 convolution with zero padding 1 on a (B, H, W, Cin) grid, one
+    graph node; ``weight`` is (3, 3, Cin, Cout), ``bias`` (Cout,).
+
+    One batched matmul applies each tap's (Cin, Cout) slice to its
+    neighbours in the :func:`_taps` stack; the nine products are summed in
+    tap order, then the bias is added. The node keeps the tap stack and
+    the (9, Cin, Cout) weight view. Its vjp makes the calls of the vjps of
+    the chain taps, matmul, sum, add: the bias sum, the gradient broadcast
+    over the taps, the two batched products, the taps added back."""
+    operands = (x, weight, bias)
+    if (x.ndim != 4 or weight.ndim != 4 or weight.shape[:3] != (3, 3, x.shape[-1])
+            or bias.shape != weight.shape[3:] or any(t.dtype != x.dtype for t in operands)):
+        raise ShapeError(f"conv3x3: {[(t.shape, str(t.dtype)) for t in operands]} do not fit")
+    b, h, w, cin = x.shape
+    cout = weight.shape[-1]
+    taps = _taps(x.data).reshape(9, b * h * w, cin)
+    kernel = weight.data.reshape(9, cin, cout)
+    data = ((taps @ kernel).sum(axis=0) + bias.data).reshape(b, h, w, cout)
+
+    def vjp(g):
+        g = g.reshape(b * h * w, cout)
+        gbias = _unbroadcast(g, (cout,))
+        g = np.broadcast_to(g, (9, b * h * w, cout))
+        gtaps = g @ np.swapaxes(kernel, -1, -2)
+        gweight = np.swapaxes(taps, -1, -2) @ g
+        return _taps_vjp(gtaps.reshape(9, b, h, w, cin)), gweight.reshape(3, 3, cin, cout), gbias
+
+    return _wrap(data, operands, vjp)
+
+
+def dwconv3x3(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Depthwise 3x3 convolution with zero padding 1 on a (B, H, W, C)
+    grid, one graph node; ``weight`` is (3, 3, C), ``bias`` (C,).
+
+    Each tap of the :func:`_taps` stack is scaled per channel, the nine
+    are summed in tap order, then the bias is added. The node keeps the
+    tap stack and the (9, 1, 1, 1, C) weight view. Its vjp makes the calls
+    of the vjps of the chain taps, mul, sum, add: the bias sum, the
+    gradient broadcast over the taps, the two products, the taps added
+    back."""
+    operands = (x, weight, bias)
+    if (x.ndim != 4 or weight.shape != (3, 3, x.shape[-1]) or bias.shape != x.shape[-1:]
+            or any(t.dtype != x.dtype for t in operands)):
+        raise ShapeError(f"dwconv3x3: {[(t.shape, str(t.dtype)) for t in operands]} do not fit")
+    c = x.shape[-1]
+    taps = _taps(x.data)
+    scale = weight.data.reshape(9, 1, 1, 1, c)
+    data = (taps * scale).sum(axis=0) + bias.data
+
+    def vjp(g):
+        gbias = _unbroadcast(g, (c,))
+        g = np.broadcast_to(g, taps.shape)
+        gscale = _unbroadcast(g * taps, scale.shape)
+        return _taps_vjp(g * scale), gscale.reshape(3, 3, c), gbias
+
+    return _wrap(data, operands, vjp)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -12,7 +12,10 @@ convolution. Width and height passes share a single tokenizer:
 Channels split into one group per shift offset; the offsets (-2..2)
 give five groups, split as evenly as the channel count allows. Each
 shift is one :func:`m3ad.numerics.roll` node, a cyclic roll per group,
-so no positions are lost at the borders.
+so no positions are lost at the borders. The tokenizer and the depthwise
+convolution are the engine's fused :func:`m3ad.numerics.conv3x3` and
+:func:`m3ad.numerics.dwconv3x3`, one node each, so a block records 12
+graph nodes.
 """
 
 from __future__ import annotations
@@ -23,26 +26,6 @@ from . import numerics as nm
 from .numerics import LayerNorm, Linear, Module, Tensor, parameter, zeros_param
 
 SHIFT_OFFSETS = (-2, -1, 0, 1, 2)
-
-
-def conv3x3(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """3x3 convolution with zero padding 1 on a (B, H, W, Cin) grid.
-
-    ``weight`` is (3, 3, Cin, Cout). One batched matmul applies each tap's
-    (Cin, Cout) slice to its neighbours; the nine products are summed.
-    """
-    b, h, w, cin = x.shape
-    cout = weight.shape[-1]
-    taps = nm.reshape(nm.taps3x3(x), (9, b * h * w, cin))
-    out = nm.tsum(nm.matmul(taps, nm.reshape(weight, (9, cin, cout))), axis=0)
-    return nm.reshape(nm.add(out, bias), (b, h, w, cout))
-
-
-def dwconv3x3(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Depthwise 3x3 convolution, zero padding 1; ``weight`` is (3, 3, C)
-    and scales each tap per channel before the nine are summed."""
-    scale = nm.reshape(weight, (9, 1, 1, 1, x.shape[-1]))
-    return nm.add(nm.tsum(nm.mul(nm.taps3x3(x), scale), axis=0), bias)
 
 
 class TokMLPBlock(Module):
@@ -58,10 +41,10 @@ class TokMLPBlock(Module):
         self.norm = LayerNorm(dim, dtype)
 
     def tokenize(self, x: Tensor) -> Tensor:
-        return conv3x3(x, self.tok_weight, self.tok_bias)
+        return nm.conv3x3(x, self.tok_weight, self.tok_bias)
 
     def __call__(self, x: Tensor) -> Tensor:
         tw = self.tokenize(nm.roll(x, SHIFT_OFFSETS, (2,)))
-        y = nm.gelu(dwconv3x3(self.mlp_w(tw), self.dw_weight, self.dw_bias))
+        y = nm.gelu(nm.dwconv3x3(self.mlp_w(tw), self.dw_weight, self.dw_bias))
         th = self.tokenize(nm.roll(y, SHIFT_OFFSETS, (1,)))
         return nm.gelu(self.norm(nm.add(tw, self.mlp_h(nm.gelu(th)))))

@@ -18,6 +18,7 @@ from m3ad import numerics as nm
 from m3ad.backbone import M3ADBlock
 from m3ad.config import ModelConfig, TrainConfig
 from m3ad.data import gen_synthetic, load_split
+from m3ad.errors import ShapeError
 from m3ad.heads_losses import finetune_loss, pretrain_loss, sample_masks
 
 # property tests draw the same examples on every run, keep no example
@@ -44,6 +45,28 @@ def engine_ops() -> dict:
     return {name: fn for name, fn in vars(nm).items()
             if inspect.isfunction(fn) and fn.__module__ == nm.__name__
             and not name.startswith("_") and name not in _NOT_OPS}
+
+
+def matmul(a: nm.Tensor, b: nm.Tensor) -> nm.Tensor:
+    """Matrix product. 2-D operands or stacked operands whose leading
+    (batch) dimensions match exactly; no batch broadcasting.
+
+    An oracle op, one graph node, for the chains that check the engine's
+    fused layers (linear, cosine_attention, conv3x3) bit for bit."""
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul needs >=2-D operands, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
+    if a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"matmul batch dimensions differ: {a.shape} @ {b.shape}")
+    if a.dtype != b.dtype:
+        raise ShapeError(f"operand dtypes differ: {a.dtype} vs {b.dtype}")
+    data = a.data @ b.data
+
+    def vjp(g):
+        return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
+
+    return nm._wrap(data, (a, b), vjp)
 
 
 # one line per acceptance criterion, printed in the terminal summary

@@ -13,12 +13,12 @@ from m3ad.gradcheck import COMPOSITE_TOL, PRIMITIVE_TOL, check_composites, check
 
 _EXPECTED_OPS = {
     "add", "mul", "div", "add_broadcast",
-    "linear", "matmul_batched",
+    "linear",
     "clamp_min",
     "sigmoid", "softplus", "gelu",
     "sum_axis", "mean_axis", "mean_all",
     "reshape", "transpose", "getitem", "concat", "roll",
-    "taps3x3", "broadcast_to", "masked_l1",
+    "broadcast_to", "masked_l1",
     "softmax", "cosine_attention", "layer_norm", "cross_entropy",
     "conv3x3", "dwconv3x3", "expert_mix",
 }
@@ -60,7 +60,7 @@ def test_battery_covers_every_public_op(monkeypatch):
     """Every public op of ``numerics`` records a graph node somewhere in
     the primitive battery, so no op escapes the finite-difference check."""
     ops = set(engine_ops())
-    assert {"add", "linear", "matmul", "cosine_attention", "masked_l1"} <= ops
+    assert {"add", "linear", "conv3x3", "cosine_attention", "masked_l1"} <= ops
     recorded = set()
     wrap = nm._wrap
 

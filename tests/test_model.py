@@ -379,7 +379,7 @@ def test_pretrain_without_specialization_runs_one_copy(monkeypatch):
 # batch 16), counted from the loss, and op calls of one batch-1 scoring
 # pass of the same model, expert_mix included in both. A change that
 # grows or shrinks the graph updates these numbers and says so.
-_CALIB_CENSUS = {"pretrain": 209, "finetune": 314, "predict_ops": 312}
+_CALIB_CENSUS = {"pretrain": 145, "finetune": 250, "predict_ops": 248}
 
 
 def test_graph_census_of_a_calib_step(monkeypatch):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from conftest import cut_and_flip, m3t_with_header
+from conftest import cut_and_flip, m3t_with_header, matmul
 from m3ad import entry
 from m3ad import numerics as nm
 from m3ad.errors import CheckpointError, ConfigError, ContractError, ShapeError
@@ -29,6 +29,9 @@ def t64(rng, *shape, grad=True):
 
 # -- value oracles -----------------------------------------------------
 
+# matmul is the oracle op of conftest that the bit-for-bit chains of
+# linear, cosine_attention and conv3x3 are built from
+
 
 def test_matmul_matches_triple_loop(rng):
     a = rng.standard_normal((3, 4))
@@ -38,27 +41,27 @@ def test_matmul_matches_triple_loop(rng):
         for j in range(5):
             for k in range(4):
                 expected[i, j] += a[i, k] * b[k, j]
-    out = nm.matmul(Tensor(a), Tensor(b))
+    out = matmul(Tensor(a), Tensor(b))
     np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
 
 
 def test_batched_matmul_matches_loop(rng):
     a = rng.standard_normal((2, 3, 4))
     b = rng.standard_normal((2, 4, 5))
-    out = nm.matmul(Tensor(a), Tensor(b))
+    out = matmul(Tensor(a), Tensor(b))
     for i in range(2):
         np.testing.assert_allclose(out.data[i], a[i] @ b[i], atol=1e-12)
 
 
 def test_matmul_shape_errors(rng):
     with pytest.raises(ShapeError):
-        nm.matmul(t64(rng, 3), t64(rng, 3, 2))
+        matmul(t64(rng, 3), t64(rng, 3, 2))
     with pytest.raises(ShapeError):
-        nm.matmul(t64(rng, 3, 4), t64(rng, 5, 2))
+        matmul(t64(rng, 3, 4), t64(rng, 5, 2))
     with pytest.raises(ShapeError):
-        nm.matmul(t64(rng, 2, 3, 4), t64(rng, 3, 4, 2))
+        matmul(t64(rng, 2, 3, 4), t64(rng, 3, 4, 2))
     with pytest.raises(ShapeError):  # no batch broadcasting of a 2-D operand
-        nm.matmul(t64(rng, 2, 3, 4), t64(rng, 4, 2))
+        matmul(t64(rng, 2, 3, 4), t64(rng, 4, 2))
 
 
 def test_layer_norm_matches_direct_formula(rng):
@@ -394,14 +397,23 @@ def _reduced_inputs(leaves, keep, patch):
     return nm.add(nm.mul(s, s).sum(), nm.mul(m, m).sum())
 
 
-def _taps_padding(leaves, keep, patch):
-    """taps3x3's zero-padded copy of its input, and the input itself."""
-    (a,) = leaves
+def _conv_padding(op, leaves, keep, patch):
+    """The zero-padded copy of a convolution's input, dead once the op
+    returns, and the input itself; the node keeps the tap stack."""
+    a, weight, bias = leaves
     x = nm.mul(a, 2.0)
     keep.append(x.data)
     _spy(patch, np, "zeros", keep)
-    taps = nm.taps3x3(x)
-    return nm.mul(taps, taps).sum()
+    y = op(x, weight, bias)
+    return nm.mul(y, y).sum()
+
+
+def _conv3x3_padding(leaves, keep, patch):
+    return _conv_padding(nm.conv3x3, leaves, keep, patch)
+
+
+def _dwconv3x3_padding(leaves, keep, patch):
+    return _conv_padding(nm.dwconv3x3, leaves, keep, patch)
 
 
 def _attention_qkv(leaves, keep, patch):
@@ -417,7 +429,8 @@ _GRAPH_CASES = [  # builder, leaf shapes
     (_linear_output, [(2, 5, 4), (4, 3), (3,)]),
     (_add_operands, [(3, 4), (1, 4)]),
     (_reduced_inputs, [(3, 4), (3, 4)]),
-    (_taps_padding, [(2, 3, 4, 5)]),
+    (_conv3x3_padding, [(2, 3, 4, 5), (3, 3, 5, 6), (6,)]),
+    (_dwconv3x3_padding, [(2, 3, 4, 5), (3, 3, 5), (5,)]),
     (_attention_qkv, [(1, 2, 6, 12), (2,), (7, 2)]),
 ]
 
@@ -456,8 +469,9 @@ def test_dtype_mismatch_rejected(rng):
     with pytest.raises(ShapeError):
         nm.add(a, b)
     with pytest.raises(ShapeError):
-        nm.matmul(Tensor(np.zeros((2, 3), dtype=np.float32)),
-                  Tensor(np.zeros((3, 2), dtype=np.float64)))
+        nm.conv3x3(Tensor(np.zeros((1, 2, 2, 3), dtype=np.float32)),
+                   Tensor(np.zeros((3, 3, 3, 2), dtype=np.float64)),
+                   Tensor(np.zeros(2, dtype=np.float32)))
 
 
 def test_integer_input_becomes_float32():
@@ -512,20 +526,46 @@ def test_roll_round_trips_gradient(rng):
 
 
 def test_taps3x3_zero_padded_neighbours_and_gradient(rng):
-    p = t64(rng, 2, 3, 4, 5)
-    out = nm.taps3x3(p)
-    assert out.shape == (9, 2, 3, 4, 5)
-    padded = np.pad(p.data, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    """The convolutions' private tap stack and its vjp."""
+    x = rng.standard_normal((2, 3, 4, 5))
+    taps = nm._taps(x)
+    assert taps.shape == (9, 2, 3, 4, 5)
+    padded = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
     for k in range(9):
         dy, dx = divmod(k, 3)
-        np.testing.assert_array_equal(out.data[k], padded[:, dy:dy + 3, dx:dx + 4])
-    out.sum().backward()
+        np.testing.assert_array_equal(taps[k], padded[:, dy:dy + 3, dx:dx + 4])
+    grad = nm._taps_vjp(np.ones_like(taps))
     # each cell is seen by one tap per neighbour inside the grid
     inside = np.pad(np.ones((3, 4)), 1)
     counts = sum(inside[dy:dy + 3, dx:dx + 4] for dy in range(3) for dx in range(3))
-    np.testing.assert_array_equal(p.grad, np.broadcast_to(counts[None, :, :, None], p.shape))
+    np.testing.assert_array_equal(grad, np.broadcast_to(counts[None, :, :, None], x.shape))
+
+
+@pytest.mark.parametrize("op, x, weight, bias", [
+    ("conv3x3", (4, 4, 3), (3, 3, 3, 2), (2,)),  # x not a grid
+    ("conv3x3", (1, 4, 4, 3), (3, 3, 2, 2), (2,)),  # Cin differs
+    ("conv3x3", (1, 4, 4, 3), (3, 3, 3), (3,)),  # a depthwise weight
+    ("conv3x3", (1, 4, 4, 3), (2, 2, 3, 2), (2,)),  # a 2x2 kernel
+    ("conv3x3", (1, 4, 4, 3), (3, 3, 3, 2), (3,)),  # bias of Cin
+    ("dwconv3x3", (4, 4, 3), (3, 3, 3), (3,)),
+    ("dwconv3x3", (1, 4, 4, 3), (3, 3, 3, 3), (3,)),  # a full weight
+    ("dwconv3x3", (1, 4, 4, 3), (3, 3, 2), (3,)),
+    ("dwconv3x3", (1, 4, 4, 3), (3, 3, 3), (1,)),
+])
+def test_convolutions_reject_misfit_operands(op, x, weight, bias):
+    operands = [Tensor(np.zeros(shape)) for shape in (x, weight, bias)]
     with pytest.raises(ShapeError):
-        nm.taps3x3(t64(rng, 3, 4, 5))
+        getattr(nm, op)(*operands)
+
+
+@pytest.mark.parametrize("op, weight", [("conv3x3", (3, 3, 3, 2)), ("dwconv3x3", (3, 3, 3))])
+@pytest.mark.parametrize("odd", range(3))
+def test_convolutions_reject_mixed_dtypes(op, weight, odd):
+    shapes = ((1, 4, 4, 3), weight, weight[-1:])
+    operands = [Tensor(np.zeros(shape, dtype=np.float32 if i == odd else np.float64))
+                for i, shape in enumerate(shapes)]
+    with pytest.raises(ShapeError):
+        getattr(nm, op)(*operands)
 
 
 def test_clamp_min_gradient_gate():
@@ -589,7 +629,7 @@ def test_linear_matches_affine_formula(rng):
 def _linear_chain(x, weight, bias):
     """Linear as reshape -> matmul -> add -> reshape, four graph nodes."""
     flat = nm.reshape(x, (-1, x.shape[-1])) if x.ndim != 2 else x
-    y = nm.matmul(flat, weight)
+    y = matmul(flat, weight)
     if bias is not None:
         y = nm.add(y, bias)
     return nm.reshape(y, x.shape[:-1] + (weight.shape[1],)) if x.ndim != 2 else y

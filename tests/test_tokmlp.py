@@ -1,15 +1,16 @@
 """Tokenized-MLP mixer: channel-group shifts and convolution oracles."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from m3ad import tokmlp
 from m3ad.model import M3ADNet
-from m3ad.numerics import Tensor
-from m3ad.tokmlp import SHIFT_OFFSETS, TokMLPBlock, conv3x3, dwconv3x3
+from m3ad.numerics import Tensor, conv3x3, dwconv3x3
+from m3ad.tokmlp import SHIFT_OFFSETS, TokMLPBlock
 from m3ad import numerics as nm
 
-from conftest import one_step_each, tiny_model_config
+from conftest import matmul, one_step_each, tiny_model_config
 from test_backbone import _op_nodes
 
 
@@ -107,11 +108,13 @@ def test_tokmlp_height_path_zeroed_reduces_to_width_tokens(rng):
 
 
 def test_block_shifts_are_two_roll_nodes(rng):
+    """A block is 12 graph nodes, one per layer: each shift one roll and
+    each convolution one node, no chain of generic ops."""
     block = TokMLPBlock(np.random.default_rng(5), 10, np.float32)
     x = Tensor(rng.standard_normal((2, 4, 4, 10)).astype(np.float32), requires_grad=True)
     ops = _op_nodes(block(x))
-    assert ops.count("roll") == 2
-    assert not {"getitem", "concat"} & set(ops)
+    assert Counter(ops) == {"roll": 2, "conv3x3": 2, "dwconv3x3": 1, "linear": 2, "gelu": 3,
+                            "add": 1, "layer_norm": 1}
 
 
 def test_width_and_height_shifts_differ(rng):
@@ -143,7 +146,7 @@ def _ref_conv3x3(x, weight, bias):
     for dy in range(3):
         for dx in range(3):
             patch = nm.reshape(xp[:, dy:dy + h, dx:dx + w, :], (-1, cin))
-            term = nm.matmul(patch, weight[dy, dx])
+            term = matmul(patch, weight[dy, dx])
             out = term if out is None else nm.add(out, term)
     return nm.reshape(nm.add(out, bias), (b, h, w, weight.shape[-1]))
 
@@ -179,32 +182,48 @@ _CASES = [(dt, shape) for dt in (np.float32, np.float64)
           for shape in ((1, 4, 4, 16), (16, 4, 4, 8), (16, 2, 2, 16))]
 
 
-@pytest.mark.parametrize("dtype,shape", _CASES)
+# the convolutions also run on one grid cell, on channel counts that tile
+# no SIMD width, and on the calib model's last two stages at batch 32
+_CONV_CASES = _CASES + [(dt, shape) for dt in (np.float32, np.float64)
+                        for shape in ((1, 1, 1, 3), (2, 5, 3, 7), (32, 4, 4, 64), (32, 2, 2, 128))]
+
+
+def _assert_one_node(out, op, leaves):
+    assert _op_nodes(out) == [op]
+    assert out._parents == tuple(leaves)
+
+
+@pytest.mark.parametrize("dtype,shape", _CONV_CASES)
 def test_conv3x3_bit_identical_to_nine_tap_reference(dtype, shape):
+    """One engine node straight over x, the weight and the bias, whose
+    value and three gradients are the nine-tap reference's bit for bit."""
     rng = np.random.default_rng(4)
     c = shape[-1]
     x = Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
     w = Tensor(rng.standard_normal((3, 3, c, c + 3)).astype(dtype), requires_grad=True)
     b = Tensor(rng.standard_normal(c + 3).astype(dtype), requires_grad=True)
+    _assert_one_node(conv3x3(x, w, b), "conv3x3", [x, w, b])
     _assert_all_equal(_out_and_grads(lambda: conv3x3(x, w, b), [x, w, b]),
                       _out_and_grads(lambda: _ref_conv3x3(x, w, b), [x, w, b]))
 
 
-@pytest.mark.parametrize("dtype,shape", _CASES)
+@pytest.mark.parametrize("dtype,shape", _CONV_CASES)
 def test_dwconv3x3_bit_identical_to_nine_tap_reference(dtype, shape):
+    """As the full convolution, per channel."""
     rng = np.random.default_rng(4)
     c = shape[-1]
     x = Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
     w = Tensor(rng.standard_normal((3, 3, c)).astype(dtype), requires_grad=True)
     b = Tensor(rng.standard_normal(c).astype(dtype), requires_grad=True)
+    _assert_one_node(dwconv3x3(x, w, b), "dwconv3x3", [x, w, b])
     _assert_all_equal(_out_and_grads(lambda: dwconv3x3(x, w, b), [x, w, b]),
                       _out_and_grads(lambda: _ref_dwconv3x3(x, w, b), [x, w, b]))
 
 
 def _use_reference_convs(monkeypatch):
     """Run every tokenized-MLP block on the nine-tap references."""
-    monkeypatch.setattr(tokmlp, "conv3x3", _ref_conv3x3)
-    monkeypatch.setattr(tokmlp, "dwconv3x3", _ref_dwconv3x3)
+    monkeypatch.setattr(nm, "conv3x3", _ref_conv3x3)
+    monkeypatch.setattr(nm, "dwconv3x3", _ref_dwconv3x3)
 
 
 @pytest.mark.parametrize("dtype,shape", _CASES)
