@@ -166,14 +166,12 @@ def _cmd_gradcheck(args) -> int:
 
     primitives, composites = run_battery()
     ok = True
-    for name, err in primitives.items():
-        good = err < PRIMITIVE_TOL
-        ok &= good
-        print(f"primitive {name:20s} max_rel_err {err:.3e} {'PASS' if good else 'FAIL'}")
-    for name, err in composites.items():
-        good = err < COMPOSITE_TOL
-        ok &= good
-        print(f"composite {name:20s} max_rel_err {err:.3e} {'PASS' if good else 'FAIL'}")
+    for kind, errors, tol in (("primitive", primitives, PRIMITIVE_TOL),
+                              ("composite", composites, COMPOSITE_TOL)):
+        for name, err in errors.items():
+            good = err < tol
+            ok &= good
+            print(f"{kind} {name:20s} max_rel_err {err:.3e} {'PASS' if good else 'FAIL'}")
     return 0 if ok else 1
 
 

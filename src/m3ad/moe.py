@@ -19,6 +19,8 @@ combined under one of two routing modes:
   parameters are independent between the two tasks.
 
 Either way the experts run inside one graph node, :func:`expert_mix`.
+Under task gates both gates are one more node, so an MMoE layer is two
+nodes: the gate and ``expert_mix``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy import special
 
 from . import numerics as nm
 from .config import DIAG_NAMES
@@ -203,8 +206,58 @@ def expert_mix(x: Tensor, w, experts: Sequence[ExpertMLP]) -> Tensor:
     return nm._wrap(out, parents, vjp)
 
 
+def _task_gate(x: Tensor, attn: Linear, gates: Sequence[Linear], temp: float) -> Tensor:
+    """(rows, E) task gate weights of ``x`` (rows, ..., C), one graph node.
+
+    Each row's mean over its positions, x_bar, is reweighted by the
+    feature attention, f = sigmoid(x_bar @ W_a + b_a) * x_bar; the rows
+    split into one equal block per gate, in order, each mapped by its
+    gate's bias-free weight; the logits, divided by ``temp``, go through
+    the softmax kernel :func:`numerics._softmax`. The forward and the vjp
+    make the numpy calls of the chain tmean, linear, sigmoid, mul,
+    getitem per block, linear per block, concat, div, softmax, in its
+    order, so value and gradients keep its bits. The node keeps x_bar,
+    the sigmoid, the row blocks, the softmax and the weights; not x,
+    f, the logits or their exp.
+    """
+    weights = [gate.weight for gate in gates]
+    operands = (x, attn.weight, attn.bias, *weights)
+    if x.ndim < 3 or x.shape[0] % len(gates) or any(t.dtype != x.dtype for t in operands):
+        raise ShapeError(f"task gate: {[(t.shape, str(t.dtype)) for t in operands]} do not fit "
+                         f"{len(gates)} equal blocks of rows")
+    shape, dtype = x.shape, x.dtype
+    positions = tuple(range(1, x.ndim - 1))
+    count = math.prod(shape[1:-1])
+    wa, ba = attn.weight.data, attn.bias.data
+    ws = [w.data for w in weights]
+    n = shape[0] // len(gates)
+    spans = [slice(i * n, (i + 1) * n) for i in range(len(gates))]
+    xbar = x.data.mean(axis=positions)
+    s = special.expit(nm._affine(xbar, wa, ba))
+    f = s * xbar
+    blocks = [f[span].copy() for span in spans]
+    t = np.asarray(temp, dtype)
+    logits = np.concatenate([nm._affine(block, w, None) for block, w in zip(blocks, ws)])
+    p = nm._softmax(logits / t, -1)
+
+    def vjp(g):
+        gl = nm._softmax_vjp(g, p, -1) / t
+        gf = np.zeros(s.shape, dtype)
+        gws = []
+        for span, block, w in zip(spans, blocks, ws):
+            gf[span] += gl[span] @ w.T
+            gws.append(block.T @ gl[span])
+        gs = gf * xbar * s * (1.0 - s)  # through the mul, then the sigmoid
+        gxbar = gf * s + gs @ wa.T
+        gx = np.broadcast_to(np.expand_dims(gxbar, positions), shape).astype(dtype, copy=False)
+        return (gx / count, xbar.T @ gs, gs.sum(axis=0), *gws)
+
+    return nm._wrap(p, operands, vjp)
+
+
 class MMoELayer(Module):
-    """Expert bank plus the dual task gates.
+    """Expert bank plus the dual task gates: under task routing two graph
+    nodes, the gate and :func:`expert_mix`.
 
     Gate path: each row's features are mean-pooled, reweighted by a sigmoid
     feature-level attention (shared between tasks), then each task's
@@ -221,19 +274,11 @@ class MMoELayer(Module):
         self.gate_change = Linear(rng, dim, num_experts, dtype, bias=False)
         self.gate_temp = float(gate_temp)
 
-    def feature_summary(self, x: Tensor) -> Tensor:
-        """sigmoid(W_a x_bar + b_a) ⊙ x_bar, x_bar being each row's mean
-        over all its positions (every axis between the first and the last)."""
-        xbar = x.mean(axis=tuple(range(1, x.ndim - 1)))
-        return nm.mul(nm.sigmoid(self.feature_attn(xbar)), xbar)
-
     def gate_weights(self, x: Tensor) -> Tensor:
-        """(rows, E) gate weights: the feature summary of every row, then
-        the diagnosis gate over the first half of the rows and the change
-        gate over the second."""
-        diagnosis, change = task_blocks(self.feature_summary(x))
-        logits = nm.concat([self.gate_diagnosis(diagnosis), self.gate_change(change)])
-        return nm.softmax(nm.div(logits, self.gate_temp), axis=-1)
+        """(rows, E) gate weights, one graph node: the diagnosis gate over
+        the first half of the rows and the change gate over the second."""
+        return _task_gate(x, self.feature_attn, (self.gate_diagnosis, self.gate_change),
+                          self.gate_temp)
 
     def __call__(self, x: Tensor, routing: Routing) -> Tensor:
         if x.ndim < 3:

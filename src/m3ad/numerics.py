@@ -13,7 +13,9 @@ written so its gradient can be checked against central finite
 differences (see :func:`grad_check`). What an op saves for its vjp is
 what is costly to compute; what is cheap to compute but large to store,
 the vjp rebuilds with the forward's own calls. Linear layers and the
-expert bank share one affine kernel, :func:`_affine`.
+expert bank share one affine kernel, :func:`_affine`; :func:`softmax`
+and the MMoE task gate share one softmax kernel, :func:`_softmax`, and
+its vjp.
 
 Each layer is one graph node. The fused layers are :func:`linear`,
 :func:`softmax`, :func:`cosine_attention`, :func:`layer_norm`, the two
@@ -317,18 +319,6 @@ def mul(a: Tensor, b) -> Tensor:
     return _wrap(data, (a, b), vjp)
 
 
-def div(a: Tensor, b) -> Tensor:
-    b = _coerce(b, a)
-    data = a.data / b.data
-
-    def vjp(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
-
-    return _wrap(data, (a, b), vjp)
-
-
 def _affine(rows: np.ndarray, weight: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
     """rows @ weight + bias: one BLAS call, then the bias added in place."""
     out = rows @ weight
@@ -365,11 +355,6 @@ def clamp_min(a: Tensor, low: float) -> Tensor:
     data = np.maximum(a.data, np.asarray(low, dtype=a.dtype))
     mask = (a.data > low).astype(a.dtype)
     return _wrap(data, (a,), lambda g: (g * mask,))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    data = special.expit(a.data)
-    return _wrap(data, (a,), lambda g: (g * data * (1.0 - data),))
 
 
 def softplus(a: Tensor) -> Tensor:
@@ -593,16 +578,22 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
 # -- fused layers ------------------------------------------------------
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+def _softmax(a: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax of an array along ``axis``, its maximum subtracted first."""
+    shifted = a - a.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=axis, keepdims=True)
 
-    def vjp(g):
-        inner = (g * data).sum(axis=axis, keepdims=True)
-        return (data * (g - inner),)
 
-    return _wrap(data, (a,), vjp)
+def _softmax_vjp(g: np.ndarray, p: np.ndarray, axis: int) -> np.ndarray:
+    """The gradient of :func:`_softmax`'s input from that of its output ``p``."""
+    inner = (g * p).sum(axis=axis, keepdims=True)
+    return p * (g - inner)
+
+
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    data = _softmax(a.data, axis)
+    return _wrap(data, (a,), lambda g: (_softmax_vjp(g, data, axis),))
 
 
 _NORM_FLOOR = 1e-12

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
+from scipy import special
 
 from m3ad import numerics as nm
 from m3ad.backbone import M3ADBlock
@@ -20,6 +21,7 @@ from m3ad.config import ModelConfig, TrainConfig
 from m3ad.data import gen_synthetic, load_split
 from m3ad.errors import ShapeError
 from m3ad.heads_losses import finetune_loss, pretrain_loss, sample_masks
+from m3ad.moe import task_blocks
 
 # property tests draw the same examples on every run, keep no example
 # database and set no per-example deadline, so that a run is repeatable
@@ -67,6 +69,45 @@ def matmul(a: nm.Tensor, b: nm.Tensor) -> nm.Tensor:
         return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
 
     return nm._wrap(data, (a, b), vjp)
+
+
+# div and sigmoid are oracle ops, one graph node each, for the chains that
+# check the fused attention and the MMoE task gate bit for bit
+
+
+def div(a: nm.Tensor, b) -> nm.Tensor:
+    b = nm._coerce(b, a)
+    data = a.data / b.data
+
+    def vjp(g):
+        ga = nm._unbroadcast(g / b.data, a.shape)
+        gb = nm._unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+        return ga, gb
+
+    return nm._wrap(data, (a, b), vjp)
+
+
+def sigmoid(a: nm.Tensor) -> nm.Tensor:
+    data = special.expit(a.data)
+    return nm._wrap(data, (a,), lambda g: (g * data * (1.0 - data),))
+
+
+def feature_summary(layer, x: nm.Tensor) -> nm.Tensor:
+    """sigmoid(W_a x_bar + b_a) * x_bar of an MMoE layer, x_bar being each
+    row's mean over all its positions: the oracle chain tmean, linear,
+    sigmoid, mul."""
+    xbar = x.mean(axis=tuple(range(1, x.ndim - 1)))
+    return nm.mul(sigmoid(layer.feature_attn(xbar)), xbar)
+
+
+def gate_chain(layer, x: nm.Tensor) -> nm.Tensor:
+    """An MMoE layer's task gate weights as the 11-node oracle chain: the
+    feature summary, the diagnosis gate over the first half of the rows
+    and the change gate over the second, concat, div by the temperature,
+    softmax."""
+    diagnosis, change = task_blocks(feature_summary(layer, x))
+    logits = nm.concat([layer.gate_diagnosis(diagnosis), layer.gate_change(change)])
+    return nm.softmax(div(logits, layer.gate_temp), axis=-1)
 
 
 # one line per acceptance criterion, printed in the terminal summary

@@ -15,7 +15,7 @@ from m3ad.moe import MMoELayer, Routing
 from m3ad.numerics import Tensor
 from m3ad.priors import Fusion
 
-from conftest import matmul, one_step_each, stage_trace, tiny_model_config
+from conftest import div, matmul, one_step_each, stage_trace, tiny_model_config
 
 
 def _stage_trace(model, hw):
@@ -245,10 +245,10 @@ def _composite_attention(qkv, tau, bias_table, index, heads):
     c = c3 // 3
     x = nm.transpose(nm.reshape(qkv, (bw, t, 3, heads, c // heads)), (2, 0, 3, 1, 4))
     q, k, v = x[0], x[1], x[2]
-    qn = nm.div(q, nm.clamp_min(_sqrt(nm.tsum(nm.mul(q, q), axis=-1, keepdims=True)), 1e-12))
-    kn = nm.div(k, nm.clamp_min(_sqrt(nm.tsum(nm.mul(k, k), axis=-1, keepdims=True)), 1e-12))
+    qn = div(q, nm.clamp_min(_sqrt(nm.tsum(nm.mul(q, q), axis=-1, keepdims=True)), 1e-12))
+    kn = div(k, nm.clamp_min(_sqrt(nm.tsum(nm.mul(k, k), axis=-1, keepdims=True)), 1e-12))
     cossim = matmul(qn, nm.transpose(kn, (0, 1, 3, 2)))
-    scores = nm.div(cossim, nm.reshape(tau, (1, heads, 1, 1)))
+    scores = div(cossim, nm.reshape(tau, (1, heads, 1, 1)))
     bias = nm.transpose(nm.reshape(_take(bias_table, index), (t, t, heads)), (2, 0, 1))
     out = matmul(nm.softmax(nm.add(scores, bias), axis=-1), v)
     return nm.reshape(nm.transpose(out, (0, 2, 1, 3)), (bw, t, c))

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import engine_ops, stage_trace, tiny_model_config
+from conftest import div, engine_ops, feature_summary, stage_trace, tiny_model_config
 from m3ad.backbone import WindowAttention
 from m3ad.config import ModelConfig
 from m3ad.heads_losses import apply_mask, finetune_loss, pretrain_loss, sample_masks
@@ -123,7 +123,7 @@ class _OneTask:
 
 def _one_task_moe(layer, x, routing):
     gate = getattr(layer, "gate_" + routing.task)
-    w = nm.softmax(nm.div(gate(layer.feature_summary(x)), layer.gate_temp), axis=-1)
+    w = nm.softmax(div(gate(feature_summary(layer, x)), layer.gate_temp), axis=-1)
     return expert_mix(x, w, layer.experts)
 
 
@@ -377,9 +377,10 @@ def test_pretrain_without_specialization_runs_one_copy(monkeypatch):
 
 # Graph nodes of one calib step (embed 16, depths 2/2/2/2, 64x64 scans,
 # batch 16), counted from the loss, and op calls of one batch-1 scoring
-# pass of the same model, expert_mix included in both. A change that
-# grows or shrinks the graph updates these numbers and says so.
-_CALIB_CENSUS = {"pretrain": 145, "finetune": 250, "predict_ops": 248}
+# pass of the same model, expert_mix and the task gate (gate_weights)
+# included in both. A change that grows or shrinks the graph updates
+# these numbers and says so.
+_CALIB_CENSUS = {"pretrain": 145, "finetune": 170, "predict_ops": 168}
 
 
 def test_graph_census_of_a_calib_step(monkeypatch):
@@ -396,7 +397,8 @@ def test_graph_census_of_a_calib_step(monkeypatch):
                                                       labels, labels)))}
     calls = []
     for module, name, op in [(nm, name, op) for name, op in engine_ops().items()] + [
-            (moe, "expert_mix", expert_mix)]:
+            (moe, "expert_mix", expert_mix),
+            (MMoELayer, "gate_weights", MMoELayer.gate_weights)]:
         monkeypatch.setattr(module, name, lambda *a, op=op, **k: calls.append(op) or op(*a, **k))
     with no_grad():
         model.dual_task_logits(images[:1], priors[:1])

@@ -1,5 +1,5 @@
 """Mixture-of-experts routing: weight tables, gates, gradient sparsity,
-and the fused expert op against the per-expert graph it replaces."""
+and the fused gate and expert ops against the graphs they replace."""
 
 import gc
 import os
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import m3ad
+from conftest import div, feature_summary, gate_chain
 from m3ad import numerics as nm
 from m3ad.entry import _BLAS_VARS
 from m3ad.errors import ContractError, ShapeError
@@ -85,7 +86,7 @@ def test_gate_temperature_scales_logits(rng):
     ref = _layer(5)
     x = Tensor(rng.standard_normal((4, 4, 8)))
     w_hot = hot.gate_weights(x).data
-    fla = ref.feature_summary(x)
+    fla = feature_summary(ref, x)
     logits = np.concatenate([ref.gate_diagnosis(fla[:2]).data, ref.gate_change(fla[2:]).data])
     manual = np.exp(logits / 2.0)
     manual /= manual.sum(axis=1, keepdims=True)
@@ -131,7 +132,7 @@ def test_task_routing_records_to_sink(rng):
 def _single_task_pass(layer, x, gate):
     """One task's pass over ``x`` built from nm ops: that task's gate
     over the feature summary, then the gate-weighted sum of the experts."""
-    w = nm.softmax(nm.div(gate(layer.feature_summary(x)), layer.gate_temp), axis=-1)
+    w = nm.softmax(div(gate(feature_summary(layer, x)), layer.gate_temp), axis=-1)
     out = None
     for e, expert in enumerate(layer.experts):
         term = nm.mul(_reference_expert(expert, x), nm.reshape(w[:, e], (x.shape[0], 1, 1)))
@@ -206,6 +207,48 @@ def test_fixed_routing_matches_explicit_sum(rng):
         expert_out = _reference_expert(layer.experts[e], x).data
         expected += w[:, e][:, None, None] * expert_out
     np.testing.assert_allclose(out, expected, atol=1e-12)
+
+
+_GATE_PARAMS = ("feature_attn.weight", "feature_attn.bias", "gate_diagnosis.weight",
+                "gate_change.weight")
+
+
+@pytest.mark.parametrize("temp", [1.0, 0.7])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("grid", [(16, 16, 16), (8, 8, 32), (4, 4, 64), (2, 2, 128)])
+@pytest.mark.parametrize("rows", [2, 32])
+def test_task_gate_is_one_node_with_the_chains_bits(rows, grid, dtype, temp):
+    """On each stage grid of the calib model, the gate is one node over x,
+    the feature attention and the two task gate weights; its value and
+    every gradient are those of the 11-node chain, bit for bit."""
+    rng = np.random.default_rng(rows + grid[-1])
+    layer = MMoELayer(rng, grid[-1], 8, 1, temp, dtype)
+    params = [layer.named_parameters()[name] for name in _GATE_PARAMS]
+    for p in params:  # unit scale: the sigmoid and the softmax bend
+        p.data[...] = rng.standard_normal(p.shape)
+    x = Tensor(rng.standard_normal((rows,) + grid).astype(dtype), requires_grad=True)
+    probe = rng.standard_normal((rows, 8)).astype(dtype)
+    out = layer.gate_weights(x)
+    assert out._vjp.__qualname__.split(".")[0] == "_task_gate"
+    assert out._parents == (x, *params)
+    chain = gate_chain(layer, x)
+    assert out.dtype == dtype and np.array_equal(out.data, chain.data)
+    grads = []
+    for y in (out, chain):
+        for p in [x] + params:
+            p.grad = None
+        nm.mul(y, probe).sum().backward()
+        grads.append([p.grad for p in [x] + params])
+    for got, want in zip(*grads):
+        assert got.dtype == dtype and np.array_equal(got, want)
+
+
+def test_task_gate_contracts(rng):
+    layer = _layer()
+    with pytest.raises(ShapeError, match="equal blocks"):  # no two task halves
+        layer.gate_weights(Tensor(rng.standard_normal((3, 4, 8))))
+    with pytest.raises(ShapeError, match="float32.*float64"):
+        layer.gate_weights(Tensor(rng.standard_normal((4, 4, 8)).astype(np.float32)))
 
 
 def test_gate_parameters_cover_gate_path_only():

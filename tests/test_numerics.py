@@ -19,6 +19,7 @@ from conftest import cut_and_flip, m3t_with_header, matmul
 from m3ad import entry
 from m3ad import numerics as nm
 from m3ad.errors import CheckpointError, ConfigError, ContractError, ShapeError
+from m3ad.moe import MMoELayer
 from m3ad.numerics import (LayerNorm, Linear, Module, Tensor, grad_check,
                            load_m3t, no_grad, save_m3t)
 
@@ -337,7 +338,7 @@ def test_broadcast_add_gradients(rng):
 
 def test_scalar_operand_broadcast(rng):
     p = t64(rng, 2, 2)
-    out = nm.div(nm.add(nm.mul(p, -1.0), 1.0), 2.0)  # (1 - p) / 2
+    out = nm.mul(nm.add(nm.mul(p, -1.0), 1.0), 0.5)  # (1 - p) / 2
     out.sum().backward()
     np.testing.assert_allclose(p.grad, np.full((2, 2), -0.5), atol=1e-12)
 
@@ -369,7 +370,7 @@ def _spy(patch, owner, name, keep):
 
 
 def _linear_output(leaves, keep, patch):
-    """Linear's output, which neither its node nor the sigmoid after it
+    """Linear's output, which neither its node nor the softplus after it
     reads; the node keeps x's rows and the weight instead (see
     ``test_linear_node_keeps_rows_and_weight``)."""
     x, weight, bias = leaves
@@ -377,7 +378,7 @@ def _linear_output(leaves, keep, patch):
     lin.weight, lin.bias = weight, bias
     y = lin(nm.mul(x, 2.0))
     keep.append(y.data.base)  # y.data is a view of the (10, 3) product
-    s = nm.sigmoid(y)
+    s = nm.softplus(y)
     return nm.mul(s, s).sum()
 
 
@@ -425,6 +426,22 @@ def _attention_qkv(leaves, keep, patch):
     return nm.mul(out, out).sum()
 
 
+def _gate_logits(leaves, keep, patch):
+    """An MMoE task gate's input grid, the outputs of its affine maps,
+    its logits and their exp; the node keeps the row means, the sigmoid,
+    the task blocks and the softmax instead."""
+    a, attn_weight, attn_bias, diagnosis, change = leaves
+    layer = MMoELayer(np.random.default_rng(0), 4, 3, 1, 0.7, np.float64)
+    layer.feature_attn.weight, layer.feature_attn.bias = attn_weight, attn_bias
+    layer.gate_diagnosis.weight, layer.gate_change.weight = diagnosis, change
+    x = nm.mul(a, 2.0)
+    keep.append(x.data)
+    for owner, name in ((nm, "_affine"), (np, "concatenate"), (np, "exp")):
+        _spy(patch, owner, name, keep)
+    p = layer.gate_weights(x)
+    return nm.mul(p, p).sum()
+
+
 _GRAPH_CASES = [  # builder, leaf shapes
     (_linear_output, [(2, 5, 4), (4, 3), (3,)]),
     (_add_operands, [(3, 4), (1, 4)]),
@@ -432,6 +449,7 @@ _GRAPH_CASES = [  # builder, leaf shapes
     (_conv3x3_padding, [(2, 3, 4, 5), (3, 3, 5, 6), (6,)]),
     (_dwconv3x3_padding, [(2, 3, 4, 5), (3, 3, 5), (5,)]),
     (_attention_qkv, [(1, 2, 6, 12), (2,), (7, 2)]),
+    (_gate_logits, [(4, 2, 3, 4), (4, 4), (4,), (4, 3), (4, 3)]),
 ]
 
 
@@ -671,7 +689,7 @@ def test_linear_node_keeps_rows_and_weight(rng):
     x, weight = nm.mul(t64(rng, 2, 5, 4), 2.0), nm.mul(t64(rng, 4, 3), 0.5)
     y = nm.linear(x, weight, t64(rng, 3))
     refs = [weakref.ref(a) for a in (x.data, weight.data, y.data.base)]
-    loss = nm.sigmoid(y).sum()
+    loss = nm.softplus(y).sum()
     del x, weight, y
     assert [ref() is None for ref in refs] == [False, False, True]
     loss.backward()
@@ -717,7 +735,7 @@ def test_layer_norm_module_normalizes(rng):
 
 def test_grad_check_accepts_correct_gradient(rng):
     p = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
-    err = grad_check(lambda: nm.mul(nm.sigmoid(p), p).sum(), [p], rng=rng)
+    err = grad_check(lambda: nm.mul(nm.softplus(p), p).sum(), [p], rng=rng)
     assert err < 1e-6
     assert p.grad is None  # left clean
 
