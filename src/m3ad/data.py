@@ -23,11 +23,11 @@ manifest CSV lists the scans with their priors, labels and split.
 from __future__ import annotations
 
 import csv
+import functools
 import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import ndimage
 
 from .config import DIAG_NAMES, TRANSITION_PRIORS, TRANSITIONS
 from .errors import ContractError, ManifestError
@@ -74,8 +74,14 @@ class SampleRecord:
     split: str
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@functools.lru_cache(maxsize=None)
 def class_region_mask(size: int) -> np.ndarray:
-    """Boolean mask of the diagnosis-graded central region.
+    """Boolean mask of the diagnosis-graded central region, read-only.
 
     The geometry is fixed (no per-sample jitter) so tests can measure
     region statistics without access to generator internals.
@@ -83,11 +89,12 @@ def class_region_mask(size: int) -> np.ndarray:
     yy, xx = np.mgrid[0:size, 0:size]
     cy = cx = (size - 1) / 2.0
     ry, rx = 0.22 * size / 2.0, 0.30 * size / 2.0
-    return ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0
+    return _frozen(((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0)
 
 
+@functools.lru_cache(maxsize=None)
 def _marker_tile(code: int, m: int) -> np.ndarray:
-    """Distinct m x m binary pattern per transition code."""
+    """Distinct m x m binary pattern per transition code, read-only."""
     yy, xx = np.mgrid[0:m, 0:m]
     patterns = (
         np.ones((m, m)),                      # solid
@@ -98,7 +105,35 @@ def _marker_tile(code: int, m: int) -> np.ndarray:
         (np.abs(yy - m // 2) <= 1) | (np.abs(xx - m // 2) <= 1),  # cross
         ((yy % 3) == 1) & ((xx % 3) == 1),    # dots
     )
-    return np.asarray(patterns[code], dtype=np.float64)
+    return _frozen(np.asarray(patterns[code], dtype=np.float64))
+
+
+def _gaussian_filter(a: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian blur of a 2-D float64 array with the bits of
+    ``scipy.ndimage.gaussian_filter`` (mode "reflect", truncate 4), for a
+    radius up to the array's side: for axis 0, then axis 1, over edges
+    mirrored with the edge value repeated, each output is x[i] * w[0]
+    plus the mirrored pairs (x[i - j] + x[i + j]) * w[j], added from
+    j = radius inward to j = 1. Returns a new C-ordered array.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    taps = np.arange(-radius, radius + 1)
+    w = np.exp(-0.5 / (sigma * sigma) * taps ** 2)
+    w = (w / w.sum())[radius:]
+    for _ in range(2):  # axis 0, then axis 1 as axis 0 of the transpose
+        n = a.shape[0]
+        padded = np.empty((n + 2 * radius,) + a.shape[1:])
+        padded[:radius] = a[:radius][::-1]
+        padded[radius:radius + n] = a
+        padded[radius + n:] = a[n - radius:][::-1]
+        a = padded[radius:radius + n] * w[0]
+        pair = np.empty_like(a)
+        for j in range(radius, 0, -1):
+            np.add(padded[radius - j:radius - j + n], padded[radius + j:radius + j + n], out=pair)
+            pair *= w[j]
+            a += pair
+        a = a.T
+    return np.ascontiguousarray(a)
 
 
 def _sample_rng(seed: int, index: int) -> np.random.Generator:
@@ -107,16 +142,14 @@ def _sample_rng(seed: int, index: int) -> np.random.Generator:
 
 def synth_image(rng: np.random.Generator, size: int, diag: int, code: int) -> np.ndarray:
     """One (size, size) float32 image in [0, 1]."""
-    yy, xx = np.mgrid[0:size, 0:size]
-    cy = cx = (size - 1) / 2.0
-    norm_y = (yy - cy) / (size / 2.0)
-    norm_x = (xx - cx) / (size / 2.0)
+    centred = (np.arange(size) - (size - 1) / 2.0) / (size / 2.0)  # pixel centres in [-1, 1]
+    norm_y, norm_x = centred[:, None], centred[None, :]  # broadcast to the image grid
 
     ax_y = 0.62 + 0.05 * rng.uniform(-1.0, 1.0)
     ax_x = 0.74 + 0.05 * rng.uniform(-1.0, 1.0)
     brain = (norm_y / ax_y) ** 2 + (norm_x / ax_x) ** 2 <= 1.0
 
-    texture = ndimage.gaussian_filter(rng.standard_normal((size, size)), sigma=size / 10.0)
+    texture = _gaussian_filter(rng.standard_normal((size, size)), sigma=size / 10.0)
     texture *= 0.22 / max(texture.std(), 1e-12)
 
     img = np.full((size, size), 0.08, dtype=np.float64)

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from . import numerics as nm
 from .config import DIAG_NAMES
@@ -233,7 +232,7 @@ def _task_gate(x: Tensor, attn: Linear, gates: Sequence[Linear], temp: float) ->
     n = shape[0] // len(gates)
     spans = [slice(i * n, (i + 1) * n) for i in range(len(gates))]
     xbar = x.data.mean(axis=positions)
-    s = special.expit(nm._affine(xbar, wa, ba))
+    s = nm._expit(nm._affine(xbar, wa, ba))
     f = s * xbar
     blocks = [f[span].copy() for span in spans]
     t = np.asarray(temp, dtype)

@@ -54,7 +54,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy import special
 
 from .entry import thread_count as _thread_count
 from .errors import CheckpointError, ConfigError, ContractError, ShapeError
@@ -80,8 +79,38 @@ _GELU_CONSTANTS = (("inv_sqrt2", _INV_SQRT2), ("inv_sqrt_2pi", _INV_SQRT_2PI),
                    ("-half", -0.5))
 _GELU32 = {name: np.array(c, np.float32) for name, c in _GELU_CONSTANTS}
 # elements per block of the float32 GELU: its scratch rows stay in cache
-# (at two threads 8,192 was slower than scipy's erf, 32,768 even, 65,536 best)
+# (at two threads 8,192 was slower than a whole-array float32 erf, 32,768
+# even, 65,536 best)
 _GELU_BLOCK = 65_536
+
+# float64 erf of W. J. Cody, "Rational Chebyshev approximations for the
+# error function", Math. Comp. 23 (1969), on his three ranges of |x|. Per
+# range, the (numerator, denominator) coefficient pairs from the highest
+# power down, as (2, 1) columns for :func:`_rational`; the denominators
+# are monic.
+_ERF64_SMALL = np.array([  # |x| <= 0.46875: erf = x * P(x^2) / Q(x^2)
+    (1.85777706184603153e-1, 1.0), (3.16112374387056560e00, 2.36012909523441209e01),
+    (1.13864154151050156e02, 2.44024637934444173e02),
+    (3.77485237685302021e02, 1.28261652607737228e03),
+    (3.20937758913846947e03, 2.84423683343917062e03)])[:, :, None]
+_ERF64_MID = np.array([  # |x| <= 4: erfc = exp(-x^2) * P(|x|) / Q(|x|)
+    (2.15311535474403846e-8, 1.0), (5.64188496988670089e-1, 1.57449261107098347e01),
+    (8.88314979438837594e00, 1.17693950891312499e02),
+    (6.61191906371416295e01, 5.37181101862009858e02),
+    (2.98635138197400131e02, 1.62138957456669019e03),
+    (8.81952221241769090e02, 3.29079923573345963e03),
+    (1.71204761263407058e03, 4.36261909014324716e03),
+    (2.05107837782607147e03, 3.43936767414372164e03),
+    (1.23033935479799725e03, 1.23033935480374942e03)])[:, :, None]
+_ERF64_LARGE = np.array([  # erfc = exp(-x^2) * (1/sqrt(pi) - z P(z) / Q(z)) / |x|, z = 1/x^2
+    (1.63153871373020978e-2, 1.0), (3.05326634961232344e-1, 2.56852019228982242e00),
+    (3.60344899949804439e-1, 1.87295284992346725e00),
+    (1.25781726111229246e-1, 5.27905102951428412e-1),
+    (1.60837851487422766e-2, 6.05183413124413191e-2),
+    (6.58749161529837803e-4, 2.33520497626869185e-3)])[:, :, None]
+_ERF64_SMALL_SQ = 0.2197265625  # 0.46875^2, exact
+_ERF64_ONE = 6.0  # erfc(6) < 2^-55, so erf rounds to 1 from here on
+_INV_SQRT_PI = 0.5641895835477563
 
 
 @contextlib.contextmanager
@@ -360,8 +389,71 @@ def clamp_min(a: Tensor, low: float) -> Tensor:
 def softplus(a: Tensor) -> Tensor:
     """log(1 + exp(a)), computed without overflow."""
     data = np.logaddexp(np.asarray(0, dtype=a.dtype), a.data)
-    sig = special.expit(a.data)
+    sig = _expit(a.data)
     return _wrap(data, (a,), lambda g: (g * sig,))
+
+
+def _expit(x: np.ndarray) -> np.ndarray:
+    """The logistic sigmoid 1 / (1 + exp(-x)) of a float32 or float64
+    array, a new array of its dtype. float32 takes exp in float64,
+    rounded to float32, then the float32 quotient: within a few ulp of
+    the C library's expf, which numpy's float32 exp is not. An exp that
+    overflows gives 0, without a warning."""
+    with np.errstate(over="ignore"):
+        if x.dtype == np.float32:
+            e = np.exp(np.negative(x, dtype=np.float64)).astype(np.float32)
+        else:
+            e = np.exp(np.negative(x))
+    one = np.asarray(1, e.dtype)
+    return np.divide(one, np.add(e, one, out=e))
+
+
+def _rational(z: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The numerator and denominator of a rational function of the 1-D
+    array ``z``, as rows of a (2, n) array: one Horner loop over
+    ``table``'s (2, 1) coefficient columns, the highest power first."""
+    acc = np.multiply(z, table[0])
+    acc += table[1]
+    for coef in table[2:]:
+        acc *= z
+        acc += coef
+    return acc
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf of a float64 array, by Cody's rational approximations on his
+    three ranges of |x| (see ``_ERF64_SMALL``), within a few ulp of the
+    C library's erf. Odd bit for bit; +-inf maps to +-1, NaN stays NaN.
+
+    The small range's x * P(x^2) / Q(x^2) runs over the whole array, with
+    x^2 capped at the range's end, so that no element overflows there. The
+    other two ranges, rare in a network's activations, run only on the
+    elements that need them, gathered by index: erfc from exp(-x^2) and
+    a rational function, then 1 - erfc with x's sign.
+    """
+    flat = x.reshape(-1)
+    with np.errstate(over="ignore"):  # a square beyond the range is not used
+        z = np.multiply(flat, flat)
+    rest = np.flatnonzero(z > _ERF64_SMALL_SQ)
+    np.minimum(z, _ERF64_SMALL_SQ, out=z)
+    num, den = _rational(z, _ERF64_SMALL)
+    out = np.multiply(flat, num)
+    out /= den
+    if rest.size:
+        xr = flat[rest]
+        y = np.abs(xr)
+        np.minimum(y, _ERF64_ONE, out=y)
+        num, den = _rational(y, _ERF64_MID)
+        erfc = num / den
+        large = np.flatnonzero(y > 4.0)
+        if large.size:
+            yl = y[large]
+            z = 1.0 / (yl * yl)
+            num, den = _rational(z, _ERF64_LARGE)
+            erfc[large] = (_INV_SQRT_PI - z * num / den) / yl
+        erfc *= np.exp(-(y * y))
+        out[rest] = np.copysign(1.0 - erfc, xr)
+    return out.reshape(x.shape)
 
 
 def _gelu(x: np.ndarray, keep_phi: bool,
@@ -372,8 +464,8 @@ def _gelu(x: np.ndarray, keep_phi: bool,
     GELU goes to ``out`` if given, a C-ordered array of x's shape and
     dtype that may be x itself.
 
-    Phi = 0.5 * (1 + erf(x / sqrt(2))). float64 (and any dtype but
-    float32) takes ``scipy.special.erf``. float32 takes the clamped odd
+    Phi = 0.5 * (1 + erf(x / sqrt(2))). float64 takes Cody's erf,
+    :func:`_erf`. float32 takes the clamped odd
     rational erf of Eigen and XLA, u * P(u^2) / Q(u^2) with
     u = clip(x / sqrt(2), -4, 4): at most 5e-7 from the float64 erf, odd
     bit for bit, and saturating to exactly x or 0 for |x| >= 5.66. It
@@ -385,7 +477,7 @@ def _gelu(x: np.ndarray, keep_phi: bool,
     if out is not None and not out.flags.c_contiguous:
         raise ContractError("_gelu writes the GELU only to a C-ordered array")
     if x.dtype != np.float32:
-        phi = 0.5 * (1.0 + special.erf(x * np.asarray(_INV_SQRT2, dtype=x.dtype)))
+        phi = 0.5 * (1.0 + _erf(x * np.asarray(_INV_SQRT2, dtype=x.dtype)))
         return np.multiply(x, phi, out=out), phi if keep_phi else None
     k = _GELU32
     flat = x.reshape(-1)
@@ -450,9 +542,10 @@ def _gelu_slope(x: np.ndarray, phi: np.ndarray, value: bool = False) -> np.ndarr
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Gaussian-CDF form x * Phi(x), never the tanh form: exact erf in
-    float64, and in float32 a rational erf within 5e-7 of it (see
-    :func:`_gelu`). The node keeps Phi; its vjp rebuilds the slope."""
+    """Gaussian-CDF form x * Phi(x), never the tanh form: Cody's erf in
+    float64, within a few ulp of the exact erf, and in float32 a rational
+    erf within 5e-7 of it (see :func:`_gelu`). The node keeps Phi; its
+    vjp rebuilds the slope."""
     data, phi = _gelu(a.data, _records((a,)))
     return _wrap(data, (a,), lambda g: (g * _gelu_slope(a.data, phi),))
 
@@ -1057,18 +1150,47 @@ def load_m3t(path) -> tuple[dict, dict[str, np.ndarray]]:
     tensor list) and its arrays by name. Raises CheckpointError naming
     the file for a bad magic or version, a CRC mismatch, a header that
     does not describe the payloads or repeats a name, or a length other
-    than it implies."""
+    than it implies.
+
+    Each payload is read straight into the array returned, and the CRC
+    is summed as the bytes go by, so no copy of the file is held. A
+    header that fails its checks is reported only after the CRC of the
+    whole file, so a damaged file reads as a CRC mismatch.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _M3T_PREFIX + 4 or blob[:4] != _M3T_MAGIC:
-        raise CheckpointError(f"{path}: not a tensor file (bad magic or truncated)")
-    version, head_len = struct.unpack_from("<IQ", blob, 4)
-    if version != _M3T_VERSION:
-        raise CheckpointError(f"{path}: unsupported format version {version}")
-    if zlib.crc32(memoryview(blob)[:-4]) != struct.unpack_from("<I", blob, len(blob) - 4)[0]:
-        raise CheckpointError(f"{path}: CRC mismatch (corrupt or truncated file)")
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(_M3T_PREFIX)
+        if size < _M3T_PREFIX + 4 or prefix[:4] != _M3T_MAGIC:
+            raise CheckpointError(f"{path}: not a tensor file (bad magic or truncated)")
+        version, head_len = struct.unpack_from("<IQ", prefix, 4)
+        if version != _M3T_VERSION:
+            raise CheckpointError(f"{path}: unsupported format version {version}")
+        head = fh.read(min(head_len, size - _M3T_PREFIX - 4))
+        crc = zlib.crc32(head, zlib.crc32(prefix))
+        try:
+            header, entries = _m3t_header(path, head, _M3T_PREFIX + head_len, size)
+        except CheckpointError:
+            while chunk := fh.read(min(1 << 20, size - 4 - fh.tell())):
+                crc = zlib.crc32(chunk, crc)
+            _check_crc(path, fh, crc)
+            raise
+        arrays = {}
+        for name, dtype, shape in entries:
+            arr = np.empty(shape, dtype)
+            raw = arr.reshape(-1).view(np.uint8)
+            fh.readinto(raw)
+            crc = zlib.crc32(raw, crc)
+            arrays[name] = arr
+        _check_crc(path, fh, crc)
+    return header, arrays
+
+
+def _m3t_header(path, head: bytes, offset: int, size: int) -> tuple[dict, list]:
+    """A tensor file's JSON header without its tensor list, and that
+    list as (name, dtype, shape) in payload order, checked against the
+    file's ``size``, the payloads starting at ``offset``."""
     try:
-        header = json.loads(blob[_M3T_PREFIX:_M3T_PREFIX + head_len].decode("utf-8"))
+        header = json.loads(head.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise CheckpointError(f"{path}: corrupt header: {err}") from None
     _check_fields(path, "header", header, {"tensors": list})
@@ -1079,19 +1201,26 @@ def load_m3t(path) -> tuple[dict, dict[str, np.ndarray]]:
             raise CheckpointError(f"{path}: tensor {e['name']!r} has dtype {e['dtype']!r} and "
                                   f"shape {e['shape']}; dtypes are {tuple(_M3T_DTYPES)}")
     dtypes = [_M3T_DTYPES[e["dtype"]] for e in entries]
-    counts = [math.prod(e["shape"]) for e in entries]
-    offset = _M3T_PREFIX + head_len
-    size = offset + sum(n * dt.itemsize for n, dt in zip(counts, dtypes)) + 4
-    if size != len(blob):
-        raise CheckpointError(f"{path}: the header describes {size} bytes, the file holds "
-                              f"{len(blob)}")
-    arrays = {}
-    for e, dtype, count in zip(entries, dtypes, counts):
-        if e["name"] in arrays:
+    described = offset + sum(math.prod(e["shape"]) * dt.itemsize
+                             for e, dt in zip(entries, dtypes)) + 4
+    if described != size:
+        raise CheckpointError(f"{path}: the header describes {described} bytes, the file holds "
+                              f"{size}")
+    names = set()
+    for e in entries:
+        if e["name"] in names:
             raise CheckpointError(f"{path}: tensor {e['name']!r} is listed twice")
-        arrays[e["name"]] = np.frombuffer(blob, dtype, count, offset).reshape(e["shape"]).copy()
-        offset += count * dtype.itemsize
-    return header, arrays
+        names.add(e["name"])
+    return header, [(e["name"], dt, e["shape"]) for e, dt in zip(entries, dtypes)]
+
+
+def _check_crc(path, fh, crc: int) -> None:
+    """Compare ``crc``, summed over every byte before the last four, with
+    the CRC those four hold; ``fh`` stands just before them, unless the
+    file shrank while it was read."""
+    tail = fh.read(4)
+    if len(tail) != 4 or crc != struct.unpack("<I", tail)[0]:
+        raise CheckpointError(f"{path}: CRC mismatch (corrupt or truncated file)")
 
 
 def _check_fields(path, where: str, raw, schema: dict) -> None:

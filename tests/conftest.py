@@ -13,7 +13,6 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
-from scipy import special
 
 from m3ad import numerics as nm
 from m3ad.backbone import M3ADBlock
@@ -72,7 +71,8 @@ def matmul(a: nm.Tensor, b: nm.Tensor) -> nm.Tensor:
 
 
 # div and sigmoid are oracle ops, one graph node each, for the chains that
-# check the fused attention and the MMoE task gate bit for bit
+# check the fused attention and the MMoE task gate bit for bit; sigmoid
+# takes the engine's logistic kernel, whose accuracy test_numerics checks
 
 
 def div(a: nm.Tensor, b) -> nm.Tensor:
@@ -88,7 +88,7 @@ def div(a: nm.Tensor, b) -> nm.Tensor:
 
 
 def sigmoid(a: nm.Tensor) -> nm.Tensor:
-    data = special.expit(a.data)
+    data = nm._expit(a.data)
     return nm._wrap(data, (a,), lambda g: (g * data * (1.0 - data),))
 
 

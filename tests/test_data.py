@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from conftest import cut_and_flip, m3t_header, m3t_with_header
 from m3ad.config import TRANSITION_PRIORS, TRANSITIONS
@@ -15,7 +16,7 @@ from m3ad.data import (C3_NAMES, Dataset, SampleRecord, assign_splits,
                        class_region_mask, gen_synthetic,
                        load_manifest, load_split, robust_zscore, synth_image,
                        transition_change_label, transition_diag_label,
-                       write_manifest, _marker_tile, _sample_rng)
+                       write_manifest, _gaussian_filter, _marker_tile, _sample_rng)
 from m3ad.errors import CheckpointError, ContractError, ManifestError
 from m3ad.numerics import load_m3t, save_m3t
 
@@ -92,6 +93,50 @@ def test_marker_tiles_distinct_and_stamped():
     # marker pixels sit at 0.15 or 0.90 before the +-0.02 noise
     expected = 0.15 + 0.75 * _marker_tile(4, 8)
     assert np.abs(stamped - expected).max() < 0.1
+
+
+def test_gaussian_filter_has_scipy_bits():
+    """200 noise fields (sides 32 to 128, seeds 0-49) blurred at the
+    generator's sigma: byte-equal to scipy's reflect-mode filter."""
+    for size in (32, 64, 96, 128):
+        for seed in range(50):
+            a = np.random.default_rng(seed).standard_normal((size, size))
+            got = _gaussian_filter(a, size / 10.0)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == ndimage.gaussian_filter(a, sigma=size / 10.0).tobytes()
+
+
+def _synth_image_with_scipy(rng, size, diag, code):
+    """synth_image as written with scipy's filter and a full index grid."""
+    yy, xx = np.mgrid[0:size, 0:size]
+    norm_y, norm_x = (yy - (size - 1) / 2.0) / (size / 2.0), (xx - (size - 1) / 2.0) / (size / 2.0)
+    ax_y = 0.62 + 0.05 * rng.uniform(-1.0, 1.0)
+    ax_x = 0.74 + 0.05 * rng.uniform(-1.0, 1.0)
+    brain = (norm_y / ax_y) ** 2 + (norm_x / ax_x) ** 2 <= 1.0
+    texture = ndimage.gaussian_filter(rng.standard_normal((size, size)), sigma=size / 10.0)
+    texture *= 0.22 / max(texture.std(), 1e-12)
+    img = np.full((size, size), 0.08)
+    img[brain] = (0.62, 0.57, 0.52)[diag] + texture[brain]
+    img[class_region_mask(size)] *= (0.85, 0.62, 0.40)[diag]
+    m = max(size // 8, 4)
+    img[1:1 + m, 1:1 + m] = 0.15 + 0.75 * _marker_tile(code, m)
+    img += 0.02 * rng.standard_normal((size, size))
+    return np.clip(img, 0.0, 1.0).astype(np.float32)
+
+
+def test_images_keep_their_bits_and_the_cached_grids_are_read_only():
+    """The generator's images equal those of scipy's filter and a full
+    index grid, with the size-only grids cached; no caller can write into
+    the cache."""
+    for size in (32, 64, 128):
+        for index in range(4):
+            args = (size, index % 3, (2 * index + 1) % 7)
+            assert np.array_equal(synth_image(_sample_rng(size, index), *args),
+                                  _synth_image_with_scipy(_sample_rng(size, index), *args))
+    for grid in (class_region_mask(64), _marker_tile(3, 8)):
+        with pytest.raises(ValueError):
+            grid[0] = 0
+    assert class_region_mask(64) is class_region_mask(64)
 
 
 def test_code_draw_frequencies_match_priors():

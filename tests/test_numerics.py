@@ -6,6 +6,8 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -170,7 +172,10 @@ def test_gelu_slope_is_computed_only_when_recording(rng, dtype, monkeypatch):
         erf, expected_value, expected_slope = _gelu32_reference(x)
         expected_phi = np.float32(0.5) * (np.float32(1) + erf)
     else:
-        expected_phi = 0.5 * (1.0 + special.erf(x * np.asarray(0.7071067811865476, dtype=dtype)))
+        u = x * np.asarray(0.7071067811865476, dtype=dtype)
+        erf = nm._erf(u)
+        assert _ulps(erf, special.erf(u)).max() <= _ERF_ULPS
+        expected_phi = 0.5 * (1.0 + erf)
         pdf = np.asarray(0.3989422804014327, dtype=dtype) * np.exp(-0.5 * x * x)
         expected_value, expected_slope = x * expected_phi, expected_phi + x * pdf
     value, phi = nm._gelu(x, keep_phi=True)
@@ -242,6 +247,90 @@ def test_float32_gelu_bits_do_not_depend_on_blocking(rng):
             assert np.array_equal(value[start:start + 4093], part_value)
             assert np.array_equal(phi[start:start + 4093], part_phi)
             assert np.array_equal(slope[start:start + 4093], nm._gelu_slope(part, part_phi))
+
+
+def _ulps(got, ref):
+    """|got - ref| in units of the spacing of ref's dtype at ref."""
+    spacing = np.spacing(np.abs(ref)).astype(np.float64)
+    return np.abs(got.astype(np.float64) - ref.astype(np.float64)) / spacing
+
+
+# ulp bounds against scipy's expit and erf. A sweep of 46M draws and grid
+# points per dtype (normal draws at scales 0.5 to 30, a grid over
+# [-120, 120]) reached 4 ulp for the logistic sigmoid in float32 and in
+# float64; 67M points for erf (normal draws at scales 0.3 to 4, dense
+# grids over [0, 7] around each range's end) reached 7 ulp. Each bound
+# adds one ulp of margin.
+_EXPIT_ULPS = 5
+_ERF_ULPS = 8
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_expit_is_within_ulps_of_scipy(dtype):
+    """1M draws over the sigmoid's whole range, and its extremes, in the
+    input's dtype, without a numpy warning where exp overflows."""
+    rng = np.random.default_rng(11)
+    x = (rng.standard_normal(1 << 20) * np.repeat([0.5, 2.0, 8.0, 30.0], 1 << 18)).astype(dtype)
+    extremes = np.array([0.0, -0.0, 100.0, -100.0, np.inf, -np.inf], dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, ends = nm._expit(x), nm._expit(extremes)
+    assert got.dtype == ends.dtype == dtype
+    assert _ulps(got, special.expit(x)).max() <= _EXPIT_ULPS
+    assert np.array_equal(ends, special.expit(extremes))
+    assert ends[0] == ends[1] == 0.5 and ends[4] == 1 and ends[5] == 0
+    assert np.isnan(nm._expit(np.array([np.nan], dtype))).all()
+
+
+def test_erf_is_within_ulps_of_scipy_and_odd():
+    """1M draws across Cody's three ranges, and a grid over each range's
+    ends: within the bound, erf(-x) = -erf(x) bit for bit, +-inf maps to
+    +-1 and NaN stays NaN, without a numpy warning; the shape and bits do
+    not depend on the array's layout."""
+    rng = np.random.default_rng(12)
+    x = np.concatenate([rng.standard_normal(1 << 20) * np.repeat([0.3, 1.0, 2.0, 4.0], 1 << 18),
+                        np.linspace(0.4, 0.5, 10_001), np.linspace(3.9, 6.5, 10_001)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = nm._erf(x)
+        ends = nm._erf(np.array([np.inf, -np.inf, np.nan, 1e200, -0.0]))
+    assert _ulps(got, special.erf(x)).max() <= _ERF_ULPS
+    assert np.array_equal(nm._erf(-x).view(np.int64), (-got).view(np.int64))
+    assert np.array_equal(ends[:2], [1.0, -1.0]) and np.isnan(ends[2]) and ends[3] == 1.0
+    assert ends[4] == 0 and np.signbit(ends[4])
+    grid = x[:6 * 7].reshape(6, 7)
+    assert nm._erf(grid.T).shape == (7, 6)
+    assert np.array_equal(nm._erf(grid.T), nm._erf(np.ascontiguousarray(grid.T)))
+
+
+def test_loading_a_tensor_file_holds_no_second_copy(tmp_path, rng):
+    """Reading 8 MiB of payloads allocates little beyond the arrays it
+    returns: no whole-file buffer, no copy out of one."""
+    arrays = {"a": rng.standard_normal((1024, 1024)).astype(np.float32),
+              "b": rng.standard_normal((256, 1024)),
+              "c": rng.standard_normal((512, 1024)).astype(np.float32)}
+    payload = sum(arr.nbytes for arr in arrays.values())
+    path = tmp_path / "big.m3t"
+    save_m3t(path, arrays, {"stage": "test"})
+    tracemalloc.start()
+    try:
+        header, back = load_m3t(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert header == {"stage": "test"}
+    assert all(np.array_equal(back[name], arr) for name, arr in arrays.items())
+    assert peak <= 1.1 * payload, f"peak {peak} bytes for {payload} bytes of payload"
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """NumPy is the only run-time dependency: scipy is for the tests."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(entry.__file__)))
+    out = subprocess.run([sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+                          "import m3ad.cli; print(sorted(m for m in sys.modules "
+                          "if m.split('.')[0] == 'scipy'))", src],
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_importing_the_entry_module_loads_no_numpy():
