@@ -14,9 +14,10 @@ The (B, H, W, C) grid is the one activation layout between layers: the
 mixers, norms and MMoE layer all take it. :class:`WindowAttention` owns
 its window and shift; its attention is one engine op,
 :func:`m3ad.numerics.cosine_attention`, on the qkv grid, and windows
-exist only inside it. A block may stack copies of its rows right after
-its mixer: the model runs its first block's mixer once per scan and
-splits the task copies there, ahead of the first MMoE layer (see
+exist only inside it. A block may split copies of its rows inside its
+MMoE layer: the model runs its first block's mixer, second norm, gate
+summary and experts once per scan, and the copies split where that layer
+mixes the experts by each copy's weights (see
 :meth:`m3ad.model.M3ADNet.encode`).
 
 Attention windows adapt to the map: the effective window is
@@ -154,7 +155,9 @@ class WindowAttention(Module):
 class M3ADBlock(Module):
     """Pre-norm residual block: token mixer then mixture-of-experts. The
     mixer, attention or tokenized MLP, maps the (B, H, W, C) grid to a
-    grid of the same shape."""
+    grid of the same shape. A block that splits copies of its rows runs
+    everything once per row up to the MMoE layer's mix of its experts,
+    which returns the stacked copies; only the residual is tiled."""
 
     def __init__(self, mixer: Module, moe: Module, dim: int, dtype):
         self.norm1 = LayerNorm(dim, dtype)
@@ -163,10 +166,10 @@ class M3ADBlock(Module):
         self.moe = moe
 
     def __call__(self, x: Tensor, routing, copies: int = 1) -> Tensor:
-        """``copies`` > 1 stacks that many copies of the mixer's output
-        (plus residual) on the batch axis before the MMoE layer, whose
-        routing covers the stacked rows."""
+        """``copies`` > 1 splits that many copies of the rows at the MMoE
+        layer: its norm, gate and experts run once per row of x, and it
+        returns the stacked copies that its routing covers, to which the
+        residual adds, tiled on the batch axis."""
         x = nm.add(self.mixer(self.norm1(x)), x)
-        if copies > 1:
-            x = nm.concat([x] * copies)
-        return nm.add(self.moe(self.norm2(x), routing), x)
+        y = self.moe(self.norm2(x), routing, copies=copies)
+        return nm.add(y, nm.concat([x] * copies) if copies > 1 else x)

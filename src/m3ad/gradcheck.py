@@ -133,6 +133,20 @@ def check_primitives() -> dict[str, float]:
         p.data[...] = rng.standard_normal(p.shape)
     xg, wgate = _t(rng, 4, 2, 3, 3), _weight(rng, (4, 4))
     run("task_gate", lambda: nm.mul(layer.gate_weights(xg), wgate).sum(), [xg] + gate_params)
+
+    # two copies of x's 2 rows: graph weights for both, then constant
+    # weights where both copies weight row 0 of expert 0 and only the
+    # first weights row 0 of expert 1; both gates over each row once
+    x2, gate2 = _t(rng, 2, 5, 3), _t(rng, 4, 2)
+    wmix2 = _weight(rng, (4, 5, 3))
+    run("expert_mix", lambda: nm.mul(expert_mix(x2, gate2, bank), wmix2).sum(),
+        [x2, gate2] + bank_params)
+    shared = np.array([[0.6, 0.4], [0.0, 1.0], [0.3, 0.0], [0.0, 0.5]])
+    run("expert_mix", lambda: nm.mul(expert_mix(x2, shared, bank), wmix2).sum(),
+        [x2] + bank_params)
+    xg2 = _t(rng, 2, 2, 3, 3)
+    run("task_gate", lambda: nm.mul(layer.gate_weights(xg2, copies=2), wgate).sum(),
+        [xg2] + gate_params)
     return out
 
 

@@ -15,10 +15,11 @@ phases; only the routing and which heads are read differ:
   final grid of its half.
 
 Either way :meth:`M3ADNet.encode` takes each scan once. The copies are
-identical up to the first MMoE layer, so the patch embedding, the mask
-and the first block's mixer run on the B scans, and the copies split
-just before that layer's norm: from there on the routing's rows, a
-whole number of copies of the batch, run stacked.
+identical until the first MMoE layer mixes its experts by each copy's
+weights, so the patch embedding, the mask, the first block's mixer and
+that layer's norm, gate summary and experts run on the B scans, and the
+copies split in that mix (:func:`m3ad.moe.expert_mix`): from there on
+the routing's rows, a whole number of copies of the batch, run stacked.
 
 From the patch embedding to the heads and the decoder, every layer
 takes the (rows, H, W, C) grid as it is: the network never flattens it.
@@ -88,7 +89,9 @@ class M3ADNet(Module):
                masks: np.ndarray | None = None) -> Tensor:
         """Run the backbone on B scans; returns the final (rows, h, w, 8C)
         grid, one row per row of the ``routing``, which covers a whole
-        number of copies of the batch stacked in order.
+        number of copies of the batch stacked in order. The first block
+        runs once per scan, its MMoE layer's experts and gate summary
+        included, and its MMoE layer returns the copies.
 
         ``priors`` (B, 3), already normalized, switches fusion on;
         ``masks``, (B, H/unit, W/unit) bool, puts the mask token in every
@@ -139,7 +142,7 @@ class M3ADNet(Module):
     def dual_task_logits(self, images, priors: np.ndarray | None,
                          sink: list | None = None) -> tuple[Tensor, Tensor]:
         """(diagnosis, change) logits of one pass over the images, whose
-        two copies split before the first MMoE layer: the first copy is
+        two copies split in the first MMoE layer: the first copy is
         routed by the diagnosis gates and read by the diagnosis head, the
         second by the change gates and head. ``priors=None`` runs without
         fusion; ``sink`` collects each MMoE layer's (2B, E) gate weights,

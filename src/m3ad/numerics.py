@@ -64,10 +64,11 @@ _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
 
 # float32 erf of Eigen and XLA: erf(u) ~ u * P(u^2) / Q(u^2) on [-4, 4],
-# coefficients from the highest power down. The float32 GELU's constants
-# are 0-d arrays: ufuncs take them faster than Python or numpy scalars,
-# which counts on the small arrays of batch-1 scoring.
-_ERF32_P = tuple(np.array(c, np.float32) for c in (
+# coefficients from the highest power down. P is kept halved, which is
+# exact, so that u * P / Q is erf / 2 and Phi takes one add. The float32
+# GELU's constants are 0-d arrays: ufuncs take them faster than Python or
+# numpy scalars, which counts on the small arrays of batch-1 scoring.
+_ERF32_HALF_P = tuple(np.array(c / 2, np.float32) for c in (
     -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
     -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
     -1.60960333262415e-02))
@@ -75,7 +76,7 @@ _ERF32_Q = tuple(np.array(c, np.float32) for c in (
     -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
     -7.37332916720468e-03, -1.42647390514189e-02))
 _GELU_CONSTANTS = (("inv_sqrt2", _INV_SQRT2), ("inv_sqrt_2pi", _INV_SQRT_2PI),
-                   ("clamp", 4.0), ("-clamp", -4.0), ("one", 1.0), ("half", 0.5),
+                   ("clamp", 4.0), ("-clamp", -4.0), ("half", 0.5),
                    ("-half", -0.5))
 _GELU32 = {name: np.array(c, np.float32) for name, c in _GELU_CONSTANTS}
 # elements per block of the float32 GELU: its scratch rows stay in cache
@@ -470,9 +471,9 @@ def _gelu(x: np.ndarray, keep_phi: bool,
     u = clip(x / sqrt(2), -4, 4): at most 5e-7 from the float64 erf, odd
     bit for bit, and saturating to exactly x or 0 for |x| >= 5.66. It
     runs in blocks of ``_GELU_BLOCK`` elements on scratch rows that stay
-    in cache, Phi copied out of its row when kept; every step is
-    element-wise, so the bits do not depend on the blocking. Phi and,
-    without ``out``, the GELU are new arrays.
+    in cache, Phi built in its own block of the kept array when kept;
+    every step is element-wise, so the bits do not depend on the
+    blocking. Phi and, without ``out``, the GELU are new arrays.
     """
     if out is not None and not out.flags.c_contiguous:
         raise ContractError("_gelu writes the GELU only to a C-ordered array")
@@ -487,24 +488,22 @@ def _gelu(x: np.ndarray, keep_phi: bool,
     for start in range(0, flat.size, _GELU_BLOCK):
         end = start + _GELU_BLOCK
         xb = flat[start:end]
-        ub, tb, pb, qb = u[:xb.size], t[:xb.size], p[:xb.size], q[:xb.size]
+        ub, tb, qb = u[:xb.size], t[:xb.size], q[:xb.size]
+        pb = p[:xb.size] if phi is None else phi[start:end]
         np.multiply(xb, k["inv_sqrt2"], out=ub)
         np.minimum(ub, k["clamp"], out=ub)  # clip, in two cheaper calls
         np.maximum(ub, k["-clamp"], out=ub)
         np.multiply(ub, ub, out=tb)
-        for row, coef in ((pb, _ERF32_P), (qb, _ERF32_Q)):  # Horner in t
+        for row, coef in ((pb, _ERF32_HALF_P), (qb, _ERF32_Q)):  # Horner in t
             np.multiply(tb, coef[0], out=row)
             np.add(row, coef[1], out=row)
             for c in coef[2:]:
                 np.multiply(row, tb, out=row)
                 np.add(row, c, out=row)
         np.multiply(ub, pb, out=pb)
-        np.divide(pb, qb, out=pb)  # erf(x / sqrt(2))
-        np.add(pb, k["one"], out=pb)
-        np.multiply(pb, k["half"], out=pb)  # Phi
+        np.divide(pb, qb, out=pb)  # erf(x / sqrt(2)) / 2
+        np.add(pb, k["half"], out=pb)  # Phi
         np.multiply(xb, pb, out=value[start:end])
-        if keep_phi:
-            phi[start:end] = pb
     return (value.reshape(x.shape) if out is None else out,
             None if phi is None else phi.reshape(x.shape))
 

@@ -110,6 +110,83 @@ def gate_chain(layer, x: nm.Tensor) -> nm.Tensor:
     return nm.softmax(div(logits, layer.gate_temp), axis=-1)
 
 
+def _op(vjp) -> str:
+    """The op of a graph node's vjp: the first part of its qualified name."""
+    return vjp.__qualname__.split(".")[0]
+
+
+def _base(arr: np.ndarray) -> np.ndarray:
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+def graph_census(loss: nm.Tensor) -> tuple[dict[str, int], dict[str, int]]:
+    """The node count and the kept bytes per op of the graph behind ``loss``.
+
+    The walk follows ``_node._parents`` from the loss. The kept bytes of
+    an op are those of the arrays that its nodes' vjps reach through their
+    closures: in cells, default arguments, lists, tuples, dicts, Tensors
+    and nested functions, never in a Module. Each base buffer counts once,
+    at the first node that reaches it, and the parameters (the leaves that
+    take a gradient) count nowhere."""
+    nodes, leaves, stack, seen = [], [], [loss._node], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, nm.Tensor):
+            leaves.append(node)
+        else:
+            nodes.append(node)
+            stack.extend(node._parents)
+    counted = {id(_base(leaf.data)) for leaf in leaves if leaf.requires_grad}
+    count: dict[str, int] = {}
+    kept: dict[str, int] = {}
+    for node in nodes:
+        op = _op(node._vjp)
+        count[op] = count.get(op, 0) + 1
+        kept.setdefault(op, 0)
+        todo, reached = [node._vjp], set()
+        while todo:
+            obj = todo.pop()
+            if id(obj) in reached:
+                continue
+            reached.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                base = _base(obj)
+                if id(base) not in counted:
+                    counted.add(id(base))
+                    kept[op] += base.nbytes
+            elif isinstance(obj, nm.Tensor):
+                todo.append(obj.data)
+            elif isinstance(obj, (list, tuple)):
+                todo.extend(obj)
+            elif isinstance(obj, dict):
+                todo.extend(obj.values())
+            elif inspect.isfunction(obj):
+                todo.extend(cell.cell_contents for cell in obj.__closure__ or ())
+                todo.extend(obj.__defaults__ or ())
+    return count, kept
+
+
+def op_calls(fn) -> dict[str, int]:
+    """The calls of each op while ``fn()`` runs: every op, fused or not,
+    makes its output through one ``nm._wrap`` call, recorded or not."""
+    calls: dict[str, int] = {}
+    wrap = nm._wrap
+
+    def spy(data, parents, vjp):
+        calls[_op(vjp)] = calls.get(_op(vjp), 0) + 1
+        return wrap(data, parents, vjp)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nm, "_wrap", spy)
+        fn()
+    return calls
+
+
 # one line per acceptance criterion, printed in the terminal summary
 ACCEPTANCE_LINES: dict[int, str] = {}
 

@@ -442,26 +442,34 @@ def test_fixed_routing_node_keeps_gathered_rows_not_x(rng):
         assert (dropped is None and kept is None) or np.array_equal(dropped, kept)
 
 
-@pytest.mark.parametrize("weights", ["graph", "fixed"])
+@pytest.mark.parametrize("weights", ["graph", "fixed", "graph_2copies", "fixed_2copies"])
 def test_recorded_expert_mix_keeps_one_hidden_width_array_per_expert(weights, pool_mode):
     """After its forward, a recorded calib stage-0 node holds, per expert,
     one array as wide as the expert's hidden layer (the GELU's Phi), its
     gathered rows of x, the expert outputs for graph weights, and its own
-    output: the hidden layer's GELU and slope are left to the vjp."""
+    output: the hidden layer's GELU and slope are left to the vjp. With
+    two copies of x's rows (fine-tuning's task copies; pretraining's
+    label-guided and class-only copies) it keeps them for the union of
+    the rows the copies weight, once, and only the output grows."""
     dtype, tokens, dim, hidden = np.float32, 256, 16, 64
+    weights, copies = weights.split("_")[0], 2 if weights.endswith("copies") else 1
     rng = np.random.default_rng(3)
     layer = MMoELayer(rng, dim, 8, hidden // dim, 1.0, dtype)
     x = Tensor(rng.standard_normal((16, tokens, dim)).astype(dtype), requires_grad=True)
     if weights == "graph":
-        w = nm.softmax(Tensor(rng.standard_normal((16, 8)).astype(dtype), requires_grad=True))
+        w = nm.softmax(Tensor(rng.standard_normal((16 * copies, 8)).astype(dtype),
+                              requires_grad=True))
         rows = np.full(8, 16)
     else:
-        w = label_guided_weights(rng.integers(0, 3, 16), 8, 2, 0.15, dtype)
-        rows = np.count_nonzero(w, axis=0)
+        labels = rng.integers(0, 3, 16)
+        w = np.concatenate([label_guided_weights(labels, 8, 2, shared, dtype)
+                            for shared in (0.15, 0.0)[:copies]])
+        rows = np.count_nonzero(np.any(w.reshape(copies, 16, 8), axis=0), axis=0)
     row_bytes = tokens * np.dtype(dtype).itemsize
     phi = int(rows.sum()) * row_bytes * hidden
     gathered = int(rows[rows < 16].sum()) * row_bytes * dim
-    outputs = (int(rows.sum()) if weights == "graph" else 0) * row_bytes * dim + x.data.nbytes
+    outputs = ((int(rows.sum()) if weights == "graph" else 0) * row_bytes * dim
+               + copies * x.data.nbytes)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -472,6 +480,120 @@ def test_recorded_expert_mix_keeps_one_hidden_width_array_per_expert(weights, po
     assert phi + gathered + outputs <= kept <= phi + gathered + outputs + (64 << 10)
     out.sum().backward()
     assert x.grad is not None
+
+
+# -- one expert pass per row of x, for every copy of the rows -----------
+
+
+def _copy_weights(kind, dtype):
+    """(2 * 4, 8) weights of two copies of 4 rows: a graph node of softmax
+    rows, or fixed rows of pretraining's label-guided copy on its
+    class-only copy, whose class experts share their rows between the
+    copies, or those with a zero of one copy on a row the other weights."""
+    rng = np.random.default_rng(12)
+    if kind == "graph":
+        leaf = Tensor(rng.standard_normal((8, 8)).astype(dtype), requires_grad=True)
+        return leaf, nm.softmax(leaf)
+    labels = np.array([0, 2, 1, 0])
+    w = np.concatenate([label_guided_weights(labels, 8, 2, shared, dtype)
+                        for shared in (0.15, 0.0)])
+    if kind == "fixed_partial":
+        w[0, 2:4] = 0.0  # class 0's experts: row 0 weighted by the second copy only
+        w[5, 6:8] = 0.0  # class 2's experts: row 1 weighted by the first copy only
+    return None, w
+
+
+# float64 gradients that add the copies before the fc products, not after,
+# as a fraction of each tensor's largest entry (over 50 seeds of layer and
+# input: at most 1.3e-15)
+_COPIES_GRAD_RTOL = 1e-14
+
+
+@pytest.mark.parametrize("kind", ["graph", "fixed", "fixed_partial"])
+def test_expert_mix_runs_each_expert_once_for_all_copies(kind, pool_mode, monkeypatch):
+    """x holds 4 rows and the weights cover two copies of them: each expert
+    runs once, on the rows of x any copy weights, and the output equals
+    the pass over the stacked copies bit for bit, the gradient of graph
+    weights too; the other gradients add the copies in another order."""
+    layer = MMoELayer(np.random.default_rng(8), 8, 8, 2, 1.0, np.float64)
+    x = Tensor(np.random.default_rng(9).standard_normal((4, 6, 8)), requires_grad=True)
+    leaf, w = _copy_weights(kind, np.float64)
+    leaves = [x] + ([] if leaf is None else [leaf]) + layer.parameters()
+    affine_rows = []
+    affine = nm._affine
+    monkeypatch.setattr(nm, "_affine", lambda rows, weight, bias: affine_rows.append(
+        len(rows) if weight.shape[1] == 16 else 0) or affine(rows, weight, bias))
+    runs = []
+    for stack in (False, True):
+        for p in leaves:
+            p.grad = None
+        affine_rows.clear()
+        if leaf is not None:
+            w = nm.softmax(leaf)
+        out = expert_mix(nm.concat([x, x]) if stack else x, w, layer.experts)
+        fc1_rows = sum(affine_rows)
+        probe = np.random.default_rng(1).standard_normal(out.shape)
+        nm.mul(out, probe).sum().backward()
+        runs.append((out.data, [p.grad for p in leaves], fc1_rows))
+    (got, got_grads, got_rows), (want, want_grads, want_rows) = runs
+    union = np.any(np.asarray(w.data if leaf is not None else w).reshape(2, 4, 8), axis=0)
+    weighted = np.ones_like(union) if leaf is not None else union
+    assert got.shape == (8, 6, 8) and np.array_equal(got, want)
+    assert got_rows == 6 * weighted.sum() < want_rows  # the fc1 rows of the forward
+    if leaf is not None:
+        assert np.array_equal(got_grads[1], want_grads[1])
+    for g, t in zip(got_grads, want_grads):
+        assert (g is None) == (t is None)
+        if t is not None:
+            assert np.abs(g - t).max() <= _COPIES_GRAD_RTOL * np.abs(t).max()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_task_gate_maps_each_row_once_for_both_copies(dtype):
+    """With a copy per task, x holds each scan once and both task gates map
+    all of its rows: the weights equal those of the gate over the stacked
+    copies bit for bit; the gradients add the two gates' terms before the
+    sigmoid and the mean, so they move by summation order only (over 50
+    seeds: at most 2.8e-7 and 4.4e-16 of each tensor's largest entry)."""
+    rng = np.random.default_rng(4)
+    layer = MMoELayer(rng, 8, 8, 1, 0.7, dtype)
+    params = [layer.named_parameters()[name] for name in _GATE_PARAMS]
+    for p in params:
+        p.data[...] = rng.standard_normal(p.shape)
+    x = Tensor(rng.standard_normal((3, 4, 4, 8)).astype(dtype), requires_grad=True)
+    probe = rng.standard_normal((6, 8)).astype(dtype)
+    runs = []
+    for stack in (False, True):
+        for p in [x] + params:
+            p.grad = None
+        p_out = (layer.gate_weights(nm.concat([x, x])) if stack
+                 else layer.gate_weights(x, copies=2))
+        nm.mul(p_out, probe).sum().backward()
+        runs.append((p_out.data, [p.grad for p in [x] + params]))
+    (got, got_grads), (want, want_grads) = runs
+    assert got.shape == (6, 8) and np.array_equal(got, want)
+    rtol = 1e-6 if dtype == np.float32 else 1e-14
+    for g, t in zip(got_grads, want_grads):
+        assert np.abs(g - t).max() <= rtol * np.abs(t).max()
+
+
+def test_copies_contracts(rng):
+    """The weights' rows must be a whole number, at least one, of copies
+    of x's rows; the gate's copies must split into one span of x's rows per
+    task; a layer's fixed routing must cover its copies."""
+    layer = _layer()
+    x = Tensor(rng.standard_normal((2, 4, 8)))
+    for rows in (0, 1, 3, 5):
+        with pytest.raises(ShapeError, match="whole number of copies"):
+            expert_mix(x, np.ones((rows, 2)), layer.experts[:2])
+    with pytest.raises(ShapeError, match="whole number of copies"):
+        expert_mix(x, Tensor(np.ones((3, 2)), requires_grad=True), layer.experts[:2])
+    with pytest.raises(ShapeError, match="equal blocks"):  # 6 rows in blocks of 3
+        layer.gate_weights(x, copies=3)
+    assert layer.gate_weights(Tensor(rng.standard_normal((3, 4, 8))), copies=2).shape == (6, 8)
+    with pytest.raises(ShapeError, match="not 2 copies"):
+        layer(x, Routing(weights=np.ones((2, 8)) / 8), copies=2)
+    assert layer(x, Routing(weights=np.ones((4, 8)) / 8), copies=2).shape == (4, 4, 8)
 
 
 _DETERMINISM_SCRIPT = """

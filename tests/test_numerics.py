@@ -232,6 +232,38 @@ def test_float32_gelu_tolerance_on_a_grid():
     assert np.array_equal(value[far], np.where(x[far] > 0, x[far], 0))
 
 
+def test_float32_gelu_keeps_the_bits_of_the_one_plus_erf_form(rng):
+    """The kernel adds 0.5 to erf / 2, from a halved numerator, in place
+    of halving 1 + erf, and builds Phi in the kept array: value, Phi and
+    slope keep the bits of the reference, which takes the old form, at
+    +-0, subnormals, the smallest normals, +-inf, around the saturation
+    points +-4*sqrt2 and on random draws of every scale."""
+    f32 = np.finfo(np.float32)
+    tiny = np.array([f32.smallest_subnormal, 3 * f32.smallest_subnormal, 1e-40, 1e-39,
+                     np.nextafter(f32.smallest_normal, np.float32(0)), f32.smallest_normal,
+                     2 * f32.smallest_normal, 1e-30, 1e-20], np.float32)
+    edge = np.float32(4 * np.sqrt(2.0))
+    saturation = [edge]
+    for _ in range(4):
+        saturation = ([np.nextafter(saturation[0], np.float32(0))] + saturation
+                      + [np.nextafter(saturation[-1], np.float32(np.inf))])
+    special = np.array([0.0, np.inf, 5.66, 1e30, f32.max, *saturation, *tiny], np.float32)
+    draws = [rng.standard_normal(100_000).astype(np.float32) * scale
+             for scale in (1e-30, 1e-3, 1.0, 3.0, 10.0)]
+    x = np.concatenate([special, -special, *draws])
+    # -inf * Phi(-inf) is -inf * 0, and the pdf squares the largest x
+    with np.errstate(invalid="ignore", over="ignore"):
+        erf, value, slope = _gelu32_reference(x)
+        phi = np.float32(0.5) * (np.float32(1) + erf)
+        got_value, got_phi = nm._gelu(x, keep_phi=True)
+        got_slope = nm._gelu_slope(x, got_phi.copy())
+        value_only, _ = nm._gelu(x, keep_phi=False)
+    for got, want in ((got_value, value), (got_phi, phi), (got_slope, slope),
+                      (value_only, value)):
+        assert got.tobytes() == want.tobytes()
+    assert np.isnan(got_value[special.size + 1])  # the GELU of -inf
+
+
 def test_float32_gelu_bits_do_not_depend_on_blocking(rng):
     """Across block edges, on contiguous and strided input, each element
     gets the value, Phi and slope it gets when its small slice is
