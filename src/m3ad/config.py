@@ -3,13 +3,15 @@
 
 Config files are flat: one assignment per line, ``#`` starts a comment,
 blank lines are skipped. Unknown keys are rejected rather than ignored so
-a typo cannot silently fall back to a default.
+a typo cannot silently fall back to a default. The dataclasses' type
+hints are the schema, here and in :func:`from_fields`, the JSON reader.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import types
 import typing
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -43,7 +45,7 @@ def _check_finite(section) -> None:
         value = getattr(section, f.name)
         items = value if isinstance(value, tuple) else (value,)
         if any(isinstance(v, float) and not math.isfinite(v) for v in items):
-            raise ConfigError(f"{f.name} must be finite, got {value}")
+            raise ConfigError(f"{type(section).__name__} field {f.name!r} holds {value!r}, not finite")
 
 
 @dataclass
@@ -254,35 +256,40 @@ def apply_overrides(cfg: RunConfig, assignments: Sequence[str]) -> RunConfig:
     return cfg
 
 
-def config_as_dict(cfg: ModelConfig) -> dict:
-    out = dataclasses.asdict(cfg)
-    for key, value in out.items():
-        if isinstance(value, tuple):
-            out[key] = list(value)
-    return out
-
-
 def _holds(value, kind) -> bool:
-    """Whether a JSON value can fill a config field of type ``kind``
-    (a bool is not a number; a JSON list fills a tuple)."""
+    """Whether a JSON value can fill a field of type ``kind`` (a bool is
+    not a number; a JSON list fills a tuple, an object a dataclass)."""
     if typing.get_origin(kind) is tuple:
         return isinstance(value, list) and all(_holds(v, typing.get_args(kind)[0]) for v in value)
+    if dataclasses.is_dataclass(kind):
+        return isinstance(value, dict)
     return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
 
 
-def model_config_from_dict(raw: dict) -> ModelConfig:
-    kinds = typing.get_type_hints(ModelConfig)
-    unknown = set(raw) - set(kinds)
+def from_fields(klass, raw, skip: Sequence[str] = ()):
+    """The dataclass ``klass`` read from the JSON object ``raw``, with its
+    type hints as the schema: ``raw`` holds every field but those in ``skip``
+    (set to None) and no other key; each value fits its hint and is finite.
+    A list fills a tuple, an int a float, an object a nested dataclass, and
+    None an ``X | None``. Else ConfigError names the record and the field."""
+    record = klass.__name__
+    kinds = {name: kind for name, kind in typing.get_type_hints(klass).items() if name not in skip}
+    unknown = sorted(raw.keys() - kinds.keys())
     if unknown:
-        raise ConfigError(f"unknown model config keys in checkpoint: {sorted(unknown)}")
-    missing = set(kinds) - set(raw)
-    if missing:
-        raise ConfigError(f"model config keys missing from checkpoint: {sorted(missing)}")
-    for key, value in raw.items():
-        kind = kinds[key]
+        raise ConfigError(f"unknown {record} field {unknown[0]!r} holds {raw[unknown[0]]!r}")
+    values = dict.fromkeys(skip)
+    for name, kind in kinds.items():
+        if name not in raw:
+            raise ConfigError(f"{record} lacks field {name!r}")
+        value = raw[name]
+        if isinstance(kind, types.UnionType):  # X | None
+            kind = type(None) if value is None else typing.get_args(kind)[0]
         if not _holds(value, kind):
-            raise ConfigError(f"model config key {key!r} holds {value!r}, not "
+            raise ConfigError(f"{record} field {name!r} holds {value!r}, not "
                               f"{kind.__name__ if isinstance(kind, type) else kind}")
-    kwargs = {key: tuple(value) if isinstance(value, list) else value
-              for key, value in raw.items()}
-    return ModelConfig(**kwargs).validate()
+        values[name] = (from_fields(kind, value) if dataclasses.is_dataclass(kind)
+                        else tuple(value) if isinstance(value, list)
+                        else float(value) if kind is float else value)
+    out = klass(**values)
+    _check_finite(out)
+    return out

@@ -35,7 +35,7 @@ from .errors import ShapeError
 from .heads_losses import ReconDecoder, TaskHeads, apply_mask
 from .moe import MMoELayer, Routing, label_guided_weights
 from .numerics import Module, Tensor, parameter
-from .priors import Fusion, PriorEncoder, c_fusion_dim
+from .priors import Fusion, PriorEncoder
 from .tokmlp import TokMLPBlock
 
 
@@ -66,7 +66,7 @@ class M3ADNet(Module):
                 self.blocks.append(M3ADBlock(mixer, moe, dim, dt))
         self.merges = [PatchMerge(rng, cfg.stage_dim(s), dt) for s in range(3)]
 
-        fdim = c_fusion_dim(cfg.embed_dim, cfg.fusion_stage)
+        fdim = cfg.stage_dim(min(cfg.fusion_stage + 1, 3))
         self.prior_encoder = PriorEncoder(rng, fdim, dt)
         self.fusion = Fusion(rng, cfg.fusion_type, fdim, dt)
 

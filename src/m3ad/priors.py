@@ -4,10 +4,10 @@ backbone's feature grid.
 The prior is (age, gender, eTIV). Age and eTIV are z-scored with training
 split statistics; gender is already in {0, 1} and passes through. The
 encoder lifts the 3-vector through two hidden layers to the channel width
-of the chosen fusion point:
+of the chosen fusion point, after stage s's merge (s < 3) or after the
+last stage (s = 3):
 
-    C_fusion = embed * 2^s        for s = 3 (after the last stage)
-    C_fusion = embed * 2^(s+1)    for s < 3 (after stage s's merge)
+    C_fusion = ModelConfig.stage_dim(min(s + 1, 3)) = embed * 2^min(s+1, 3)
 
 The encoded vector is broadcast across every position of the (B, H, W,
 C) grid and combined with the image features by one of four fusion rules.
@@ -37,15 +37,6 @@ class PriorStats:
     etiv_mean: float
     etiv_std: float
 
-    def as_dict(self) -> dict:
-        return {"age_mean": self.age_mean, "age_std": self.age_std,
-                "etiv_mean": self.etiv_mean, "etiv_std": self.etiv_std}
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "PriorStats":
-        return cls(age_mean=float(raw["age_mean"]), age_std=float(raw["age_std"]),
-                   etiv_mean=float(raw["etiv_mean"]), etiv_std=float(raw["etiv_std"]))
-
 
 def compute_prior_stats(age: np.ndarray, etiv: np.ndarray) -> PriorStats:
     age = np.asarray(age, dtype=np.float64)
@@ -70,13 +61,6 @@ def normalize_priors(age: np.ndarray, gender: np.ndarray, etiv: np.ndarray,
     etiv_z = (np.asarray(etiv, dtype=np.float64) - stats.etiv_mean) / stats.etiv_std
     out = np.stack([age_z, np.asarray(gender, dtype=np.float64), etiv_z], axis=-1)
     return out.astype(dtype)
-
-
-def c_fusion_dim(embed_dim: int, stage: int) -> int:
-    """Channel width at the fusion point after stage ``stage``."""
-    if stage not in (0, 1, 2, 3):
-        raise ContractError(f"fusion stage must be one of 0..3, got {stage}")
-    return embed_dim * (1 << (3 if stage == 3 else stage + 1))
 
 
 class PriorEncoder(Module):

@@ -15,8 +15,8 @@ rows, each routed by its task's gates, and optimizes the summed
 cross-entropies.
 
 A checkpoint is a tensor file (see :func:`m3ad.numerics.save_m3t`) of
-the parameters, with the model config, stage, epoch, best value and
-prior statistics in its header.
+the parameters, whose header is the :class:`Checkpoint`'s other fields as
+``dataclasses.asdict`` gives them, read back by ``config.from_fields``.
 
 Everything is deterministic in (seed, config, data): epoch shuffling and
 mask sampling derive from the seed. A batch's masks are one bool array
@@ -28,12 +28,12 @@ comparable across epochs.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import numerics as nm
-from .config import ModelConfig, TrainConfig, config_as_dict, model_config_from_dict
+from .config import ModelConfig, TrainConfig, from_fields
 from .data import Dataset
 from .errors import CheckpointError, ConfigError, ContractError, ShapeError
 from .heads_losses import finetune_loss, masked_l1_per_sample, pretrain_loss, sample_masks
@@ -159,10 +159,6 @@ class EarlyStopper:
 
 # -- checkpoints -------------------------------------------------------
 
-_HEADER_FIELDS = {"model_config": dict, "stage": str, "epoch": int, "best": dict,
-                  "prior_stats": (dict, type(None))}
-
-
 @dataclass
 class Checkpoint:
     """What one training stage hands to the next, or to evaluation: the
@@ -190,41 +186,27 @@ def snapshot(model: M3ADNet, optimizer: AdamW | None, stage: str, epoch: int,
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """A tensor file of the parameters, with the model config, stage,
-    epoch, best value and prior statistics in its header."""
-    nm.save_m3t(path, ckpt.params, {
-        "model_config": config_as_dict(ckpt.model_config),
-        "stage": ckpt.stage,
-        "epoch": ckpt.epoch,
-        "best": ckpt.best,
-        "prior_stats": ckpt.prior_stats.as_dict() if ckpt.prior_stats else None,
-    })
+    """A tensor file of the parameters; its header is the checkpoint's
+    other fields, as ``dataclasses.asdict`` gives them."""
+    header = asdict(replace(ckpt, params={}))
+    del header["params"]
+    nm.save_m3t(path, ckpt.params, header)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; a malformed header, or a parameter or prior
-    statistic that is NaN or infinite, raises CheckpointError naming it."""
+    """Read a checkpoint whose header is the Checkpoint's fields other than
+    ``params``; a NaN or infinite parameter, or a header field that
+    ``from_fields`` or ``validate`` refuses, raises CheckpointError naming it."""
     header, params = nm.load_m3t(path)
-    nm._check_fields(path, "header", header, _HEADER_FIELDS)
     for name, arr in params.items():
         if not np.isfinite(arr).all():
             raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
-    stats = header["prior_stats"]
-    if stats is not None:
-        nm._check_fields(path, "prior_stats", stats,
-                         dict.fromkeys((f.name for f in fields(PriorStats)), (int, float)))
-        for name, value in stats.items():
-            if not np.isfinite(value):
-                raise CheckpointError(f"{path}: prior_stats field {name!r} is {value}")
     try:
-        model_config = model_config_from_dict(header["model_config"])
+        ckpt = from_fields(Checkpoint, header, skip=("params",))
+        ckpt.model_config.validate()
     except ConfigError as err:
         raise CheckpointError(f"{path}: checkpoint header: {err}") from None
-    return Checkpoint(
-        model_config=model_config,
-        stage=header["stage"], params=params,
-        epoch=header["epoch"], best=header["best"],
-        prior_stats=PriorStats.from_dict(stats) if stats is not None else None)
+    return replace(ckpt, params=params)
 
 
 def load_params(model: M3ADNet, ckpt: Checkpoint) -> None:
@@ -408,7 +390,7 @@ def task_accuracies(model: M3ADNet, ds: Dataset, stats: PriorStats,
 
 
 def _load_init(model: M3ADNet, init: Checkpoint) -> None:
-    have, want = config_as_dict(init.model_config), config_as_dict(model.cfg)
+    have, want = asdict(init.model_config), asdict(model.cfg)
     differ = [key for key in want if key != "num_change_classes" and have[key] != want[key]]
     if differ:
         raise CheckpointError("init checkpoint differs from the model config in " + ", ".join(

@@ -134,10 +134,9 @@ def test_eval_warns_once_per_task(pipeline, tmp_path):
 
 @pytest.mark.parametrize("damage", ["version 1", "version 2", "CRC mismatch",
                                     "the header describes",
-                                    "prior_stats field 'age_std' is nan",
+                                    "PriorStats field 'age_std' holds nan, not finite",
                                     "tensor 'patch_embed.proj.weight' holds non-finite values",
-                                    "model config keys missing from checkpoint: "
-                                    "['dtype', 'gate_temp']"])
+                                    "ModelConfig lacks field 'gate_temp'"])
 def test_eval_exits_1_on_bad_checkpoint(pipeline, tmp_path, capsys, damage):
     good = pipeline["out"] / "finetune.m3ck"
     blob = good.read_bytes()
@@ -150,13 +149,13 @@ def test_eval_exits_1_on_bad_checkpoint(pipeline, tmp_path, capsys, damage):
         header = m3t_header(blob)
         header["tensors"][0]["shape"] = [3]
         bad.write_bytes(m3t_with_header(blob, header))
-    elif damage.startswith("model config keys missing"):
+    elif damage.startswith("ModelConfig lacks"):
         header = m3t_header(blob)
         del header["model_config"]["gate_temp"], header["model_config"]["dtype"]
         bad.write_bytes(m3t_with_header(blob, header))
     else:  # a well-formed file whose values are not finite
         header, arrays = load_m3t(good)
-        if damage.startswith("prior_stats"):
+        if damage.startswith("PriorStats"):
             header["prior_stats"]["age_std"] = float("nan")
         else:
             arrays["patch_embed.proj.weight"].reshape(-1)[0] = np.nan

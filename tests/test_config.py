@@ -2,15 +2,15 @@
 
 import ast
 import dataclasses
+import json
 import pathlib
 
 import pytest
 
 import m3ad
 from m3ad.config import (FUSION_TYPES, DataConfig, ModelConfig, RunConfig, TrainConfig,
-                         apply_assignment, apply_overrides, config_as_dict,
-                         load_config, model_config_from_dict,
-                         parse_config_text)
+                         apply_assignment, apply_overrides, from_fields,
+                         load_config, parse_config_text)
 from m3ad.errors import ConfigError
 
 
@@ -176,17 +176,17 @@ def test_stage_dim_doubling():
 def test_model_config_dict_round_trip():
     cfg = ModelConfig(embed_dim=8, depths=(1, 1, 1, 1), num_heads=(1, 2, 4, 8),
                       window=4, fusion_type="add")
-    raw = config_as_dict(cfg)
+    raw = json.loads(json.dumps(dataclasses.asdict(cfg)))
     assert raw["depths"] == [1, 1, 1, 1]  # JSON-friendly lists
-    back = model_config_from_dict(raw)
+    back = from_fields(ModelConfig, raw)
     assert back == cfg
     assert isinstance(back.depths, tuple)
-    with pytest.raises(ConfigError, match="unknown model config keys"):
-        model_config_from_dict({**raw, "n_layers": 4})
+    with pytest.raises(ConfigError, match="unknown ModelConfig field 'n_layers'"):
+        from_fields(ModelConfig, {**raw, "n_layers": 4})
     # a missing key is no default: the checkpoint was saved with some value
     del raw["gate_temp"], raw["dtype"]
-    with pytest.raises(ConfigError, match=r"missing from checkpoint: \['dtype', 'gate_temp'\]"):
-        model_config_from_dict(raw)
+    with pytest.raises(ConfigError, match="ModelConfig lacks field 'gate_temp'"):
+        from_fields(ModelConfig, raw)
 
 
 def test_fusion_types_registry():

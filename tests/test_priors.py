@@ -1,12 +1,17 @@
 """Clinical prior normalization, encoding, and the four fusion rules."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from conftest import tiny_model_config
 from m3ad import numerics as nm
-from m3ad.errors import ContractError, ShapeError
+from m3ad.config import from_fields
+from m3ad.errors import ConfigError, ContractError, ShapeError
+from m3ad.model import M3ADNet
 from m3ad.numerics import Tensor
-from m3ad.priors import (Fusion, PriorEncoder, PriorStats, c_fusion_dim,
+from m3ad.priors import (Fusion, PriorEncoder, PriorStats,
                          compute_prior_stats, normalize_priors)
 
 
@@ -42,14 +47,26 @@ def test_normalize_priors_hand_case():
 
 def test_prior_stats_dict_round_trip():
     stats = PriorStats(70.0, 9.5, 1450.0, 150.0)
-    assert PriorStats.from_dict(stats.as_dict()) == stats
+    raw = dataclasses.asdict(stats)
+    assert from_fields(PriorStats, raw) == stats
+    back = from_fields(PriorStats, {**raw, "age_mean": 70})  # a JSON int fills a float
+    assert back == stats and isinstance(back.age_mean, float)
+    with pytest.raises(ConfigError, match="unknown PriorStats field 'age_median'"):
+        from_fields(PriorStats, {**raw, "age_median": 70.0})
+    del raw["etiv_std"]
+    with pytest.raises(ConfigError, match="PriorStats lacks field 'etiv_std'"):
+        from_fields(PriorStats, raw)
 
 
 def test_c_fusion_dim_schedule():
-    assert [c_fusion_dim(96, s) for s in range(4)] == [192, 384, 768, 768]
-    assert [c_fusion_dim(8, s) for s in range(4)] == [16, 32, 64, 64]
-    with pytest.raises(ContractError):
-        c_fusion_dim(96, 4)
+    """The prior encoder's output width is the fusion point's channel
+    count: 2C, 4C, 8C after the merges of stages 0-2, 8C after stage 3."""
+    for embed, widths in ((8, [16, 32, 64, 64]), (16, [32, 64, 128, 128])):
+        built = [M3ADNet(tiny_model_config(embed_dim=embed, fusion_stage=s), seed=0)
+                 for s in range(4)]
+        assert [m.prior_encoder.fc3.weight.shape[-1] for m in built] == widths
+    with pytest.raises(ConfigError, match="fusion_stage"):
+        tiny_model_config(fusion_stage=4)
 
 
 def test_prior_encoder_shapes(rng):

@@ -18,7 +18,7 @@ from conftest import (cut_and_flip, engine_ops, m3t_header, m3t_with_header,
                       tiny_model_config, tiny_train_config)
 from m3ad import numerics as nm
 from m3ad import train as train_module
-from m3ad.config import TrainConfig
+from m3ad.config import ModelConfig, TrainConfig
 from m3ad.errors import CheckpointError, ConfigError, ContractError
 from m3ad.model import M3ADNet
 from m3ad.numerics import Tensor, no_grad
@@ -390,7 +390,7 @@ def test_checkpoint_rejects_old_versions(tmp_path):
 
 def _header_part(header: dict, where: str) -> dict:
     return {"header": header, "tensor": header["tensors"][3],
-            "prior_stats": header["prior_stats"]}[where]
+            "model_config": header["model_config"], "prior_stats": header["prior_stats"]}[where]
 
 
 _FIELDS = ([("header", key) for key in ("tensors", "model_config", "stage", "epoch",
@@ -416,6 +416,9 @@ def test_checkpoint_missing_field_names_file_and_field(tmp_path, where, key):
     ("header", "prior_stats", [70.0]),
     ("tensor", "name", None), ("tensor", "dtype", 4), ("tensor", "shape", "8"),
     ("prior_stats", "age_std", "8"),
+    # a key the record has no field for, and a NaN, are refused the same way
+    ("header", "optimizer", {}), ("model_config", "n_layers", 4),
+    ("prior_stats", "age_median", 70.0), ("model_config", "mask_ratio", float("nan")),
 ])
 def test_checkpoint_mistyped_field_names_file_and_field(tmp_path, where, key, value):
     blob = _valid_ckpt_bytes(tmp_path, PriorStats(70.0, 8.0, 1450.0, 120.0))
@@ -425,6 +428,38 @@ def test_checkpoint_mistyped_field_names_file_and_field(tmp_path, where, key, va
     bad.write_bytes(m3t_with_header(blob, header))
     with pytest.raises(CheckpointError, match=f"bad.m3ck: .*field '{key}' holds"):
         load_checkpoint(bad)
+
+
+_PINNED_HEADER = (
+    b'{"model_config": {"patch_size": 4, "embed_dim": 8, "depths": [1, 1, 1, 1], '
+    b'"num_heads": [1, 2, 4, 8], "window": 4, "num_experts": 8, "num_shared_experts": 2, '
+    b'"expert_hidden_ratio": 2, "gate_temp": 1.0, "shared_expert_weight": 0.3, '
+    b'"fusion_stage": 2, "fusion_type": "adaptive", "num_change_classes": 3, '
+    b'"mask_unit": 8, "mask_ratio": 0.6, "dtype": "float32"}, "stage": "finetune", '
+    b'"epoch": 3, "best": {"metric": "val_mean_acc", "value": 0.30000000000000004, '
+    b'"epoch": 2}, "prior_stats": %s, "tensors": [{"name": "w", "dtype": "float32", '
+    b'"shape": [2]}]}')
+
+
+@pytest.mark.parametrize("stats,text", [
+    (PriorStats(70.25, 1 / 3, 1450.0, 120.0),
+     b'{"age_mean": 70.25, "age_std": 0.3333333333333333, "etiv_mean": 1450.0, '
+     b'"etiv_std": 120.0}'),
+    (None, b"null"),
+])
+def test_checkpoint_header_bytes_are_pinned(tmp_path, stats, text):
+    """The on-disk JSON header, byte for byte: the Checkpoint's field
+    order, a config's tuples as lists, floats in their shortest repr."""
+    cfg = ModelConfig(embed_dim=8, depths=(1, 1, 1, 1), num_heads=(1, 2, 4, 8), window=4,
+                      expert_hidden_ratio=2)
+    ckpt = Checkpoint(model_config=cfg, stage="finetune", params={"w": np.zeros(2, np.float32)},
+                      epoch=3, best={"metric": "val_mean_acc", "value": 0.1 + 0.2, "epoch": 2},
+                      prior_stats=stats)
+    path = tmp_path / "pinned.m3ck"
+    save_checkpoint(path, ckpt)
+    blob = path.read_bytes()
+    head_len, = struct.unpack_from("<Q", blob, 8)
+    assert blob[16:16 + head_len] == _PINNED_HEADER % text
 
 
 @pytest.mark.parametrize("key,value", [
