@@ -11,21 +11,22 @@ overrides the configured seed. pretrain and finetune share one handler:
 each writes ``<command>.m3ck`` (the best epoch) and ``<command>_log.csv``
 (one row per epoch) under ``--out``; finetune may start from
 ``--init``. eval and inspect-gates take the model from ``--checkpoint``
-and read no config.
+and read no config. gen-data writes ``manifest.csv``, eval writes
+``confusion_<task>.csv`` and ``metrics_<task>.csv`` per task, and
+inspect-gates writes ``gates.csv``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import os
 import sys
 
 from .config import TRANSITIONS, RunConfig, apply_overrides, load_config
-from .data import C3_NAMES, DIAG_NAMES, gen_synthetic, load_split
+from .data import C3_NAMES, DIAG_NAMES, gen_synthetic, load_split, write_csv
 from .errors import ContractError, M3adError
-from .metrics import confusion, report, write_confusion_csv, write_metrics_csv
+from .metrics import confusion, report
 from .model import M3ADNet
 from .moe import TASKS
 from .train import (finetune_loop, load_checkpoint, model_from_checkpoint,
@@ -85,16 +86,6 @@ def _load_run_config(args) -> RunConfig:
     return cfg.validate()
 
 
-def _write_rows_csv(path, rows: list[dict]) -> None:
-    if not rows:
-        return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(rows[0]))
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row.values()])
-
-
 def _change_names(num_classes: int) -> list[str]:
     if num_classes == 3:
         return list(C3_NAMES)
@@ -125,7 +116,7 @@ def _cmd_train(args) -> int:
     else:
         ckpt, rows = finetune_loop(model, train_ds, val_ds, cfg.train, init=init)
     save_checkpoint(os.path.join(args.out, f"{args.command}.m3ck"), ckpt)
-    _write_rows_csv(os.path.join(args.out, f"{args.command}_log.csv"), rows)
+    write_csv(os.path.join(args.out, f"{args.command}_log.csv"), rows[0], map(dict.values, rows))
     log.info("%s done: best %s=%.5f at epoch %d", args.command,
              ckpt.best["metric"], ckpt.best["value"], ckpt.best["epoch"])
     return 0
@@ -152,8 +143,12 @@ def _cmd_eval(args) -> int:
                                 ("change", ds.change, _change_names(num_change))):
         cm = confusion(labels, logits[task].argmax(axis=1), len(names))
         rep = report(cm)
-        write_confusion_csv(os.path.join(args.out, f"confusion_{task}.csv"), cm, names)
-        write_metrics_csv(os.path.join(args.out, f"metrics_{task}.csv"), rep, names)
+        write_csv(os.path.join(args.out, f"confusion_{task}.csv"), ["true", *names],
+                  ([name, *counts] for name, counts in zip(names, cm.tolist())))
+        # the report's fields in order; a per-class field gives one row per class
+        rows = [[metric, *cell] for metric, value in vars(rep).items()
+                for cell in ([("", value)] if isinstance(value, float) else zip(names, value))]
+        write_csv(os.path.join(args.out, f"metrics_{task}.csv"), ["metric", "class", "value"], rows)
         accuracy[task] = rep.accuracy
     log.info("eval on %s: diagnosis acc %.4f, change acc %.4f", args.split,
              accuracy["diagnosis"], accuracy["change"])
@@ -184,14 +179,9 @@ def _cmd_inspect_gates(args) -> int:
     _, gate_sums = predict(model, ds, ckpt.prior_stats)
 
     path = os.path.join(args.out, "gates.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["layer", "task"]
-                        + [f"expert{e}" for e in range(model.cfg.num_experts)])
-        for layer in range(len(model.blocks)):
-            for task in TASKS:
-                means = gate_sums[task][layer] / len(ds)
-                writer.writerow([layer, task] + [repr(float(v)) for v in means])
+    write_csv(path, ["layer", "task", *(f"expert{e}" for e in range(model.cfg.num_experts))],
+              ([layer, task, *(gate_sums[task][layer] / len(ds)).tolist()]
+               for layer in range(len(model.blocks)) for task in TASKS))
     log.info("wrote %s", path)
     return 0
 

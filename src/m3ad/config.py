@@ -84,7 +84,7 @@ class ModelConfig:
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
         for s, h in enumerate(self.num_heads):
-            dim = self.embed_dim * (1 << s)
+            dim = self.stage_dim(s)
             if h < 1 or dim % h:
                 raise ConfigError(f"stage {s} channels {dim} not divisible by {h} heads")
         if self.window < 2 or self.window % 2:

@@ -18,18 +18,21 @@ generation order cannot affect content.
 Each scan is a tensor file (see :func:`m3ad.numerics.save_m3t`) that
 holds one float32 array named ``image`` and an empty header; the
 manifest CSV lists the scans with their priors, labels and split.
+:func:`write_csv` writes it and every other CSV table: UTF-8, ``\\n``
+line ends, a float cell as its ``repr`` and NaN as ``undefined``.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .config import DIAG_NAMES, TRANSITION_PRIORS, TRANSITIONS
+from .config import DIAG_NAMES, TRANSITION_PRIORS, TRANSITIONS, DataConfig
 from .errors import ContractError, ManifestError
 from .numerics import load_m3t, save_m3t
 
@@ -48,7 +51,6 @@ _AGE_MEAN = (62.0, 70.0, 76.3)
 _AGE_STD = (9.0, 8.0, 7.1)
 
 _SPLIT_TAG = 0x53504C49
-_MANIFEST_HEADER = ("path", "age", "gender", "etiv", "diag", "change", "split")
 
 
 def transition_diag_label(code: int) -> int:
@@ -72,6 +74,9 @@ class SampleRecord:
     diag: int
     change: int
     split: str
+
+
+_MANIFEST_HEADER = tuple(f.name for f in fields(SampleRecord))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -177,12 +182,8 @@ def gen_synthetic(out_dir, seed: int, n: int, size: int, scheme: str = "C3",
                   fractions: tuple[float, float, float] = (0.7, 0.15, 0.15),
                   label_priors=TRANSITION_PRIORS) -> str:
     """Write n image files plus a manifest; returns the manifest path."""
-    if size < 32 or size % 32:
-        raise ContractError(f"size must be a positive multiple of 32, got {size}")
-    priors = np.asarray(label_priors, dtype=np.float64)
-    if priors.shape != (len(TRANSITIONS),) or priors.min() < 0 or priors.sum() <= 0:
-        raise ContractError(f"label priors must be {len(TRANSITIONS)} non-negative values")
-    priors = priors / priors.sum()
+    DataConfig(n, size, scheme, tuple(fractions), tuple(label_priors)).validate()
+    priors = np.divide(label_priors, np.sum(label_priors))
 
     image_dir = os.path.join(out_dir, "images")
     os.makedirs(image_dir, exist_ok=True)
@@ -204,16 +205,20 @@ def gen_synthetic(out_dir, seed: int, n: int, size: int, scheme: str = "C3",
     return manifest_path
 
 
-# -- manifest ----------------------------------------------------------
+# -- CSV tables and the manifest --------------------------------------
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the header, then each row: a float cell as its ``repr``, NaN as ``undefined``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([("undefined" if math.isnan(v) else repr(float(v)))
+                          if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def write_manifest(path, records: list[SampleRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_MANIFEST_HEADER)
-        for rec in records:
-            writer.writerow([rec.path, repr(rec.age), rec.gender, repr(rec.etiv),
-                             rec.diag, rec.change, rec.split])
+    write_csv(path, _MANIFEST_HEADER, ([getattr(r, f) for f in _MANIFEST_HEADER] for r in records))
 
 
 def load_manifest(path) -> list[SampleRecord]:
@@ -287,10 +292,6 @@ def robust_zscore(image: np.ndarray) -> np.ndarray:
 def assign_splits(records: list[SampleRecord], fractions: tuple[float, float, float],
                   seed: int) -> list[SampleRecord]:
     """Stratified-by-diagnosis holdout assignment, deterministic in seed."""
-    if len(fractions) != 3 or any(f < 0 for f in fractions):
-        raise ContractError(f"fractions must be 3 non-negative values, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ContractError(f"fractions must sum to 1, got {fractions}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _SPLIT_TAG]))
     out = list(records)
     diag = np.asarray([r.diag for r in records])

@@ -9,7 +9,6 @@ both defined and both zero.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -82,28 +81,3 @@ def report(cm: np.ndarray) -> MetricsReport:
     accuracy = float(np.trace(cm) / n)
     return MetricsReport(accuracy=accuracy, precision=precision, recall=recall,
                          specificity=specificity, f1=f1, macro_f1=macro)
-
-
-def _fmt(value: float) -> str:
-    return "undefined" if np.isnan(value) else repr(float(value))
-
-
-def write_metrics_csv(path, rep: MetricsReport, class_names: list[str]) -> None:
-    """Rows of (metric, class, value); aggregate rows leave class empty."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["metric", "class", "value"])
-        writer.writerow(["accuracy", "", _fmt(rep.accuracy)])
-        for metric in ("precision", "recall", "specificity", "f1"):
-            values = getattr(rep, metric)
-            for i, name in enumerate(class_names):
-                writer.writerow([metric, name, _fmt(values[i])])
-        writer.writerow(["macro_f1", "", _fmt(rep.macro_f1)])
-
-
-def write_confusion_csv(path, cm: np.ndarray, class_names: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["true"] + list(class_names))
-        for i, name in enumerate(class_names):
-            writer.writerow([name] + [int(v) for v in cm[i]])

@@ -95,6 +95,7 @@ def test_finetune_artifacts(pipeline):
         assert 0.0 <= float(row[3]) <= 1.0
 
 
+@pytest.mark.filterwarnings("ignore:macro F1 excludes:RuntimeWarning")
 def test_eval_writes_metric_csvs(pipeline, tmp_path):
     out = tmp_path / "eval"
     rc = main(["eval", "--checkpoint", str(pipeline["out"] / "finetune.m3ck"),
@@ -114,6 +115,12 @@ def test_eval_writes_metric_csvs(pipeline, tmp_path):
     assert rows[0] == ["metric", "class", "value"]
     classes = {row[1] for row in rows[1:] if row[1]}
     assert classes == {"Stable", "Conversion", "Reversion"}
+    # accuracy, then 4 metrics x 3 classes, then macro F1, under the header
+    assert [row[0] for row in rows[1:]] == (["accuracy"] + ["precision"] * 3 + ["recall"] * 3
+                                            + ["specificity"] * 3 + ["f1"] * 3 + ["macro_f1"])
+    assert len(rows) == 1 + 2 + 4 * len(classes)
+    for row in rows[1:]:
+        assert row[2] == "undefined" or row[2] == repr(float(row[2]))
 
 
 def test_eval_warns_once_per_task(pipeline, tmp_path):

@@ -1,5 +1,7 @@
-"""Synthetic data generation, manifests, normalization, and splits."""
+"""Synthetic data generation, manifests, the CSV writer, normalization,
+and splits."""
 
+import csv
 import hashlib
 import os
 import re
@@ -16,8 +18,9 @@ from m3ad.data import (C3_NAMES, Dataset, SampleRecord, assign_splits,
                        class_region_mask, gen_synthetic,
                        load_manifest, load_split, robust_zscore, synth_image,
                        transition_change_label, transition_diag_label,
-                       write_manifest, _gaussian_filter, _marker_tile, _sample_rng)
-from m3ad.errors import CheckpointError, ContractError, ManifestError
+                       write_csv, write_manifest, _gaussian_filter, _marker_tile, _sample_rng)
+from m3ad.errors import CheckpointError, ConfigError, ContractError, ManifestError
+from m3ad.metrics import report
 from m3ad.numerics import load_m3t, save_m3t
 
 
@@ -173,13 +176,16 @@ def test_image_range_and_dtype():
 
 
 def test_gen_synthetic_contracts(tmp_path):
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError, match="size"):
         gen_synthetic(tmp_path, seed=0, n=4, size=33)
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError, match="label_priors"):
         gen_synthetic(tmp_path, seed=0, n=4, size=32, label_priors=(1.0, 0.0))
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError, match="label_priors"):
         gen_synthetic(tmp_path, seed=0, n=4, size=32,
                       label_priors=(-1.0,) * 7)
+    with pytest.raises(ConfigError, match="'label_priors' holds .*nan.*, not finite"):
+        gen_synthetic(tmp_path, seed=0, n=4, size=32,
+                      label_priors=(float("nan"),) + TRANSITION_PRIORS[1:])
 
 
 # -- manifest ----------------------------------------------------------
@@ -318,11 +324,63 @@ def test_assign_splits_empty_test_fraction():
     assert all(r.split in ("train", "val") for r in out)
 
 
-def test_assign_splits_contracts():
-    with pytest.raises(ContractError):
-        assign_splits(_many_records(10), (0.5, 0.2, 0.2), seed=0)
-    with pytest.raises(ContractError):
-        assign_splits(_many_records(10), (0.8, 0.3, -0.1), seed=0)
+def test_assign_splits_contracts(tmp_path):
+    # gen_synthetic checks the fractions before it assigns the splits
+    with pytest.raises(ConfigError, match="sum to 1"):
+        gen_synthetic(tmp_path, seed=0, n=4, size=32, fractions=(0.5, 0.2, 0.2))
+    with pytest.raises(ConfigError, match="non-negative"):
+        gen_synthetic(tmp_path, seed=0, n=4, size=32, fractions=(0.8, 0.3, -0.1))
+    with pytest.raises(ConfigError, match="'fractions' holds .*nan.*, not finite"):
+        gen_synthetic(tmp_path, seed=0, n=4, size=32, fractions=(float("nan"), 0.5, 0.5))
+    assert not os.path.exists(tmp_path / "images")
+
+
+# -- CSV writer --------------------------------------------------------
+
+
+def test_write_csv_bytes_are_pinned(tmp_path):
+    # one row per kind of cell the package writes; the bytes are those of
+    # the per-table writers that write_csv replaced
+    path = tmp_path / "table.csv"
+    write_csv(path, ["name", "count", "value", "note"],
+              [['a,"b"', 3, 0.1, ""],
+               ["plain", np.int64(-7), np.float64(1 / 3), float("nan")],
+               ["tiny", 0, np.float64(1e-300), np.float64("nan")],
+               ["big", np.int64(12), 2.0, 1e16]])
+    assert path.read_bytes() == (b'name,count,value,note\n"a,""b""",3,0.1,\n'
+                                 b"plain,-7,0.3333333333333333,undefined\n"
+                                 b"tiny,0,1e-300,undefined\nbig,12,2.0,1e+16\n")
+
+
+def test_write_csv_round_trip(tmp_path):
+    with pytest.warns(RuntimeWarning):
+        rep = report(np.array([[5, 0], [2, 0]]))
+    path = tmp_path / "metrics.csv"
+    write_csv(path, ["metric", "class", "value"],
+              [["accuracy", "", rep.accuracy]]
+              + [[metric, name, value] for metric in ("precision", "recall", "specificity", "f1")
+                 for name, value in zip(["neg", "pos"], getattr(rep, metric))]
+              + [["macro_f1", "", rep.macro_f1]])
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["metric", "class", "value"]
+    table = {(r[0], r[1]): r[2] for r in rows[1:]}
+    assert float(table[("accuracy", "")]) == rep.accuracy
+    assert table[("precision", "pos")] == "undefined"
+    assert float(table[("precision", "neg")]) == rep.precision[0]
+    assert float(table[("macro_f1", "")]) == rep.macro_f1
+    # total rows: header + accuracy + 4 metrics x 2 classes + macro
+    assert len(rows) == 11
+
+    cm = np.array([[5, 1, 0], [2, 6, 1], [0, 1, 4]])
+    path = tmp_path / "cm.csv"
+    write_csv(path, ["true", "NC", "MCI", "AD"],
+              ([name, *counts] for name, counts in zip(["NC", "MCI", "AD"], cm)))
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["true", "NC", "MCI", "AD"]
+    np.testing.assert_array_equal(np.array([[int(v) for v in row[1:]] for row in rows[1:]]), cm)
+    assert [row[0] for row in rows[1:]] == ["NC", "MCI", "AD"]
 
 
 # -- dataset loading ---------------------------------------------------
