@@ -1,7 +1,6 @@
 """Synthetic data generation, manifests, the CSV writer, normalization,
 and splits."""
 
-import csv
 import hashlib
 import os
 import re
@@ -20,7 +19,6 @@ from m3ad.data import (C3_NAMES, Dataset, SampleRecord, assign_splits,
                        transition_change_label, transition_diag_label,
                        write_csv, write_manifest, _gaussian_filter, _marker_tile, _sample_rng)
 from m3ad.errors import CheckpointError, ConfigError, ContractError, ManifestError
-from m3ad.metrics import report
 from m3ad.numerics import load_m3t, save_m3t
 
 
@@ -350,37 +348,6 @@ def test_write_csv_bytes_are_pinned(tmp_path):
     assert path.read_bytes() == (b'name,count,value,note\n"a,""b""",3,0.1,\n'
                                  b"plain,-7,0.3333333333333333,undefined\n"
                                  b"tiny,0,1e-300,undefined\nbig,12,2.0,1e+16\n")
-
-
-def test_write_csv_round_trip(tmp_path):
-    with pytest.warns(RuntimeWarning):
-        rep = report(np.array([[5, 0], [2, 0]]))
-    path = tmp_path / "metrics.csv"
-    write_csv(path, ["metric", "class", "value"],
-              [["accuracy", "", rep.accuracy]]
-              + [[metric, name, value] for metric in ("precision", "recall", "specificity", "f1")
-                 for name, value in zip(["neg", "pos"], getattr(rep, metric))]
-              + [["macro_f1", "", rep.macro_f1]])
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["metric", "class", "value"]
-    table = {(r[0], r[1]): r[2] for r in rows[1:]}
-    assert float(table[("accuracy", "")]) == rep.accuracy
-    assert table[("precision", "pos")] == "undefined"
-    assert float(table[("precision", "neg")]) == rep.precision[0]
-    assert float(table[("macro_f1", "")]) == rep.macro_f1
-    # total rows: header + accuracy + 4 metrics x 2 classes + macro
-    assert len(rows) == 11
-
-    cm = np.array([[5, 1, 0], [2, 6, 1], [0, 1, 4]])
-    path = tmp_path / "cm.csv"
-    write_csv(path, ["true", "NC", "MCI", "AD"],
-              ([name, *counts] for name, counts in zip(["NC", "MCI", "AD"], cm)))
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["true", "NC", "MCI", "AD"]
-    np.testing.assert_array_equal(np.array([[int(v) for v in row[1:]] for row in rows[1:]]), cm)
-    assert [row[0] for row in rows[1:]] == ["NC", "MCI", "AD"]
 
 
 # -- dataset loading ---------------------------------------------------

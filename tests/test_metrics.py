@@ -1,8 +1,11 @@
 """Confusion matrices and one-vs-rest metrics against hand-computed values."""
 
+import csv
+
 import numpy as np
 import pytest
 
+from m3ad.data import write_csv
 from m3ad.errors import ContractError
 from m3ad.metrics import confusion, report
 
@@ -129,3 +132,35 @@ def test_binary_recall_specificity_duality(rng):
     rep = report(confusion(y_true, y_pred, 2))
     assert rep.recall[1] == pytest.approx(rep.specificity[0])
     assert rep.recall[0] == pytest.approx(rep.specificity[1])
+
+
+def test_metrics_csv_round_trip(tmp_path):
+    with pytest.warns(RuntimeWarning):
+        rep = report(np.array([[5, 0], [2, 0]]))
+    path = tmp_path / "metrics.csv"
+    write_csv(path, ["metric", "class", "value"],
+              [["accuracy", "", rep.accuracy]]
+              + [[metric, name, value] for metric in ("precision", "recall", "specificity", "f1")
+                 for name, value in zip(["neg", "pos"], getattr(rep, metric))]
+              + [["macro_f1", "", rep.macro_f1]])
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["metric", "class", "value"]
+    table = {(r[0], r[1]): r[2] for r in rows[1:]}
+    assert float(table[("accuracy", "")]) == rep.accuracy
+    assert table[("precision", "pos")] == "undefined"
+    assert float(table[("precision", "neg")]) == rep.precision[0]
+    assert float(table[("macro_f1", "")]) == rep.macro_f1
+    # total rows: header + accuracy + 4 metrics x 2 classes + macro
+    assert len(rows) == 11
+
+
+def test_confusion_csv_round_trip(tmp_path):
+    path = tmp_path / "cm.csv"
+    write_csv(path, ["true", "NC", "MCI", "AD"],
+              ([name, *counts] for name, counts in zip(["NC", "MCI", "AD"], _CM)))
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["true", "NC", "MCI", "AD"]
+    np.testing.assert_array_equal(np.array([[int(v) for v in row[1:]] for row in rows[1:]]), _CM)
+    assert [row[0] for row in rows[1:]] == ["NC", "MCI", "AD"]
