@@ -38,7 +38,10 @@ enough to pay for the hand-off. Results are combined in a fixed order,
 so every value is the same whatever the thread count. BLAS is meant to
 run one thread per call: :func:`m3ad.entry.cap_threads` pins it before
 numpy loads. An explicitly set backend variable still wins, but a
-multi-threaded BLAS under the pool oversubscribes the cores.
+multi-threaded BLAS under the pool oversubscribes the cores. On glibc the
+same call raises the allocator's trim and mmap thresholds and gives the
+pool's threads one malloc arena, so that the arrays one step frees serve
+the next step instead of going back to the kernel.
 """
 
 from __future__ import annotations

@@ -367,12 +367,89 @@ def test_importing_the_cli_loads_no_scipy():
 
 def test_importing_the_entry_module_loads_no_numpy():
     """The console script pins BLAS at one thread in ``entry.cap_threads``,
-    which works only before numpy's first import."""
+    which works only before numpy's first import; so neither the import
+    nor the call, which sets the allocator through ctypes, loads numpy."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(entry.__file__)))
     out = subprocess.run([sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
-                          "import m3ad.entry; print('numpy' in sys.modules)", src],
+                          "import m3ad.entry; print('numpy' in sys.modules); "
+                          "m3ad.entry.cap_threads(); print('numpy' in sys.modules)", src],
                          capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]
+
+
+def _on_glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+# Ten 4 MiB float32 arrays filled and freed per cycle, on a pool worker
+# thread, as the engine's experts, and on the main thread; prints the
+# minor page faults per cycle after 10 warm-up cycles, and how many MiB
+# the resident set grew by from numpy's import on. (A child's ru_maxrss
+# may start at its parent's resident set, so /proc is read instead.)
+_FREED_MEMORY_SCRIPT = """
+import importlib.util, os, resource, sys
+from concurrent.futures import ThreadPoolExecutor
+spec = importlib.util.spec_from_file_location("_m3ad_entry", sys.argv[1])
+entry = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(entry)
+entry.cap_threads()
+import numpy as np
+
+def rss_mib():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+rss = rss_mib()
+
+def cycle():
+    arrays = [np.empty(1 << 20, np.float32) for _ in range(10)]
+    for arr in arrays:
+        arr.fill(1.0)
+
+pool = ThreadPoolExecutor(max_workers=1)
+def both():
+    pool.submit(cycle).result()
+    cycle()
+
+for _ in range(10):
+    both()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(40):
+    both()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 40, rss_mib() - rss)
+"""
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the allocator thresholds are glibc's")
+def test_cap_threads_keeps_freed_memory_unless_the_user_set_the_allocator():
+    """After ``cap_threads`` a cycle reuses the pages the last one freed,
+    and both threads share them: the process keeps one thread's 40 MiB,
+    not 40 MiB per thread. The user's own MALLOC_*_THRESHOLD_
+    variables or glibc.malloc tunables win over it, and then each cycle
+    faults its arrays in again. NumPy's huge-page advice is off, so that
+    a fault is one page."""
+    path = os.path.abspath(entry.__file__)
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env["NUMPY_MADVISE_HUGEPAGE"] = "0"
+
+    def faults_per_cycle_and_growth(**user):
+        out = subprocess.run([sys.executable, "-c", _FREED_MEMORY_SCRIPT, path],
+                             env={**env, **user}, capture_output=True, text=True,
+                             check=True, timeout=120)
+        return tuple(map(float, out.stdout.split()))
+
+    faults, growth_mib = faults_per_cycle_and_growth()
+    assert faults <= 10 and growth_mib <= 60
+    faults, _ = faults_per_cycle_and_growth(MALLOC_TRIM_THRESHOLD_="0",
+                                            MALLOC_MMAP_THRESHOLD_="131072")
+    assert faults >= 1000
+    faults, _ = faults_per_cycle_and_growth(
+        GLIBC_TUNABLES="glibc.malloc.trim_threshold=0:glibc.malloc.mmap_threshold=131072")
+    assert faults >= 1000
 
 
 def test_parallel_map_keeps_order_and_uses_pool_only_for_large_work(monkeypatch):

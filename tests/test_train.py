@@ -197,13 +197,16 @@ def test_cosine_lr_endpoints_and_midpoint():
 
 
 def test_clip_gradients_scales_to_unit_norm():
-    a = _param([0.0], grad=[3.0])
-    b = _param([0.0], grad=[4.0])
-    c = _param([0.0])  # no gradient: ignored
-    norm = clip_gradients({"a": a, "b": b, "c": c}, max_norm=1.0)
-    assert norm == pytest.approx(5.0)
-    np.testing.assert_allclose(a.grad, [0.6])
-    np.testing.assert_allclose(b.grad, [0.8])
+    """Norms of 5 and of 1.5, between max_norm and 2 * max_norm, are both
+    scaled down to max_norm."""
+    for ga, gb, want in ((3.0, 4.0, 5.0), (0.9, 1.2, 1.5)):
+        a = _param([0.0], grad=[ga])
+        b = _param([0.0], grad=[gb])
+        c = _param([0.0])  # no gradient: ignored
+        norm = clip_gradients({"a": a, "b": b, "c": c}, max_norm=1.0)
+        assert norm == pytest.approx(want)
+        np.testing.assert_allclose(a.grad, [0.6])
+        np.testing.assert_allclose(b.grad, [0.8])
 
 
 def test_clip_gradients_leaves_small_norms_alone():
@@ -560,6 +563,13 @@ def test_pretrain_loop_rows_and_determinism(tiny_splits):
     assert list(rows0[0]) == ["epoch", "lr", "train_total", "train_recon",
                               "train_expert", "val_masked_l1"]
     assert rows0 == rows1
+    # each epoch trains at, and logs, the cosine schedule from lr down to
+    # min_lr_ratio * lr; with lr 1 or a ratio of 0 a schedule down to
+    # min_lr_ratio alone would read the same
+    assert cfg.epochs >= 2 and cfg.lr != 1.0 and cfg.min_lr_ratio != 0.0
+    assert [row["lr"] for row in rows0] == [
+        cosine_lr(epoch, cfg.epochs, cfg.lr, cfg.min_lr_ratio * cfg.lr)
+        for epoch in range(cfg.epochs)]
     for name, arr in ckpt0.params.items():
         np.testing.assert_array_equal(arr, ckpt1.params[name])
     assert ckpt0.stage == "pretrain"
